@@ -22,9 +22,9 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import ConfigValidationError, DomainError
 from .gridworld import build_gridworld, load_grid_spec, build_grid_mdp
-from .harness import Arm, ExperimentConfig
+from .harness import Arm, ExperimentConfig, limit_violations
 from .mdp import TabularMdp
 from .schedules import (
     AccuracyTriggered,
@@ -95,8 +95,13 @@ def parse_step_spec(spec: str, mdp: TabularMdp):
     raise DomainError(f"bad step-size spec {spec!r}")
 
 
+def _new_parser() -> configparser.ConfigParser:
+    # values are taken literally: a '%' in a label is text, not interpolation
+    return configparser.ConfigParser(interpolation=None)
+
+
 def dump_schedule_file(periods, meta: dict[str, str]) -> str:
-    parser = configparser.ConfigParser()
+    parser = _new_parser()
     section = dict(meta)
     section["periods"] = " ".join(str(int(k)) for k in periods)
     parser["schedule"] = section
@@ -106,7 +111,7 @@ def dump_schedule_file(periods, meta: dict[str, str]) -> str:
 
 
 def load_schedule_file(path) -> ExplicitPeriod:
-    parser = configparser.ConfigParser()
+    parser = _new_parser()
     try:
         parser.read_string(Path(path).read_text())
         periods = tuple(int(k) for k in parser["schedule"]["periods"].split())
@@ -137,7 +142,7 @@ def _get_section(parser: configparser.ConfigParser, name: str):
 
 
 def _read_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = _new_parser()
     try:
         text = Path(path).read_text()
         parser.read_string(text)
@@ -166,6 +171,9 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         raise DomainError(f"malformed [run] section: {exc}") from exc
     if budget is None and cycles is None:
         raise DomainError("[run] needs budget or cycles")
+    problems = limit_violations(budget, eval_every, eval_horizon, n_cycles=cycles)
+    if problems:
+        raise ConfigValidationError(problems)
     return RunConfig(
         mdp=mdp,
         schedule=schedule,

@@ -69,13 +69,22 @@ class ExperimentConfig:
             problems.append("no seeds configured")
         if len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds must be distinct")
-        if self.sample_budget < 1:
-            problems.append("sample budget must be at least 1")
-        if self.eval_horizon is not None and self.eval_horizon < 0:
-            problems.append("evaluation horizon must be nonnegative")
-        if self.eval_every < 1:
-            problems.append("evaluation cadence must be at least 1")
+        problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon)
         return problems
+
+
+def limit_violations(sample_budget, eval_every, eval_horizon, n_cycles=None) -> list[str]:
+    """Run limits shared by run and sweep configs; ``None`` means unset."""
+    problems = []
+    if sample_budget is not None and sample_budget < 1:
+        problems.append("sample budget must be at least 1")
+    if n_cycles is not None and n_cycles < 1:
+        problems.append("cycle count must be at least 1")
+    if eval_horizon is not None and eval_horizon < 0:
+        problems.append("evaluation horizon must be nonnegative")
+    if eval_every < 1:
+        problems.append("evaluation cadence must be at least 1")
+    return problems
 
 
 def run_one(

@@ -7,6 +7,15 @@ runner for predetermined schedules, a geometric-schedule runner, and an
 accuracy-triggered runner that stops each inner loop once the mean absolute
 TD error over all pairs falls below the cycle's threshold.
 
+Under uniform exploration a periodic cycle is applied in closed form: with
+the target frozen, each pair's value at the end of any stretch of steps is
+its value at the start scaled by the product of its (1 - alpha) factors plus
+a weighted sum of its own sampled targets. ``_apply_cycle`` evaluates this
+with array operations over consecutive blocks of ``_CHUNK`` steps and
+carries the per-pair values from block to block, so its temporary memory
+stays bounded however long the period is. ``inner_sgd_step`` is the
+readable per-step reference the closed form is tested against.
+
 Sample-stream contract (what makes traces reproducible): each run owns one
 ``numpy.random.Generator``. Under uniform exploration a cycle draws its
 pair indices as one block, then its reward uniforms as one block; each step
@@ -210,32 +219,59 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
     return pairs, rewards
 
 
+def _checked_alphas(step_sizes, count, start=0):
+    alphas = step_sizes.alphas(count, start=start)
+    if not np.all((alphas > 0.0) & (alphas <= 1.0)):
+        raise DomainError("step sizes must lie in (0, 1]")
+    return alphas
+
+
 def _apply_cycle(q, cont, mdp, pairs, rewards, alphas):
     """Apply one cycle of asynchronous updates to ``q`` in place.
 
     Because targets depend only on the frozen table, each coordinate's
     update sequence collapses to a weighted average of its own targets:
     q_end = (prod beta_i) q_start + sum_i alpha_i (prod_{j>i} beta_j) t_i
-    with beta = 1 - alpha taken at that coordinate's hit steps.
+    with beta = 1 - alpha taken at that coordinate's hit steps. The same
+    form maps the values at the start of any stretch of steps to the values
+    at its end, so the cycle is applied as consecutive blocks of ``_CHUNK``
+    steps, each carrying the per-pair values into the next. Blocking keeps
+    the kernel's temporaries at O(_CHUNK + n_pairs * max hits per block)
+    whatever the period, instead of several period-sized arrays.
     """
-    targets = rewards + cont[pairs]
-    order = np.argsort(pairs, kind="stable")
-    ps = pairs[order]
-    ts = targets[order]
+    values = q[mdp.pair_state, mdp.pair_action]
+    for lo in range(0, len(pairs), _CHUNK):
+        hi = lo + _CHUNK
+        _apply_block(values, cont, pairs[lo:hi], rewards[lo:hi], alphas[lo:hi])
+    q[mdp.pair_state, mdp.pair_action] = values
+
+
+def _apply_block(values, cont, pairs, rewards, alphas):
+    """Closed-form update of the per-pair ``values`` over one block of steps.
+
+    Pair p's hits, latest first, fill row p of a matrix after a leading
+    1.0 and are padded with 1.0, so one cumprod along the rows gives every
+    suffix product prod_{j>i} beta_j (the column left of hit i) and the
+    whole product (the last column). Sorting the ids as the smallest
+    unsigned type that holds them lets the stable sort use radix sort; the
+    order equals that of the int64 sort.
+    """
+    n_pairs = values.size
+    order = np.argsort(pairs.astype(np.min_scalar_type(n_pairs - 1)), kind="stable")
+    counts = np.bincount(pairs, minlength=n_pairs)
+    width = int(counts.max()) + 1
+    # flat index of each sorted hit: row p, column (stop_p - position)
+    row_ends = np.cumsum(counts) + np.arange(0, n_pairs * width, width)
+    flat = np.repeat(row_ends, counts) - np.arange(len(pairs))
     als = alphas[order]
-    counts = np.bincount(ps, minlength=mdp.num_active_pairs)
-    stops = np.cumsum(counts)
-    rows, cols = mdp.pair_state, mdp.pair_action
-    for p in np.flatnonzero(counts):
-        hi = stops[p]
-        lo = hi - counts[p]
-        a = als[lo:hi]
-        t = ts[lo:hi]
-        beta = 1.0 - a
-        cp = np.cumprod(beta[::-1])
-        suffix = np.concatenate((cp[-2::-1], (1.0,)))
-        s_i, a_i = rows[p], cols[p]
-        q[s_i, a_i] = cp[-1] * q[s_i, a_i] + float(np.dot(a * suffix, t))
+    betas = np.ones(n_pairs * width)
+    betas[flat] = 1.0 - als
+    prods = np.cumprod(betas.reshape(n_pairs, width), axis=1)
+    targets = rewards[order] + np.repeat(cont, counts)
+    weighted = als * prods.ravel()[flat - 1] * targets
+    values *= prods[:, -1]
+    values += np.bincount(np.repeat(np.arange(n_pairs), counts), weights=weighted,
+                          minlength=n_pairs)
 
 
 def run_inner_loop(
@@ -256,9 +292,7 @@ def run_inner_loop(
     _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
     if isinstance(policy, UniformStateAction):
-        alphas = step_sizes.alphas(n_steps)
-        if np.any(alphas <= 0.0) or np.any(alphas > 1.0):
-            raise DomainError("step sizes must lie in (0, 1]")
+        alphas = _checked_alphas(step_sizes, n_steps)
         pairs, rewards = _draw_block(mdp, n_steps, rng)
         _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, pairs, rewards, alphas)
     else:
@@ -462,7 +496,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         block = min(_CHUNK, k_max - steps)
         pair_block = rng.integers(0, n_pairs, size=block).tolist()
         u_block = rng.random(block).tolist()
-        alpha_block = step_sizes.alphas(block, start=steps).tolist()
+        alpha_block = _checked_alphas(step_sizes, block, start=steps).tolist()
         for i in range(block):
             p = pair_block[i]
             r = v_first[p] if u_block[i] < p_first[p] else v_second[p]

@@ -11,7 +11,7 @@ from targetq.config import (
     parse_sweep_config,
     resolve_schedule,
 )
-from targetq.errors import DomainError
+from targetq.errors import ConfigValidationError, DomainError
 
 
 RUN_CFG = """
@@ -114,6 +114,44 @@ def test_run_malformed_config_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     missing = tmp_path / "nope.ini"
     assert main(["run", "--config", str(missing)]) == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("eval_every = 0", "evaluation cadence must be at least 1"),
+        ("budget = -5", "sample budget must be at least 1"),
+        ("cycles = 0", "cycle count must be at least 1"),
+        ("eval_horizon = -1", "evaluation horizon must be nonnegative"),
+    ],
+)
+def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    body = "\n".join(l for l in RUN_CFG.splitlines() if not l.startswith(key + " "))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(body + "\n" + line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_run_config_lists_every_limit_violation(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(
+        "[run]\ngamma = 0.7\nschedule = fixed 10\nbudget = 0\ncycles = 0\n"
+        "eval_every = 0\neval_horizon = -2\n"
+    )
+    with pytest.raises(ConfigValidationError) as err:
+        parse_run_config(cfg)
+    assert len(err.value.violations) == 4
+
+
+def test_run_label_with_percent_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RUN_CFG + "label = 50%\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert "run '50%' seed=3" in capsys.readouterr().out
 
 
 def test_sweep_csv_byte_identical(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import targetq as tq
 from targetq.errors import DomainError
-from targetq.learner import _draw_block, _frozen_continuation
+from targetq.learner import _CHUNK, _draw_block, _frozen_continuation
 
 from conftest import make_chain_mdp, make_selfloop_mdp, random_q
 
@@ -79,11 +80,37 @@ def test_inner_loop_single_step_sets_sampled_target(grid07, uniform, theory_step
 def test_inner_loop_matches_sequential_replay(grid07, theory_steps, uniform):
     rng = np.random.default_rng(3)
     q_in = random_q(grid07, rng)
-    for k in (1, 7, 300, 5000):
+    for k in (1, 7, 300, 5000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         fast = tq.run_inner_loop(q_in, k, theory_steps, uniform, grid07, np.random.default_rng(42))
         pairs, rewards = _draw_block(grid07, k, np.random.default_rng(42))
         slow = _sequential_replay(q_in, grid07, pairs, rewards, theory_steps.alphas(k))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+
+# 200 non-terminal states with two actions: 400 pairs, past the 8-bit sort key
+_CHAIN_400 = make_chain_mdp(gamma=0.9, rewards=tuple(np.linspace(-1.0, 1.0, 200)))
+_STEP = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    use_chain=st.booleans(),
+    k=st.integers(1, 3 * _CHUNK),
+    steps=st.one_of(
+        st.lists(_STEP, min_size=1, max_size=64),  # cycled through the steps
+        _STEP.map(lambda a: [a]),  # constant
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inner_loop_matches_sequential_replay_property(use_chain, k, steps, seed):
+    mdp = _CHAIN_400 if use_chain else tq.build_gridworld(0.7)
+    step_sizes = tq.CustomStepSize(lambda i: steps[i % len(steps)])
+    q_in = random_q(mdp, np.random.default_rng(seed))
+    fast = tq.run_inner_loop(q_in, k, step_sizes, tq.UniformStateAction(), mdp,
+                             np.random.default_rng(seed))
+    pairs, rewards = _draw_block(mdp, k, np.random.default_rng(seed))
+    slow = _sequential_replay(q_in, mdp, pairs, rewards, step_sizes.alphas(k))
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
 
 def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps, uniform):
@@ -390,6 +417,14 @@ def test_adaptive_validation(grid07, theory_steps, uniform):
             tq.new_q_table(grid07), 10, 50, theory_steps, uniform, grid07,
             np.random.default_rng(0),
         )
+    # step sizes outside (0, 1] are refused, as by run_inner_loop
+    for policy in (uniform, tq.EpsilonGreedyTrajectory(epsilon=0.5)):
+        for bad in (1.7, 0.0):
+            with pytest.raises(DomainError):
+                tq.run_accuracy_triggered_q(
+                    tq.new_q_table(grid07), 10, 50, tq.CustomStepSize(lambda k: bad),
+                    policy, grid07, np.random.default_rng(0), n_cycles=1,
+                )
 
 
 # ---------------------------------------------------------------------------
