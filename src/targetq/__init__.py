@@ -40,7 +40,6 @@ from .learner import (
     UniformStateAction,
     inner_sgd_step,
     run_accuracy_triggered_q,
-    run_geometric_q,
     run_inner_loop,
     run_periodic_q,
 )

@@ -26,15 +26,9 @@ from .config import (
 )
 from .errors import DomainError, IterationLimitError
 from .gridworld import ACTION_NAMES, dump_grid_spec, gridworld_spec
-from .harness import aggregate, emit_csv, run_experiment
-from .learner import UniformStateAction, run_accuracy_triggered_q, run_periodic_q
-from .mdp import new_q_table, value_iteration_oracle
-from .schedules import (
-    AccuracyTriggered,
-    compute_constants,
-    design_fixed_period,
-    design_growing_period,
-)
+from .harness import aggregate, emit_csv, run_experiment, run_one
+from .mdp import value_iteration_oracle
+from .schedules import compute_constants, design_fixed_period, design_growing_period
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,27 +128,10 @@ def _cmd_design(args) -> int:
 def _cmd_run(args) -> int:
     cfg = parse_run_config(args.config, seed_override=args.seed)
     oracle = value_iteration_oracle(cfg.mdp) if cfg.record_bias else None
-    rng = np.random.default_rng(cfg.seed)
-    q0 = new_q_table(cfg.mdp)
-    common = dict(
-        oracle=oracle,
-        n_cycles=cfg.n_cycles,
-        sample_budget=cfg.sample_budget,
-        eval_horizon=cfg.eval_horizon,
-        eval_every=cfg.eval_every,
-        label=cfg.label,
-        seed=cfg.seed,
-    )
-    if isinstance(cfg.schedule, AccuracyTriggered):
-        trace = run_accuracy_triggered_q(
-            q0, cfg.schedule.k_min, cfg.schedule.k_max, cfg.step_sizes,
-            UniformStateAction(), cfg.mdp, rng,
-            accuracy=cfg.schedule.accuracy, **common,
-        )
-    else:
-        trace = run_periodic_q(
-            q0, cfg.schedule, cfg.step_sizes, UniformStateAction(), cfg.mdp, rng, **common
-        )
+    trace = run_one(cfg.schedule, cfg.step_sizes, cfg.mdp, cfg.seed, oracle=oracle,
+                    n_cycles=cfg.n_cycles, sample_budget=cfg.sample_budget,
+                    eval_horizon=cfg.eval_horizon, eval_every=cfg.eval_every,
+                    label=cfg.label)
     final = trace.final
     print(f"run '{trace.label}' seed={trace.seed}: {final.cycle} cycles, "
           f"{final.cumulative_cost} samples")

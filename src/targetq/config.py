@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .errors import ConfigValidationError, DomainError
 from .gridworld import build_gridworld, load_grid_spec, build_grid_mdp
-from .harness import Arm, ExperimentConfig, limit_violations
+from .harness import Arm, ExperimentConfig
+from .learner import limit_violations
 from .mdp import TabularMdp
 from .schedules import (
     AccuracyTriggered,
@@ -47,7 +48,8 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
     return build_grid_mdp(load_grid_spec(text, gamma=gamma))
 
 
-def parse_schedule_spec(spec: str):
+def parse_schedule_spec(spec: str, gamma: float):
+    """Schedule from its spec; ``geometric K0`` takes the discount ``gamma``."""
     parts = spec.split()
     if not parts:
         raise DomainError("empty schedule spec")
@@ -56,9 +58,7 @@ def parse_schedule_spec(spec: str):
         if kind == "fixed" and len(args) == 1:
             return FixedPeriod(int(args[0]))
         if kind == "geometric" and len(args) in (1, 2):
-            k0 = int(args[0])
-            gamma = float(args[1]) if len(args) == 2 else None
-            return ("geometric", k0, gamma)
+            return GeometricPeriod(int(args[0]), float(args[1]) if len(args) == 2 else gamma)
         if kind == "custom" and args:
             return ExplicitPeriod(tuple(int(a) for a in args))
         if kind == "file" and len(args) == 1:
@@ -68,14 +68,6 @@ def parse_schedule_spec(spec: str):
     except ValueError as exc:
         raise DomainError(f"bad schedule spec {spec!r}: {exc}") from exc
     raise DomainError(f"bad schedule spec {spec!r}")
-
-
-def resolve_schedule(parsed, mdp: TabularMdp):
-    """Bind specs that default to the environment's discount."""
-    if isinstance(parsed, tuple) and parsed[0] == "geometric":
-        _, k0, gamma = parsed
-        return GeometricPeriod(k0, mdp.gamma if gamma is None else gamma)
-    return parsed
 
 
 def parse_step_spec(spec: str, mdp: TabularMdp):
@@ -159,7 +151,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     try:
         gamma = section.getfloat("gamma")
         mdp = load_environment(section.get("env", "gridworld"), gamma)
-        schedule = resolve_schedule(parse_schedule_spec(section["schedule"]), mdp)
+        schedule = parse_schedule_spec(section["schedule"], mdp.gamma)
         step_sizes = parse_step_spec(section.get("step_size", "theory"), mdp)
         seed = seed_override if seed_override is not None else section.getint("seed", 0)
         budget = section.getint("budget", fallback=None)
@@ -217,7 +209,7 @@ def parse_sweep_config(path) -> ExperimentConfig:
         arm_section = parser[name]
         label = name[4:].strip()
         try:
-            schedule = resolve_schedule(parse_schedule_spec(arm_section["schedule"]), mdp)
+            schedule = parse_schedule_spec(arm_section["schedule"], mdp.gamma)
             step_sizes = parse_step_spec(arm_section.get("step_size", "theory"), mdp)
         except KeyError as exc:
             raise DomainError(f"malformed [{name}] section: {exc}") from exc

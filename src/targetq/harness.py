@@ -18,6 +18,7 @@ from .errors import AlignmentError, ConfigValidationError
 from .learner import (
     RunTrace,
     UniformStateAction,
+    limit_violations,
     run_accuracy_triggered_q,
     run_periodic_q,
 )
@@ -51,12 +52,9 @@ class ExperimentConfig:
     arms: tuple[Arm, ...]
     seeds: tuple[int, ...]
     sample_budget: int
-    eval_start: int | None = None
     eval_horizon: int | None = None
     eval_every: int = 1
     record_bias: bool = True
-    record_gap: bool = False
-    oracle_tol: float = 1e-10
 
     def violations(self) -> list[str]:
         problems = []
@@ -73,55 +71,19 @@ class ExperimentConfig:
         return problems
 
 
-def limit_violations(sample_budget, eval_every, eval_horizon, n_cycles=None) -> list[str]:
-    """Run limits shared by run and sweep configs; ``None`` means unset."""
-    problems = []
-    if sample_budget is not None and sample_budget < 1:
-        problems.append("sample budget must be at least 1")
-    if n_cycles is not None and n_cycles < 1:
-        problems.append("cycle count must be at least 1")
-    if eval_horizon is not None and eval_horizon < 0:
-        problems.append("evaluation horizon must be nonnegative")
-    if eval_every < 1:
-        problems.append("evaluation cadence must be at least 1")
-    return problems
-
-
-def run_one(
-    cfg: ExperimentConfig,
-    arm: Arm,
-    seed: int,
-    oracle: np.ndarray | None,
-) -> RunTrace:
-    """A single seeded run of one arm; all runs flow through here so arms
-    stay comparable."""
+def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, **options) -> RunTrace:
+    """One seeded run from a zero table under uniform exploration, as the
+    sweep and the ``run`` command make it: adaptive schedules go to the
+    accuracy-triggered runner, the rest to the periodic one."""
     rng = np.random.default_rng(seed)
-    q0 = new_q_table(cfg.mdp)
-    common = dict(
-        oracle=oracle,
-        sample_budget=cfg.sample_budget,
-        eval_start=cfg.eval_start,
-        eval_horizon=cfg.eval_horizon,
-        eval_every=cfg.eval_every,
-        record_gap=cfg.record_gap,
-        label=arm.label,
-        seed=seed,
-    )
-    if isinstance(arm.schedule, AccuracyTriggered):
+    q0 = new_q_table(mdp)
+    if isinstance(schedule, AccuracyTriggered):
         return run_accuracy_triggered_q(
-            q0,
-            arm.schedule.k_min,
-            arm.schedule.k_max,
-            arm.step_sizes,
-            UniformStateAction(),
-            cfg.mdp,
-            rng,
-            accuracy=arm.schedule.accuracy,
-            **common,
+            q0, schedule.k_min, schedule.k_max, step_sizes, UniformStateAction(), mdp, rng,
+            accuracy=schedule.accuracy, seed=seed, **options,
         )
-    return run_periodic_q(
-        q0, arm.schedule, arm.step_sizes, UniformStateAction(), cfg.mdp, rng, **common
-    )
+    return run_periodic_q(q0, schedule, step_sizes, UniformStateAction(), mdp, rng,
+                          seed=seed, **options)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:
@@ -133,12 +95,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:
     problems = cfg.violations()
     if problems:
         raise ConfigValidationError(problems)
-    oracle = (
-        value_iteration_oracle(cfg.mdp, tol=cfg.oracle_tol) if cfg.record_bias else None
-    )
+    oracle = value_iteration_oracle(cfg.mdp) if cfg.record_bias else None
     results: dict[str, list[RunTrace]] = {}
     for arm in cfg.arms:
-        results[arm.label] = [run_one(cfg, arm, seed, oracle) for seed in cfg.seeds]
+        results[arm.label] = [
+            run_one(arm.schedule, arm.step_sizes, cfg.mdp, seed, oracle=oracle,
+                    sample_budget=cfg.sample_budget, eval_horizon=cfg.eval_horizon,
+                    eval_every=cfg.eval_every, label=arm.label)
+            for seed in cfg.seeds
+        ]
     return results
 
 
@@ -218,35 +183,17 @@ def _fmt(x) -> str:
 
 
 def _stats_rows(label: str, stats: AggregateStats):
+    columns = (stats.bias_mean, stats.bias_median, stats.bias_lo, stats.bias_hi,
+               stats.score_median, stats.score_lo, stats.score_hi)
     for i, cost in enumerate(stats.costs):
-        yield (
-            label,
-            str(cost),
-            str(i),
-            _fmt(stats.bias_mean[i]),
-            _fmt(stats.bias_median[i]),
-            _fmt(stats.bias_lo[i]),
-            _fmt(stats.bias_hi[i]),
-            _fmt(stats.score_median[i]),
-            _fmt(stats.score_lo[i]),
-            _fmt(stats.score_hi[i]),
-        )
+        yield (label, str(cost), str(i), *(_fmt(column[i]) for column in columns))
 
 
 def _trace_rows(label: str, trace: RunTrace):
+    # a single run: every statistic and band is the run's own value
     for rec in trace.records:
-        yield (
-            label,
-            str(rec.cumulative_cost),
-            str(rec.cycle),
-            _fmt(rec.bias),
-            _fmt(rec.bias),
-            _fmt(rec.bias),
-            _fmt(rec.bias),
-            _fmt(rec.score),
-            _fmt(rec.score),
-            _fmt(rec.score),
-        )
+        yield (label, str(rec.cumulative_cost), str(rec.cycle),
+               *[_fmt(rec.bias)] * 4, *[_fmt(rec.score)] * 3)
 
 
 def emit_csv(data, path) -> None:

@@ -2,9 +2,10 @@
 
 The inner loop runs asynchronous SGD on the squared Bellman error against a
 target table frozen at cycle start; the outer loop overwrites the target at
-the end of each cycle. Three drivers are provided: a generic periodic
-runner for predetermined schedules, a geometric-schedule runner, and an
-accuracy-triggered runner that stops each inner loop once the mean absolute
+the end of each cycle. There is one outer loop, ``_run_cycles``, and two
+entry points that each hand it a cycle: ``run_periodic_q`` runs a
+predetermined schedule (fixed, geometric or explicit periods) and
+``run_accuracy_triggered_q`` stops each inner loop once the mean absolute
 TD error over all pairs falls below the cycle's threshold.
 
 Under uniform exploration a periodic cycle is applied in closed form: with
@@ -41,7 +42,7 @@ from .mdp import (
     greedy_state_values,
     sup_distance,
 )
-from .schedules import AccuracyTriggered, GeometricPeriod, TufSchedule
+from .schedules import AccuracyTriggered, TufSchedule
 
 _CHUNK = 8192
 
@@ -191,8 +192,7 @@ def inner_sgd_step(
         p = int(rng.integers(mdp.num_active_pairs))
     else:
         p = policy.draw_pair(q, mdp, rng)
-    u = rng.random()
-    r = float(mdp.pair_value_first[p] if u < mdp.pair_p_first[p] else mdp.pair_value_second[p])
+    r = float(mdp.draw_rewards(p, rng.random()))
     ns = int(mdp.pair_next_state[p])
     cont = 0.0 if mdp.terminal_mask[ns] else float(np.max(q_frozen[ns]))
     target = r + mdp.gamma * cont
@@ -209,14 +209,9 @@ def _frozen_continuation(q_frozen: np.ndarray, mdp: TabularMdp) -> np.ndarray:
 
 
 def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
-    pairs = rng.integers(0, mdp.num_active_pairs, size=count)
-    u = rng.random(count)
-    rewards = np.where(
-        u < mdp.pair_p_first[pairs],
-        mdp.pair_value_first[pairs],
-        mdp.pair_value_second[pairs],
-    )
-    return pairs, rewards
+    """``count`` uniform pair indices, then their ``count`` reward uniforms;
+    ``mdp.draw_rewards(pairs, u)`` turns the uniforms into rewards."""
+    return rng.integers(0, mdp.num_active_pairs, size=count), rng.random(count)
 
 
 def _checked_alphas(step_sizes, count, start=0):
@@ -226,7 +221,7 @@ def _checked_alphas(step_sizes, count, start=0):
     return alphas
 
 
-def _apply_cycle(q, cont, mdp, pairs, rewards, alphas):
+def _apply_cycle(q, cont, mdp, pairs, u, alphas):
     """Apply one cycle of asynchronous updates to ``q`` in place.
 
     Because targets depend only on the frozen table, each coordinate's
@@ -237,12 +232,14 @@ def _apply_cycle(q, cont, mdp, pairs, rewards, alphas):
     at its end, so the cycle is applied as consecutive blocks of ``_CHUNK``
     steps, each carrying the per-pair values into the next. Blocking keeps
     the kernel's temporaries at O(_CHUNK + n_pairs * max hits per block)
-    whatever the period, instead of several period-sized arrays.
+    whatever the period; rewards are drawn from the uniforms ``u`` block by
+    block too.
     """
     values = q[mdp.pair_state, mdp.pair_action]
     for lo in range(0, len(pairs), _CHUNK):
         hi = lo + _CHUNK
-        _apply_block(values, cont, pairs[lo:hi], rewards[lo:hi], alphas[lo:hi])
+        rewards = mdp.draw_rewards(pairs[lo:hi], u[lo:hi])
+        _apply_block(values, cont, pairs[lo:hi], rewards, alphas[lo:hi])
     q[mdp.pair_state, mdp.pair_action] = values
 
 
@@ -293,52 +290,73 @@ def run_inner_loop(
     q = np.array(q_in, dtype=float)
     if isinstance(policy, UniformStateAction):
         alphas = _checked_alphas(step_sizes, n_steps)
-        pairs, rewards = _draw_block(mdp, n_steps, rng)
-        _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, pairs, rewards, alphas)
+        pairs, u = _draw_block(mdp, n_steps, rng)
+        _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, pairs, u, alphas)
     else:
         # trajectory policies keep their behavior state across cycles of a
         # run; use one policy instance per run
-        frozen = np.array(q_in, dtype=float)
         for k in range(n_steps):
-            inner_sgd_step(q, frozen, mdp, policy, step_sizes.alpha(k), rng)
+            inner_sgd_step(q, q_in, mdp, policy, step_sizes.alpha(k), rng)
     return q
 
 
 # ---------------------------------------------------------------------------
-# Outer loops
+# Outer loop
 
 
-def _record(trace, cycle, planned, steps, cost, q, mdp, oracle, gap, eval_start,
-            eval_horizon, do_eval, stop_stat=None):
-    bias = sup_distance(q, oracle, mdp) if oracle is not None else None
-    score = None
-    if eval_horizon is not None and do_eval:
-        start = mdp.start_state if eval_start is None else eval_start
-        score = evaluate_greedy(q, mdp, start, eval_horizon)
-    trace.records.append(
-        CycleRecord(
-            cycle=cycle,
-            planned_period=planned,
-            inner_steps=steps,
-            cumulative_cost=cost,
-            bias=bias,
-            bellman_gap=gap,
-            score=score,
-            stop_stat=stop_stat,
-        )
-    )
+def limit_violations(sample_budget, eval_every, eval_horizon, n_cycles=None) -> list[str]:
+    """Run limits shared by runs and configs; ``None`` means unset."""
+    problems = []
+    if sample_budget is not None and sample_budget < 1:
+        problems.append("sample budget must be at least 1")
+    if n_cycles is not None and n_cycles < 1:
+        problems.append("cycle count must be at least 1")
+    if eval_horizon is not None and eval_horizon < 0:
+        problems.append("evaluation horizon must be nonnegative")
+    if eval_every < 1:
+        problems.append("evaluation cadence must be at least 1")
+    return problems
 
 
-def _resolve_limits(schedule_cycles, n_cycles, sample_budget):
-    if n_cycles is not None and schedule_cycles is not None:
-        limit = min(n_cycles, schedule_cycles)
-    elif n_cycles is not None:
-        limit = n_cycles
-    else:
-        limit = schedule_cycles
+def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horizon=None,
+                eval_every=1, record_gap=False, label="run", seed=None) -> RunTrace:
+    """The outer loop: ``cycle(n, q) -> (q_new, planned, steps, stop_stat)``
+    runs cycle n's inner loop against the frozen target ``q``; its result
+    overwrites the target. Records the initial table at cost 0, then every
+    cycle, until ``limit`` cycles ran or the cumulative cost reaches
+    ``sample_budget``; the cycle that crosses the budget completes.
+
+    Each record carries the sup distance to ``oracle`` if given, and every
+    ``eval_every`` cycles the greedy score over ``eval_horizon`` steps from
+    ``mdp.start_state`` if a horizon is given; ``record_gap`` adds the
+    distance from the cycle's exact Bellman image."""
+    problems = limit_violations(sample_budget, eval_every, eval_horizon)
+    if problems:
+        raise DomainError("; ".join(problems))
     if limit is None and sample_budget is None:
-        raise DomainError("an unbounded schedule needs n_cycles or sample_budget")
-    return limit
+        raise DomainError("an unbounded run needs n_cycles or sample_budget")
+    _check_table(q0, mdp)
+    q = np.array(q0, dtype=float)
+    trace = RunTrace(gamma=mdp.gamma, label=label, seed=seed)
+    n = cost = steps = 0
+    planned = gap = stat = None
+    while True:
+        bias = sup_distance(q, oracle, mdp) if oracle is not None else None
+        score = None
+        if eval_horizon is not None and n % eval_every == 0:
+            score = evaluate_greedy(q, mdp, mdp.start_state, eval_horizon)
+        trace.records.append(CycleRecord(
+            cycle=n, planned_period=planned, inner_steps=steps, cumulative_cost=cost,
+            bias=bias, bellman_gap=gap, score=score, stop_stat=stat))
+        over_budget = sample_budget is not None and cost >= sample_budget
+        if over_budget or (limit is not None and n >= limit):
+            return trace
+        image = exact_bellman_apply(q, mdp) if record_gap else None
+        q_new, planned, steps, stat = cycle(n, q)
+        gap = sup_distance(q_new, image, mdp) if record_gap else None
+        q = q_new
+        cost += steps
+        n += 1
 
 
 def run_periodic_q(
@@ -349,74 +367,30 @@ def run_periodic_q(
     mdp: TabularMdp,
     rng: np.random.Generator,
     *,
-    oracle: np.ndarray | None = None,
     n_cycles: int | None = None,
     sample_budget: int | None = None,
-    eval_start: int | None = None,
-    eval_horizon: int | None = None,
-    eval_every: int = 1,
-    record_gap: bool = False,
-    label: str = "run",
-    seed: int | None = None,
+    **options,
 ) -> RunTrace:
     """Q-learning with delayed target updates under a predetermined
-    schedule. The target is frozen at each cycle start and overwritten by
-    the final iterate at cycle end; step sizes restart every cycle.
+    schedule (fixed, geometric or explicit periods). The target is frozen
+    at each cycle start and overwritten by the final iterate at cycle end;
+    step sizes restart every cycle.
 
     Stops after ``n_cycles`` cycles (or the schedule's own length) or once
     the cumulative sample cost reaches ``sample_budget``, whichever comes
-    first; the cycle that crosses the budget completes.
+    first; the cycle that crosses the budget completes. ``options`` set
+    what each cycle records: ``oracle``, ``eval_horizon``, ``eval_every``,
+    ``record_gap``, and the trace's ``label`` and ``seed``.
     """
     if isinstance(schedule, AccuracyTriggered):
         raise DomainError("adaptive schedules are run by run_accuracy_triggered_q")
-    limit = _resolve_limits(schedule.n_cycles, n_cycles, sample_budget)
-    _check_table(q0, mdp)
-    q = np.array(q0, dtype=float)
-    trace = RunTrace(gamma=mdp.gamma, label=label, seed=seed)
-    _record(trace, 0, None, 0, 0, q, mdp, oracle, None, eval_start, eval_horizon, True)
-    n = 0
-    cost = 0
-    while (limit is None or n < limit) and (sample_budget is None or cost < sample_budget):
+
+    def cycle(n, q):
         k = schedule.period(n)
-        if k < 1:
-            raise DomainError(f"schedule produced period {k} at cycle {n}")
-        image = exact_bellman_apply(q, mdp) if record_gap else None
-        q_new = run_inner_loop(q, k, step_sizes, policy, mdp, rng)
-        gap = sup_distance(q_new, image, mdp) if record_gap else None
-        q = q_new
-        cost += k
-        n += 1
-        _record(trace, n, k, k, cost, q, mdp, oracle, gap, eval_start, eval_horizon,
-                n % eval_every == 0)
-    return trace
+        return run_inner_loop(q, k, step_sizes, policy, mdp, rng), k, k, None
 
-
-def run_geometric_q(
-    q0: np.ndarray,
-    k0: int,
-    step_sizes,
-    policy,
-    mdp: TabularMdp,
-    rng: np.random.Generator,
-    *,
-    n_cycles: int | None = None,
-    sample_budget: int | None = None,
-    **kwargs,
-) -> RunTrace:
-    """Periodic Q-learning whose update periods grow geometrically as
-    ceil(k0 * gamma^(-2n/3)), the rate at which longer freezes keep pace
-    with the shrinking outer-loop error."""
-    return run_periodic_q(
-        q0,
-        GeometricPeriod(k0, mdp.gamma),
-        step_sizes,
-        policy,
-        mdp,
-        rng,
-        n_cycles=n_cycles,
-        sample_budget=sample_budget,
-        **kwargs,
-    )
+    limit = min((c for c in (n_cycles, schedule.n_cycles) if c is not None), default=None)
+    return _run_cycles(q0, mdp, cycle, limit, sample_budget, **options)
 
 
 def run_accuracy_triggered_q(
@@ -429,15 +403,9 @@ def run_accuracy_triggered_q(
     rng: np.random.Generator,
     *,
     accuracy: Callable[[int], float] | None = None,
-    oracle: np.ndarray | None = None,
     n_cycles: int | None = None,
     sample_budget: int | None = None,
-    eval_start: int | None = None,
-    eval_horizon: int | None = None,
-    eval_every: int = 1,
-    record_gap: bool = False,
-    label: str = "run",
-    seed: int | None = None,
+    **options,
 ) -> RunTrace:
     """Q-learning with accuracy-triggered target updates.
 
@@ -445,36 +413,23 @@ def run_accuracy_triggered_q(
     both at least ``k_min`` steps were taken and the stopping statistic
     (mean |mean TD error| over all pairs, unvisited pairs counting zero)
     falls to the cycle's threshold, or ``k_max`` steps are exhausted.
-    Thresholds default to n^-2 for 1-based cycle index n.
+    Thresholds default to n^-2 for 1-based cycle index n. Limits and
+    ``options`` as for ``run_periodic_q``.
     """
     adaptive = AccuracyTriggered(k_min, k_max, accuracy)
-    if n_cycles is None and sample_budget is None:
-        raise DomainError("accuracy-triggered runs need n_cycles or sample_budget")
-    _check_table(q0, mdp)
-    q = np.array(q0, dtype=float)
-    trace = RunTrace(gamma=mdp.gamma, label=label, seed=seed)
-    _record(trace, 0, None, 0, 0, q, mdp, oracle, None, eval_start, eval_horizon, True)
-    n = 0
-    cost = 0
-    while (n_cycles is None or n < n_cycles) and (sample_budget is None or cost < sample_budget):
+
+    def cycle(n, q):
         eps_n = adaptive.threshold(n + 1)
-        image = exact_bellman_apply(q, mdp) if record_gap else None
         q_new = np.array(q, dtype=float)
         if isinstance(policy, UniformStateAction):
-            steps, stat = _adaptive_cycle_uniform(
-                q_new, q, mdp, step_sizes, k_min, k_max, eps_n, rng
-            )
+            steps, stat = _adaptive_cycle_uniform(q_new, q, mdp, step_sizes, k_min, k_max,
+                                                  eps_n, rng)
         else:
-            steps, stat = _adaptive_cycle_trajectory(
-                q_new, q, mdp, step_sizes, policy, k_min, k_max, eps_n, rng
-            )
-        gap = sup_distance(q_new, image, mdp) if record_gap else None
-        q = q_new
-        cost += steps
-        n += 1
-        _record(trace, n, None, steps, cost, q, mdp, oracle, gap, eval_start,
-                eval_horizon, n % eval_every == 0, stop_stat=stat)
-    return trace
+            steps, stat = _adaptive_cycle_trajectory(q_new, q, mdp, step_sizes, policy, k_min,
+                                                     k_max, eps_n, rng)
+        return q_new, None, steps, stat
+
+    return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
 
 
 def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
@@ -483,9 +438,6 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     is inlined and the stopping statistic maintained incrementally."""
     n_pairs = mdp.num_active_pairs
     cont = _frozen_continuation(q_frozen, mdp).tolist()
-    p_first = mdp.pair_p_first.tolist()
-    v_first = mdp.pair_value_first.tolist()
-    v_second = mdp.pair_value_second.tolist()
     values = q[mdp.pair_state, mdp.pair_action].tolist()
     counts = [0] * n_pairs
     means = [0.0] * n_pairs
@@ -494,13 +446,13 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     stopped = False
     while steps < k_max and not stopped:
         block = min(_CHUNK, k_max - steps)
-        pair_block = rng.integers(0, n_pairs, size=block).tolist()
-        u_block = rng.random(block).tolist()
+        pairs, u = _draw_block(mdp, block, rng)
+        pair_block = pairs.tolist()
+        reward_block = mdp.draw_rewards(pairs, u).tolist()
         alpha_block = _checked_alphas(step_sizes, block, start=steps).tolist()
         for i in range(block):
             p = pair_block[i]
-            r = v_first[p] if u_block[i] < p_first[p] else v_second[p]
-            delta = r + cont[p] - values[p]
+            delta = reward_block[i] + cont[p] - values[p]
             values[p] += alpha_block[i] * delta
             c = counts[p] + 1
             counts[p] = c
@@ -513,17 +465,15 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
                 stopped = True
                 break
     q[mdp.pair_state, mdp.pair_action] = values
-    exact_stat = sum(abs(m) for m in means) / n_pairs
-    return steps, exact_stat
+    return steps, sum(abs(m) for m in means) / n_pairs
 
 
 def _adaptive_cycle_trajectory(q, q_frozen, mdp, step_sizes, policy, k_min, k_max, eps_n, rng):
     """Per-step variant for trajectory exploration."""
     tracker = TdErrorTracker(mdp.num_active_pairs)
-    frozen = np.array(q_frozen, dtype=float)
     steps = 0
     for k in range(k_max):
-        out = inner_sgd_step(q, frozen, mdp, policy, step_sizes.alpha(k), rng)
+        out = inner_sgd_step(q, q_frozen, mdp, policy, step_sizes.alpha(k), rng)
         tracker.update(mdp.pair_id(out.state, out.action), out.delta)
         steps += 1
         if steps >= k_min and tracker.stopping_stat() <= eps_n:

@@ -65,10 +65,7 @@ class RewardDistribution:
 
     def sample(self, rng: np.random.Generator) -> float:
         # One uniform per draw, unconditionally; u < p selects the first value.
-        u = rng.random()
-        if self.kind == "deterministic":
-            return self.values[0]
-        return self.values[0] if u < self.probabilities[0] else self.values[1]
+        return self.values[0] if rng.random() < self.probabilities[0] else self.values[-1]
 
 
 @dataclass(frozen=True)
@@ -130,26 +127,20 @@ class TabularMdp:
                     raise DomainError(f"transition target {ns} out of range for {(s, a)}")
                 pairs.append((s, a))
 
-        self._rewards = {pair: rewards[pair] for pair in pairs}
-        self._transitions = {pair: int(transitions[pair]) for pair in pairs}
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
+        self._reward_laws = [rewards[p] for p in pairs]
 
         n = len(pairs)
         self.pair_state = np.fromiter((s for s, _ in pairs), dtype=np.int64, count=n)
         self.pair_action = np.fromiter((a for _, a in pairs), dtype=np.int64, count=n)
         self.pair_next_state = np.fromiter(
-            (self._transitions[p] for p in pairs), dtype=np.int64, count=n
+            (int(transitions[p]) for p in pairs), dtype=np.int64, count=n
         )
-        dists = [self._rewards[p] for p in pairs]
-        self.pair_p_first = np.array(
-            [1.0 if d.kind == "deterministic" else d.probabilities[0] for d in dists]
-        )
-        self.pair_value_first = np.array([d.values[0] for d in dists])
-        self.pair_value_second = np.array(
-            [d.values[0] if d.kind == "deterministic" else d.values[1] for d in dists]
-        )
-        self.pair_reward_mean = np.array([d.mean() for d in dists])
-        self.pair_reward_var = np.array([d.variance() for d in dists])
+        self.pair_p_first = np.array([d.probabilities[0] for d in self._reward_laws])
+        self.pair_value_first = np.array([d.values[0] for d in self._reward_laws])
+        self.pair_value_second = np.array([d.values[-1] for d in self._reward_laws])
+        self.pair_reward_mean = np.array([d.mean() for d in self._reward_laws])
+        self.pair_reward_var = np.array([d.variance() for d in self._reward_laws])
 
         self.terminal_mask = np.zeros(num_states, dtype=bool)
         self.terminal_mask[list(self.terminal)] = True
@@ -185,8 +176,14 @@ class TabularMdp:
         return int(self.pair_next_state[self.pair_id(s, a)])
 
     def reward(self, s: int, a: int) -> RewardDistribution:
-        self.pair_id(s, a)
-        return self._rewards[(s, a)]
+        return self._reward_laws[self.pair_id(s, a)]
+
+    def draw_rewards(self, pairs, u):
+        """Rewards of the pair ids ``pairs`` (array or scalar) from one
+        uniform each: the law's first value where ``u`` is below its
+        probability, else its last (a deterministic law's only value)."""
+        return np.where(u < self.pair_p_first[pairs], self.pair_value_first[pairs],
+                        self.pair_value_second[pairs])
 
     def _check_state(self, s: int) -> None:
         if not 0 <= s < self.num_states:
@@ -260,12 +257,7 @@ def sample_transition(
 ) -> tuple[float, int]:
     """Generative draw for an active pair: reward sample and successor state."""
     p = mdp.pair_id(s, a)
-    u = rng.random()
-    if u < mdp.pair_p_first[p]:
-        r = float(mdp.pair_value_first[p])
-    else:
-        r = float(mdp.pair_value_second[p])
-    return r, int(mdp.pair_next_state[p])
+    return float(mdp.draw_rewards(p, rng.random())), int(mdp.pair_next_state[p])
 
 
 def sample_bellman_target(

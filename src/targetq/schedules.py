@@ -49,9 +49,9 @@ class RateConstants:
     q_star_sup: float
     gamma: float
     n_pairs: int
-    c1: float = field(default=0.0)
-    c2: float = field(default=0.0)
-    mu: float = field(default=0.0)
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    mu: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.xi <= 1.0:
@@ -62,33 +62,19 @@ class RateConstants:
             raise DomainError("gamma must lie in [0, 1)")
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be positive")
-        c1, c2, mu = _rate_formulas(
-            self.xi, self.sigma_sq, self.q_star_sup, self.gamma, self.n_pairs
-        )
-        if self.c1 == 0.0 and self.c2 == 0.0 and self.mu == 0.0:
-            object.__setattr__(self, "c1", c1)
-            object.__setattr__(self, "c2", c2)
-            object.__setattr__(self, "mu", mu)
-            return
-        for name, given, computed in (("c1", self.c1, c1), ("c2", self.c2, c2), ("mu", self.mu, mu)):
-            if not math.isclose(given, computed, rel_tol=1e-9, abs_tol=1e-12):
-                raise DomainError(
-                    f"{name}={given} inconsistent with its defining formula ({computed})"
-                )
+        xi, gamma = self.xi, self.gamma
+        c1 = (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2 + (
+            16.0 / xi**2 + 8.0 / xi
+        ) * gamma**2
+        c2 = (8.0 / xi**2 + 4.0 / xi) * (self.sigma_sq + 2.0 * gamma**2 * self.q_star_sup**2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "mu", (1.0 + gamma) / 2.0)
 
     @property
     def k_min(self) -> float:
         """Smallest period for which one cycle still contracts by mu."""
         return self.c1 / (self.mu - self.gamma) ** 2
-
-
-def _rate_formulas(xi, sigma_sq, q_star_sup, gamma, n_pairs):
-    c1 = (2.0 / xi + 1.0) * n_pairs * (1.0 + gamma) ** 2 + (
-        16.0 / xi**2 + 8.0 / xi
-    ) * gamma**2
-    c2 = (8.0 / xi**2 + 4.0 / xi) * (sigma_sq + 2.0 * gamma**2 * q_star_sup**2)
-    mu = (1.0 + gamma) / 2.0
-    return c1, c2, mu
 
 
 def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateConstants:

@@ -185,13 +185,7 @@ def comparison_runs(grid07, oracle07, theory_steps):
         "fixed-1e3": periodic(tq.FixedPeriod(1000)),
         "fixed-1e4": periodic(tq.FixedPeriod(10_000)),
         "fixed-1e5": periodic(tq.FixedPeriod(100_000)),
-        "geometric-1e3": [
-            tq.run_geometric_q(
-                tq.new_q_table(grid07), 1000, theory_steps, pol, grid07,
-                np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
-            )
-            for seed in seeds
-        ],
+        "geometric-1e3": periodic(tq.GeometricPeriod(1000, grid07.gamma)),
     }
     print(f"comparison experiment: 80 runs, {time.time()-t0:.1f}s")
     return arms
@@ -296,9 +290,9 @@ def test_criterion_7_accuracy_triggered(grid07, oracle07, theory_steps):
             )
         )
         geometric.append(
-            tq.run_geometric_q(
-                tq.new_q_table(grid07), 1000, theory_steps, pol, grid07,
-                np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
+            tq.run_periodic_q(
+                tq.new_q_table(grid07), tq.GeometricPeriod(1000, grid07.gamma), theory_steps,
+                pol, grid07, np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
             )
         )
     stops_early = all(

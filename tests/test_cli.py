@@ -9,7 +9,6 @@ from targetq.config import (
     parse_schedule_spec,
     parse_step_spec,
     parse_sweep_config,
-    resolve_schedule,
 )
 from targetq.errors import ConfigValidationError, DomainError
 
@@ -96,6 +95,24 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     rows = tq.read_csv_rows(out_csv)
     assert len(rows) == 11  # initial record + 10 cycles of 200 within 2000
     assert rows[0]["bias_median"] == "3"
+
+
+def test_run_adaptive_schedule_matches_direct_call(tmp_path, grid07, oracle07, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        RUN_CFG.replace("schedule = fixed 200", "schedule = adaptive 50 500") + "cycles = 3\n"
+    )
+    via_cli = tmp_path / "cli.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(via_cli)]) == 0
+    direct = tq.run_accuracy_triggered_q(
+        tq.new_q_table(grid07), 50, 500, tq.TheoryInverseStepSize.from_pair_count(52),
+        tq.UniformStateAction(), grid07, np.random.default_rng(3), oracle=oracle07,
+        n_cycles=3, sample_budget=2000, eval_horizon=7, seed=3,
+    )
+    assert len(direct.records) == 4
+    direct_csv = tmp_path / "direct.csv"
+    tq.emit_csv(direct, direct_csv)
+    assert via_cli.read_bytes() == direct_csv.read_bytes()
 
 
 def test_run_seed_override_changes_trace(tmp_path, capsys):
@@ -185,18 +202,19 @@ def test_version_flag():
 
 
 def test_parse_schedule_specs(grid07):
-    assert parse_schedule_spec("fixed 1000") == tq.FixedPeriod(1000)
-    geo = resolve_schedule(parse_schedule_spec("geometric 500"), grid07)
+    gamma = grid07.gamma
+    assert parse_schedule_spec("fixed 1000", gamma) == tq.FixedPeriod(1000)
+    geo = parse_schedule_spec("geometric 500", gamma)
     assert geo == tq.GeometricPeriod(500, 0.7)
-    geo2 = resolve_schedule(parse_schedule_spec("geometric 500 0.9"), grid07)
+    geo2 = parse_schedule_spec("geometric 500 0.9", gamma)
     assert geo2.gamma == 0.9
-    custom = parse_schedule_spec("custom 3 5 8")
+    custom = parse_schedule_spec("custom 3 5 8", gamma)
     assert custom.ks == (3, 5, 8)
-    adaptive = parse_schedule_spec("adaptive 100 1000")
+    adaptive = parse_schedule_spec("adaptive 100 1000", gamma)
     assert (adaptive.k_min, adaptive.k_max) == (100, 1000)
     for bad in ("", "fixed", "fixed x", "mystery 3"):
         with pytest.raises(DomainError):
-            parse_schedule_spec(bad)
+            parse_schedule_spec(bad, gamma)
 
 
 def test_parse_step_specs(grid07):
@@ -242,5 +260,5 @@ def test_schedule_file_roundtrip(tmp_path, grid07, oracle07):
     path.write_text(dump_schedule_file(design.periods, {"family": design.family}))
     sched = load_schedule_file(path)
     assert sched.ks == design.periods
-    parsed = parse_schedule_spec(f"file {path}")
+    parsed = parse_schedule_spec(f"file {path}", grid07.gamma)
     assert parsed.ks == design.periods

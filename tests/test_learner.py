@@ -14,8 +14,9 @@ def uniform():
     return tq.UniformStateAction()
 
 
-def _sequential_replay(q_in, mdp, pairs, rewards, alphas):
+def _sequential_replay(q_in, mdp, pairs, u, alphas):
     # step-by-step reference for the same sample blocks
+    rewards = mdp.draw_rewards(pairs, u)
     q = np.array(q_in, dtype=float)
     cont = _frozen_continuation(q_in, mdp)
     for i in range(len(pairs)):
@@ -82,8 +83,8 @@ def test_inner_loop_matches_sequential_replay(grid07, theory_steps, uniform):
     q_in = random_q(grid07, rng)
     for k in (1, 7, 300, 5000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         fast = tq.run_inner_loop(q_in, k, theory_steps, uniform, grid07, np.random.default_rng(42))
-        pairs, rewards = _draw_block(grid07, k, np.random.default_rng(42))
-        slow = _sequential_replay(q_in, grid07, pairs, rewards, theory_steps.alphas(k))
+        pairs, u = _draw_block(grid07, k, np.random.default_rng(42))
+        slow = _sequential_replay(q_in, grid07, pairs, u, theory_steps.alphas(k))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
@@ -108,8 +109,8 @@ def test_inner_loop_matches_sequential_replay_property(use_chain, k, steps, seed
     q_in = random_q(mdp, np.random.default_rng(seed))
     fast = tq.run_inner_loop(q_in, k, step_sizes, tq.UniformStateAction(), mdp,
                              np.random.default_rng(seed))
-    pairs, rewards = _draw_block(mdp, k, np.random.default_rng(seed))
-    slow = _sequential_replay(q_in, mdp, pairs, rewards, step_sizes.alphas(k))
+    pairs, u = _draw_block(mdp, k, np.random.default_rng(seed))
+    slow = _sequential_replay(q_in, mdp, pairs, u, step_sizes.alphas(k))
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
 
@@ -119,8 +120,8 @@ def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps, uniform):
     rng = np.random.default_rng(4)
     q_in = random_q(grid07, rng)
     fast = tq.run_inner_loop(q_in, 400, theory_steps, uniform, grid07, np.random.default_rng(7))
-    pairs, rewards = _draw_block(grid07, 400, np.random.default_rng(7))
-    slow = _sequential_replay(q_in, grid07, pairs, rewards, theory_steps.alphas(400))
+    pairs, u = _draw_block(grid07, 400, np.random.default_rng(7))
+    slow = _sequential_replay(q_in, grid07, pairs, u, theory_steps.alphas(400))
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
     assert np.array_equal(q_in, random_q(grid07, np.random.default_rng(4)))  # untouched
 
@@ -303,14 +304,30 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps, uniform):
         )
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5)],
+    ids=["eval_every=0", "budget=0", "budget=-5"],
+)
+@pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
+def test_runners_reject_invalid_limits(grid07, theory_steps, uniform, adaptive, limits):
+    q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        if adaptive:
+            tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, uniform, grid07, rng, **limits)
+        else:
+            tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, uniform, grid07, rng,
+                              **limits)
+
+
 # ---------------------------------------------------------------------------
-# Geometric runner
+# Geometric schedule
 
 
 def test_geometric_runner_periods_match_schedule(grid07, theory_steps, uniform):
-    trace = tq.run_geometric_q(
-        tq.new_q_table(grid07), 100, theory_steps, uniform, grid07,
-        np.random.default_rng(3), n_cycles=8,
+    trace = tq.run_periodic_q(
+        tq.new_q_table(grid07), tq.GeometricPeriod(100, grid07.gamma), theory_steps, uniform,
+        grid07, np.random.default_rng(3), n_cycles=8,
     )
     planned = [rec.planned_period for rec in trace.records[1:]]
     assert planned == [tq.geometric_period(100, 0.7, n) for n in range(8)]
@@ -323,18 +340,6 @@ def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps, uniform)
         grid07, np.random.default_rng(0), n_cycles=10,
     )
     assert [rec.planned_period for rec in trace.records[1:]] == [50, 80]
-
-
-def test_geometric_runner_equals_periodic_with_geometric_schedule(grid07, theory_steps, uniform):
-    a = tq.run_geometric_q(
-        tq.new_q_table(grid07), 150, theory_steps, uniform, grid07,
-        np.random.default_rng(9), n_cycles=4,
-    )
-    b = tq.run_periodic_q(
-        tq.new_q_table(grid07), tq.GeometricPeriod(150, grid07.gamma), theory_steps,
-        uniform, grid07, np.random.default_rng(9), n_cycles=4,
-    )
-    assert a.records == b.records
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +389,8 @@ def test_adaptive_tracker_consistency(grid07, theory_steps, uniform):
         np.random.default_rng(8), n_cycles=1,
     )
     steps_taken = trace.records[1].inner_steps
-    pairs, rewards = _draw_block(grid07, min(8192, 400), np.random.default_rng(8))
+    pairs, u = _draw_block(grid07, min(8192, 400), np.random.default_rng(8))
+    rewards = grid07.draw_rewards(pairs, u)
     cont = _frozen_continuation(tq.new_q_table(grid07), grid07)
     alphas = tq.TheoryInverseStepSize.from_pair_count(52).alphas(400)
     tracker = tq.TdErrorTracker(52)

@@ -54,10 +54,6 @@ def test_rate_constants_validation():
     with pytest.raises(DomainError):
         tq.RateConstants(xi=0.5, sigma_sq=-1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4)
     with pytest.raises(DomainError):
-        tq.RateConstants(
-            xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4, c1=123.0
-        )
-    with pytest.raises(DomainError):
         tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=1.0, n_pairs=4)
 
 
