@@ -205,8 +205,6 @@ def emit_csv(data, path) -> None:
     """
     if isinstance(data, RunTrace):
         data = {data.label: data}
-    elif isinstance(data, AggregateStats):
-        data = {"aggregate": data}
     elif not isinstance(data, Mapping):
         raise AlignmentError(f"cannot emit {type(data).__name__} as CSV")
     with open(path, "w", newline="") as handle:

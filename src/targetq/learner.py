@@ -14,17 +14,22 @@ its value at the start scaled by the product of its (1 - alpha) factors plus
 a weighted sum of its own sampled targets. ``_apply_cycle`` evaluates this
 with array operations over consecutive blocks of ``_CHUNK`` steps and
 carries the per-pair values from block to block, so its temporary memory
-stays bounded however long the period is. ``inner_sgd_step`` is the
-readable per-step reference the closed form is tested against.
+stays bounded however long the period is. ``_adaptive_cycle_uniform``
+works chunk by chunk too, speculatively: it evaluates each chunk of steps
+whole, as if the cycle did not stop inside it, computes the stopping
+statistic after every step, and rolls the values back to the first step
+that meets the stopping rule. ``inner_sgd_step`` is the readable per-step
+reference the kernels are tested against.
 
 Sample-stream contract (what makes traces reproducible): each run owns one
 ``numpy.random.Generator``. Under uniform exploration a cycle draws its
 pair indices as one block, then its reward uniforms as one block; each step
 consumes exactly one pair index and one uniform. The accuracy-triggered
 runner draws blocks of at most ``_CHUNK`` steps and discards any drawn but
-unused samples when a cycle stops early. Trajectory exploration draws per
-step: one uniform (explore coin), the random action if exploring, then the
-reward uniform.
+unused samples when a cycle stops early, so speculation and roll-back draw
+exactly what a per-step loop over the same blocks would. Trajectory
+exploration draws per step: one uniform (explore coin), the random action
+if exploring, then the reward uniform.
 """
 from __future__ import annotations
 
@@ -65,15 +70,13 @@ class EpsilonGreedyTrajectory:
     behavior trajectory that resets to the start state on termination.
 
     The per-step pair probabilities depend on the trajectory, so the
-    exploration constant cannot be derived here; callers must supply the
-    lower bound ``xi_bound`` when theory constants are needed.
+    exploration constant cannot be derived here.
     """
 
-    def __init__(self, epsilon: float, xi_bound: float | None = None):
+    def __init__(self, epsilon: float):
         if not 0.0 <= epsilon <= 1.0:
             raise DomainError("epsilon must lie in [0, 1]")
         self.epsilon = epsilon
-        self.xi_bound = xi_bound
         self._state: int | None = None
 
     def reset(self, mdp: TabularMdp) -> None:
@@ -243,30 +246,41 @@ def _apply_cycle(q, cont, mdp, pairs, u, alphas):
     q[mdp.pair_state, mdp.pair_action] = values
 
 
+def _sort_hits(pairs, n_pairs):
+    """Stable sort of a block's steps by pair id: the sorting order and
+    each pair's hit count.
+
+    The kernels place each sorted hit in its pair's column of a hit-major
+    ``(rows, n_pairs)`` matrix, at flat index row * n_pairs + pair. Sorting
+    the ids as the smallest unsigned type that holds them lets the stable
+    sort use radix sort; the order equals that of the int64 sort.
+    """
+    order = np.argsort(pairs.astype(np.min_scalar_type(n_pairs - 1)), kind="stable")
+    return order, np.bincount(pairs, minlength=n_pairs)
+
+
 def _apply_block(values, cont, pairs, rewards, alphas):
     """Closed-form update of the per-pair ``values`` over one block of steps.
 
-    Pair p's hits, latest first, fill row p of a matrix after a leading
-    1.0 and are padded with 1.0, so one cumprod along the rows gives every
-    suffix product prod_{j>i} beta_j (the column left of hit i) and the
-    whole product (the last column). Sorting the ids as the smallest
-    unsigned type that holds them lets the stable sort use radix sort; the
-    order equals that of the int64 sort.
+    Pair p's hits, latest first, fill column p of a hit-major matrix below
+    a leading row of 1.0 and are padded with 1.0, so one cumprod down the
+    columns gives every suffix product prod_{j>i} beta_j (the row above
+    hit i) and the whole product (the last row).
     """
     n_pairs = values.size
-    order = np.argsort(pairs.astype(np.min_scalar_type(n_pairs - 1)), kind="stable")
-    counts = np.bincount(pairs, minlength=n_pairs)
-    width = int(counts.max()) + 1
-    # flat index of each sorted hit: row p, column (stop_p - position)
-    row_ends = np.cumsum(counts) + np.arange(0, n_pairs * width, width)
-    flat = np.repeat(row_ends, counts) - np.arange(len(pairs))
+    order, counts = _sort_hits(pairs, n_pairs)
+    rows = int(counts.max()) + 1
+    # sorted hit i of a pair whose hits end before sorted position e sits
+    # at row e - i
+    flat = (np.repeat(np.cumsum(counts) * n_pairs + np.arange(n_pairs), counts)
+            - np.arange(0, len(pairs) * n_pairs, n_pairs))
     als = alphas[order]
-    betas = np.ones(n_pairs * width)
+    betas = np.ones(rows * n_pairs)
     betas[flat] = 1.0 - als
-    prods = np.cumprod(betas.reshape(n_pairs, width), axis=1)
+    prods = np.cumprod(betas.reshape(rows, n_pairs), axis=0)
     targets = rewards[order] + np.repeat(cont, counts)
-    weighted = als * prods.ravel()[flat - 1] * targets
-    values *= prods[:, -1]
+    weighted = als * prods.ravel()[flat - n_pairs] * targets
+    values *= prods[-1]
     values += np.bincount(np.repeat(np.arange(n_pairs), counts), weights=weighted,
                           minlength=n_pairs)
 
@@ -331,6 +345,8 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     ``mdp.start_state`` if a horizon is given; ``record_gap`` adds the
     distance from the cycle's exact Bellman image."""
     problems = limit_violations(sample_budget, eval_every, eval_horizon)
+    if limit is not None and limit < 0:
+        problems.append("cycle count must be nonnegative")
     if problems:
         raise DomainError("; ".join(problems))
     if limit is None and sample_budget is None:
@@ -433,39 +449,81 @@ def run_accuracy_triggered_q(
 
 
 def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
-    """Inner loop with per-step stopping checks, specialized to uniform
-    exploration. Plain-Python hot loop over pre-drawn blocks; the tracker
-    is inlined and the stopping statistic maintained incrementally."""
+    """Inner loop with per-step stopping checks under uniform exploration,
+    evaluated one speculative chunk at a time.
+
+    Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
+    contract says, and every step of it is evaluated as if the cycle ran
+    on: each pair's hits sit in one column of a hit-major matrix, and a
+    doubling scan composes their maps x -> (1 - alpha) x + alpha t, so row
+    r holds the pair's value after its first r hits (no division by
+    products, so alpha = 1 and underflow are safe). The TD errors follow
+    from the values before the hits, the running TD-error sums from a
+    cumsum down the columns (sums and counts carry across chunks), and the
+    stopping statistic after every step from a cumsum of its per-step
+    changes in step order. The cycle stops at the first step at or past
+    ``k_min`` whose statistic is at or below ``eps_n``: values, counts and
+    sums roll back to that step and the chunk's later samples are
+    discarded. The returned statistic is recomputed exactly from the sums.
+    """
     n_pairs = mdp.num_active_pairs
-    cont = _frozen_continuation(q_frozen, mdp).tolist()
-    values = q[mdp.pair_state, mdp.pair_action].tolist()
-    counts = [0] * n_pairs
-    means = [0.0] * n_pairs
+    columns = np.arange(n_pairs)
+    cont = _frozen_continuation(q_frozen, mdp)
+    values = q[mdp.pair_state, mdp.pair_action]
+    counts = np.zeros(n_pairs, dtype=np.int64)
+    sums = np.zeros(n_pairs)
     stat = 0.0
     steps = 0
-    stopped = False
-    while steps < k_max and not stopped:
+    while steps < k_max:
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
-        pair_block = pairs.tolist()
-        reward_block = mdp.draw_rewards(pairs, u).tolist()
-        alpha_block = _checked_alphas(step_sizes, block, start=steps).tolist()
-        for i in range(block):
-            p = pair_block[i]
-            delta = reward_block[i] + cont[p] - values[p]
-            values[p] += alpha_block[i] * delta
-            c = counts[p] + 1
-            counts[p] = c
-            old = means[p]
-            new = old + (delta - old) / c
-            means[p] = new
-            stat += (abs(new) - abs(old)) / n_pairs
-            steps += 1
-            if steps >= k_min and stat <= eps_n:
-                stopped = True
-                break
+        rewards = mdp.draw_rewards(pairs, u)
+        alphas = _checked_alphas(step_sizes, block, start=steps)
+        order, hits = _sort_hits(pairs, n_pairs)
+        rows = int(hits.max()) + 1
+        # sorted hit i of a pair whose hits start at sorted position s sits
+        # at row i - s + 1
+        flat = (np.arange(n_pairs, (block + 1) * n_pairs, n_pairs)
+                - np.repeat((np.cumsum(hits) - hits) * n_pairs - columns, hits))
+        als = alphas[order]
+        targets = rewards[order] + np.repeat(cont, hits)
+        # row 0 is the map x -> x + start value and padding rows are the
+        # identity; after the scan, shift[r] is rows 0..r composed and
+        # applied to 0: the value after r hits
+        scale = np.ones(rows * n_pairs)
+        shift = np.zeros(rows * n_pairs)
+        shift[:n_pairs] = values
+        scale[flat] = 1.0 - als
+        shift[flat] = als * targets
+        scale, shift = scale.reshape(rows, n_pairs), shift.reshape(rows, n_pairs)
+        span = 1
+        while span < rows:
+            shift[span:] += scale[span:] * shift[:-span]
+            scale[span:] *= scale[:-span]
+            span *= 2
+        deltas = targets - shift.ravel()[flat - n_pairs]
+        running = np.zeros((rows, n_pairs))
+        running[0] = sums
+        running.ravel()[flat] = deltas
+        np.cumsum(running, axis=0, out=running)
+        means = (running / np.maximum(counts + np.arange(rows)[:, None], 1)).ravel()
+        change = np.empty(block)
+        change[order] = (np.abs(means[flat]) - np.abs(means[flat - n_pairs])) / n_pairs
+        change[0] += stat
+        stat_after = np.cumsum(change)
+        first = max(k_min - steps - 1, 0)
+        stops = np.flatnonzero(stat_after[first:] <= eps_n)
+        used = first + int(stops[0]) + 1 if stops.size else block
+        taken = np.bincount(pairs[:used], minlength=n_pairs)
+        values = shift[taken, columns]
+        sums = running[taken, columns]
+        counts += taken
+        stat = stat_after[used - 1]
+        steps += used
+        if stops.size:
+            break
     q[mdp.pair_state, mdp.pair_action] = values
-    return steps, sum(abs(m) for m in means) / n_pairs
+    return steps, float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs
 
 
 def _adaptive_cycle_trajectory(q, q_frozen, mdp, step_sizes, policy, k_min, k_max, eps_n, rng):

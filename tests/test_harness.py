@@ -214,6 +214,8 @@ def test_emit_csv_roundtrip_and_row_count(tmp_path, small_results):
     tq.emit_csv(stats, path)
     rows = tq.read_csv_rows(path)
     assert len(rows) == sum(len(s.costs) for s in stats.values())
+    with pytest.raises(AlignmentError):  # bare stats carry no arm label
+        tq.emit_csv(stats["fixed-200"], path)
     for row in rows:
         label = row["arm"]
         i = int(row["cycle"])

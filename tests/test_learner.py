@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import targetq as tq
 from targetq.errors import DomainError
-from targetq.learner import _CHUNK, _draw_block, _frozen_continuation
+from targetq.learner import _CHUNK, _adaptive_cycle_uniform, _draw_block, _frozen_continuation
 
 from conftest import make_chain_mdp, make_selfloop_mdp, random_q
 
@@ -24,6 +24,54 @@ def _sequential_replay(q_in, mdp, pairs, u, alphas):
         s, a = mdp.pair_state[p], mdp.pair_action[p]
         q[s, a] += alphas[i] * (rewards[i] + cont[p] - q[s, a])
     return q
+
+
+def _adaptive_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, rng):
+    # per-step reference for one accuracy-triggered cycle under uniform
+    # exploration: the kernel's chunked draws replayed one step at a time,
+    # with the stopping statistic recomputed exactly after every step;
+    # returns the final per-pair values and the statistic after each step
+    n_pairs = mdp.num_active_pairs
+    cont = _frozen_continuation(q_in, mdp)
+    values = q_in[mdp.pair_state, mdp.pair_action].astype(float)
+    counts = np.zeros(n_pairs)
+    sums = np.zeros(n_pairs)
+    stats = []
+    while len(stats) < k_max:
+        block = min(_CHUNK, k_max - len(stats))
+        pairs, u = _draw_block(mdp, block, rng)
+        rewards = mdp.draw_rewards(pairs, u)
+        alphas = step_sizes.alphas(block, start=len(stats))
+        for p, r, alpha in zip(pairs.tolist(), rewards.tolist(), alphas.tolist()):
+            delta = r + cont[p] - values[p]
+            values[p] += alpha * delta
+            counts[p] += 1
+            sums[p] += delta
+            stats.append(float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs)
+            if len(stats) >= k_min and stats[-1] <= eps_n:
+                return values, stats
+    return values, stats
+
+
+def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, seed):
+    # Runs one cycle of the kernel and of the replay from the same seed and
+    # returns the kernel's (steps, stop_stat), or None without running the
+    # kernel when a step that decides the stop (k_min onwards) has a
+    # statistic within 1e-9 (relative) of the threshold. The kernel sums
+    # the statistic's per-step changes in another order, so a statistic
+    # within rounding (about 1e-16) of the threshold may fall on the other
+    # side of it: that is the kernel's stated trace change, not a defect.
+    values, stats = _adaptive_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n,
+                                     np.random.default_rng(seed))
+    if np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * abs(eps_n)):
+        return None
+    q = np.array(q_in, dtype=float)
+    steps, stat = _adaptive_cycle_uniform(q, q_in, mdp, step_sizes, k_min, k_max, eps_n,
+                                          np.random.default_rng(seed))
+    assert steps == len(stats)
+    np.testing.assert_allclose(q[mdp.pair_state, mdp.pair_action], values, rtol=0, atol=1e-12)
+    assert stat == pytest.approx(stats[-1], rel=0, abs=1e-12)
+    return steps, stat
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +213,7 @@ def test_inner_loop_validation(grid07, theory_steps, uniform):
 
 
 def test_inner_loop_trajectory_policy(grid07, theory_steps):
-    pol = tq.EpsilonGreedyTrajectory(epsilon=0.5, xi_bound=None)
+    pol = tq.EpsilonGreedyTrajectory(epsilon=0.5)
     q_in = tq.new_q_table(grid07)
     q = tq.run_inner_loop(q_in, 200, theory_steps, pol, grid07, np.random.default_rng(6))
     assert q.shape == q_in.shape
@@ -306,8 +354,9 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps, uniform):
 
 @pytest.mark.parametrize(
     "limits",
-    [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5)],
-    ids=["eval_every=0", "budget=0", "budget=-5"],
+    [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5),
+     dict(n_cycles=-3, sample_budget=100)],
+    ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_reject_invalid_limits(grid07, theory_steps, uniform, adaptive, limits):
@@ -401,6 +450,79 @@ def test_adaptive_tracker_consistency(grid07, theory_steps, uniform):
         values[p] += alphas[i] * delta
         tracker.update(p, delta)
     assert tracker.stopping_stat() == pytest.approx(trace.records[1].stop_stat, abs=1e-12)
+
+
+_GRID = tq.build_gridworld(0.7)
+_THEORY = tq.TheoryInverseStepSize.from_pair_count(_GRID.num_active_pairs)
+
+
+@pytest.mark.parametrize(
+    "mdp, step_sizes, k_min, k_max, eps_n, expected",
+    [
+        # a threshold no statistic exceeds stops at k_min: the last step of
+        # a chunk, either side of it, and the first step of a third chunk
+        (_GRID, _THEORY, 1, 20_000, 1e9, 1),
+        (_GRID, _THEORY, 8191, 20_000, 1e9, 8191),
+        (_GRID, _THEORY, 8192, 20_000, 1e9, 8192),
+        (_GRID, _THEORY, 8193, 20_000, 1e9, 8193),
+        (_GRID, _THEORY, 16385, 20_000, 1e9, 16385),
+        # a zero threshold runs to k_max
+        (_GRID, _THEORY, 1, 8191, 0.0, 8191),
+        (_GRID, _THEORY, 1, 8192, 0.0, 8192),
+        (_GRID, _THEORY, 1, 8193, 0.0, 8193),
+        (_GRID, _THEORY, 1, 16385, 0.0, 16385),
+        # stops inside a later chunk
+        (_GRID, _THEORY, 100, 20_000, 0.03, None),
+        (_GRID, tq.ConstantStepSize(1.0), 1, 20_000, 0.015, None),
+        (_CHAIN_400, tq.TheoryInverseStepSize.from_pair_count(400), 500, 20_000, 0.15, None),
+    ],
+    ids=["k_min=1", "k_min=8191", "k_min=8192", "k_min=8193", "k_min=16385", "k_max=8191",
+         "k_max=8192", "k_max=8193", "k_max=16385", "grid-theory", "grid-alpha=1", "chain-400"],
+)
+def test_adaptive_kernel_matches_per_step_replay(mdp, step_sizes, k_min, k_max, eps_n, expected):
+    q_in = random_q(mdp, np.random.default_rng(12))
+    result = _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, 13)
+    assert result is not None  # no near-tie in a fixed case
+    if expected is not None:
+        assert result[0] == expected
+    else:
+        assert max(k_min, _CHUNK) < result[0] < k_max
+
+
+def test_adaptive_kernel_all_zero_mdp_stops_at_k_min_with_zero_stat():
+    mdp = make_selfloop_mdp(gamma=0.5, reward=0.0)
+    result = _check_adaptive_against_replay(tq.new_q_table(mdp), mdp, tq.ConstantStepSize(0.3),
+                                            8193, 20_000, 1e-12, 0)
+    assert result == (8193, 0.0)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    use_chain=st.booleans(),
+    zero_start=st.booleans(),
+    k_max=st.one_of(st.integers(1, _CHUNK), st.integers(_CHUNK + 1, 2 * _CHUNK + 2)),
+    k_min_fraction=st.floats(0.0, 1.0),
+    stop_fraction=st.floats(0.0, 1.0),
+    steps=st.one_of(
+        st.lists(_STEP, min_size=1, max_size=64),  # cycled through the steps
+        _STEP.map(lambda a: [a]),  # constant
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adaptive_kernel_matches_per_step_replay_property(use_chain, zero_start, k_max,
+                                                          k_min_fraction, stop_fraction, steps,
+                                                          seed):
+    mdp = _CHAIN_400 if use_chain else _GRID
+    step_sizes = tq.CustomStepSize(lambda i: steps[i % len(steps)])
+    q_in = tq.new_q_table(mdp) if zero_start else random_q(mdp, np.random.default_rng(seed))
+    k_min = max(1, round(k_min_fraction * k_max))
+    # the threshold sits just above the lowest statistic from k_min up to a
+    # drawn step, so the cycle stops at about the step where that is reached
+    _, full = _adaptive_replay(q_in, mdp, step_sizes, k_min, k_max, -1.0,
+                               np.random.default_rng(seed))
+    eps_n = min(full[k_min - 1:k_min + round(stop_fraction * (k_max - k_min))]) * (1.0 + 1e-6)
+    assume(_check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, seed)
+           is not None)
 
 
 def test_adaptive_trajectory_policy(grid07, theory_steps):
