@@ -35,8 +35,6 @@ from .learner import (
     CycleRecord,
     EpsilonGreedyTrajectory,
     RunTrace,
-    StepOutcome,
-    TdErrorTracker,
     UniformStateAction,
     inner_sgd_step,
     run_accuracy_triggered_q,
@@ -45,14 +43,11 @@ from .learner import (
 )
 from .mdp import (
     RewardDistribution,
-    SampledTarget,
     TabularMdp,
     evaluate_greedy,
     exact_bellman_apply,
     greedy_state_values,
     new_q_table,
-    sample_bellman_target,
-    sample_transition,
     sup_distance,
     value_iteration_oracle,
 )

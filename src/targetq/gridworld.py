@@ -64,6 +64,8 @@ class GridSpec:
     rewards: dict[str, RewardDistribution]
 
     def __post_init__(self):
+        if not 0.0 <= self.gamma < 1.0:
+            raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not self.layout:
             raise DomainError("layout must have at least one row")
         cols = len(self.layout[0])

@@ -18,8 +18,9 @@ stays bounded however long the period is. ``_adaptive_cycle_uniform``
 works chunk by chunk too, speculatively: it evaluates each chunk of steps
 whole, as if the cycle did not stop inside it, computes the stopping
 statistic after every step, and rolls the values back to the first step
-that meets the stopping rule. ``inner_sgd_step`` is the readable per-step
-reference the kernels are tested against.
+that meets the stopping rule. Trajectory exploration cannot be batched (each
+step's pair depends on the table), so it runs ``inner_sgd_step`` once per
+step.
 
 Sample-stream contract (what makes traces reproducible): each run owns one
 ``numpy.random.Generator``. Under uniform exploration a cycle draws its
@@ -61,8 +62,8 @@ class UniformStateAction:
     """Generative exploration: every active pair drawn with probability
     exactly 1/n_pairs at every step."""
 
-    def xi(self, mdp: TabularMdp) -> float:
-        return 1.0 / mdp.num_active_pairs
+    def draw_pair(self, q: np.ndarray, mdp: TabularMdp, rng: np.random.Generator) -> int:
+        return int(rng.integers(mdp.num_active_pairs))
 
 
 class EpsilonGreedyTrajectory:
@@ -79,9 +80,6 @@ class EpsilonGreedyTrajectory:
         self.epsilon = epsilon
         self._state: int | None = None
 
-    def reset(self, mdp: TabularMdp) -> None:
-        self._state = mdp.start_state
-
     def draw_pair(self, q: np.ndarray, mdp: TabularMdp, rng: np.random.Generator) -> int:
         if self._state is None or mdp.terminal_mask[self._state]:
             self._state = mdp.start_state
@@ -93,34 +91,6 @@ class EpsilonGreedyTrajectory:
         p = mdp.pair_id(s, a)
         self._state = int(mdp.pair_next_state[p])
         return p
-
-
-# ---------------------------------------------------------------------------
-# TD-error tracking (stopping statistic for accuracy-triggered updates)
-
-
-class TdErrorTracker:
-    """Per-pair running means of observed TD errors within one cycle.
-
-    The stopping statistic is the mean of |mean TD error| over all pairs,
-    with unvisited pairs contributing zero.
-    """
-
-    def __init__(self, n_pairs: int):
-        self.n_pairs = n_pairs
-        self.counts = np.zeros(n_pairs, dtype=np.int64)
-        self.means = np.zeros(n_pairs)
-
-    def reset(self) -> None:
-        self.counts[:] = 0
-        self.means[:] = 0.0
-
-    def update(self, pair: int, delta: float) -> None:
-        self.counts[pair] += 1
-        self.means[pair] += (delta - self.means[pair]) / self.counts[pair]
-
-    def stopping_stat(self) -> float:
-        return float(np.sum(np.abs(self.means))) / self.n_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +129,9 @@ class RunTrace:
     def final(self) -> CycleRecord:
         return self.records[-1]
 
-    def costs(self) -> list[int]:
-        return [rec.cumulative_cost for rec in self.records]
-
-    def biases(self) -> list[float | None]:
-        return [rec.bias for rec in self.records]
-
 
 # ---------------------------------------------------------------------------
 # Inner loop
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    state: int
-    action: int
-    delta: float
 
 
 def inner_sgd_step(
@@ -184,17 +141,15 @@ def inner_sgd_step(
     policy,
     alpha: float,
     rng: np.random.Generator,
-) -> StepOutcome:
+) -> tuple[int, float]:
     """One asynchronous SGD step: draw a pair, sample its Bellman target
     from the frozen table, move that single entry of ``q`` by alpha toward
-    the target. Mutates ``q`` in place and returns the observed TD error.
+    the target. Mutates ``q`` in place and returns the pair id and the
+    observed TD error.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    if isinstance(policy, UniformStateAction):
-        p = int(rng.integers(mdp.num_active_pairs))
-    else:
-        p = policy.draw_pair(q, mdp, rng)
+    p = policy.draw_pair(q, mdp, rng)
     r = float(mdp.draw_rewards(p, rng.random()))
     ns = int(mdp.pair_next_state[p])
     cont = 0.0 if mdp.terminal_mask[ns] else float(np.max(q_frozen[ns]))
@@ -202,7 +157,7 @@ def inner_sgd_step(
     s, a = int(mdp.pair_state[p]), int(mdp.pair_action[p])
     delta = target - q[s, a]
     q[s, a] += alpha * delta
-    return StepOutcome(state=s, action=a, delta=float(delta))
+    return p, float(delta)
 
 
 def _frozen_continuation(q_frozen: np.ndarray, mdp: TabularMdp) -> np.ndarray:
@@ -425,8 +380,8 @@ def run_accuracy_triggered_q(
 ) -> RunTrace:
     """Q-learning with accuracy-triggered target updates.
 
-    Each cycle resets the TD-error tracker and runs the inner loop until
-    both at least ``k_min`` steps were taken and the stopping statistic
+    Each cycle starts fresh per-pair TD-error means and runs the inner loop
+    until both at least ``k_min`` steps were taken and the stopping statistic
     (mean |mean TD error| over all pairs, unvisited pairs counting zero)
     falls to the cycle's threshold, or ``k_max`` steps are exhausted.
     Thresholds default to n^-2 for 1-based cycle index n. Limits and
@@ -527,13 +482,21 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
 
 
 def _adaptive_cycle_trajectory(q, q_frozen, mdp, step_sizes, policy, k_min, k_max, eps_n, rng):
-    """Per-step variant for trajectory exploration."""
-    tracker = TdErrorTracker(mdp.num_active_pairs)
-    steps = 0
-    for k in range(k_max):
-        out = inner_sgd_step(q, q_frozen, mdp, policy, step_sizes.alpha(k), rng)
-        tracker.update(mdp.pair_id(out.state, out.action), out.delta)
-        steps += 1
-        if steps >= k_min and tracker.stopping_stat() <= eps_n:
+    """Per-step variant for trajectory exploration. Keeps each pair's
+    running mean TD error and, for the stopping test, a running total of
+    their absolute values, updated by each step's change; the returned
+    statistic is recomputed exactly from the means."""
+    n_pairs = mdp.num_active_pairs
+    # Python lists: per-element updates on them cost a fraction of numpy's
+    counts = [0] * n_pairs
+    means = [0.0] * n_pairs
+    total = 0.0
+    for steps in range(1, k_max + 1):
+        p, delta = inner_sgd_step(q, q_frozen, mdp, policy, step_sizes.alpha(steps - 1), rng)
+        old = abs(means[p])
+        counts[p] += 1
+        means[p] += (delta - means[p]) / counts[p]
+        total += abs(means[p]) - old
+        if steps >= k_min and total / n_pairs <= eps_n:
             break
-    return steps, tracker.stopping_stat()
+    return steps, float(np.sum(np.abs(means))) / n_pairs

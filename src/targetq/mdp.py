@@ -1,5 +1,5 @@
 """Finite tabular MDPs: exact Bellman machinery, a value-iteration solver,
-and generative state-action sampling.
+and the reward draw that generative sampling uses.
 
 Conventions used throughout the package:
 
@@ -9,9 +9,9 @@ Conventions used throughout the package:
   of a Q-table are inert (value-iteration output pins them to the terminal
   state's mean reward, with zero continuation).
 * Transitions are deterministic; all stochasticity lives in the rewards.
-* Every reward draw consumes exactly one uniform from the generator, also
-  for deterministic rewards, so sample streams do not depend on which pair
-  was drawn.
+* Every reward draw takes exactly one uniform (``TabularMdp.draw_rewards``),
+  also for deterministic rewards, so sample streams do not depend on which
+  pair was drawn.
 """
 from __future__ import annotations
 
@@ -62,19 +62,6 @@ class RewardDistribution:
     def variance(self) -> float:
         m = self.mean()
         return float(sum(p * (v - m) ** 2 for p, v in zip(self.probabilities, self.values)))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        # One uniform per draw, unconditionally; u < p selects the first value.
-        return self.values[0] if rng.random() < self.probabilities[0] else self.values[-1]
-
-
-@dataclass(frozen=True)
-class SampledTarget:
-    """One draw of the single-sample Bellman target r + gamma * max_a' Q-(s', a')."""
-
-    reward: float
-    next_state: int
-    target_value: float
 
 
 class TabularMdp:
@@ -152,14 +139,6 @@ class TabularMdp:
     @property
     def num_active_pairs(self) -> int:
         return len(self._pair_index)
-
-    @property
-    def active_pairs(self) -> list[tuple[int, int]]:
-        return list(self._pair_index)
-
-    def is_terminal(self, s: int) -> bool:
-        self._check_state(s)
-        return s in self.terminal
 
     def pair_id(self, s: int, a: int) -> int:
         """Index of (s, a) in the flat active-pair arrays; terminal or
@@ -239,8 +218,8 @@ def value_iteration_oracle(
     Returns a table whose Bellman residual (sup over active pairs) is at
     most ``tol``.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     q = new_q_table(mdp)
     for _ in range(max_iter):
         nxt = exact_bellman_apply(q, mdp)
@@ -252,45 +231,22 @@ def value_iteration_oracle(
     )
 
 
-def sample_transition(
-    mdp: TabularMdp, s: int, a: int, rng: np.random.Generator
-) -> tuple[float, int]:
-    """Generative draw for an active pair: reward sample and successor state."""
-    p = mdp.pair_id(s, a)
-    return float(mdp.draw_rewards(p, rng.random())), int(mdp.pair_next_state[p])
-
-
-def sample_bellman_target(
-    q_frozen: np.ndarray, mdp: TabularMdp, s: int, a: int, rng: np.random.Generator
-) -> SampledTarget:
-    """One unbiased single-sample estimate of (T*Q)(s, a) under a frozen table."""
-    _check_table(q_frozen, mdp)
-    r, ns = sample_transition(mdp, s, a, rng)
-    cont = 0.0 if mdp.terminal_mask[ns] else float(np.max(q_frozen[ns]))
-    return SampledTarget(reward=r, next_state=ns, target_value=r + mdp.gamma * cont)
-
-
 def evaluate_greedy(
     q: np.ndarray,
     mdp: TabularMdp,
     start: int,
     horizon: int,
-    stochastic: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Deterministic greedy rollout score.
 
     Follows argmax_a Q(s, a) (ties to the lowest action index) for at most
     ``horizon`` steps, stopping early in a terminal state. The score is the
-    undiscounted sum of reward means along the path; with
-    ``stochastic=True`` rewards are sampled instead (requires ``rng``).
+    undiscounted sum of reward means along the path.
     """
     _check_table(q, mdp)
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     mdp._check_state(start)
-    if stochastic and rng is None:
-        raise DomainError("stochastic evaluation needs an rng")
     score = 0.0
     s = int(start)
     for _ in range(horizon):
@@ -298,10 +254,6 @@ def evaluate_greedy(
             break
         a = int(np.argmax(q[s]))
         p = mdp.pair_id(s, a)
-        if stochastic:
-            r, ns = sample_transition(mdp, s, a, rng)
-        else:
-            r, ns = float(mdp.pair_reward_mean[p]), int(mdp.pair_next_state[p])
-        score += r
-        s = ns
+        score += float(mdp.pair_reward_mean[p])
+        s = int(mdp.pair_next_state[p])
     return score

@@ -349,9 +349,13 @@ def _design_cycle_count(eps: float, e0: float, mu: float) -> int:
 
 
 def _finalize_design(family, eps, e0, constants, raw, within):
+    k_min = constants.k_min
+    if any(not max(k, k_min) < _EXACT_INT_LIMIT for k in raw):
+        raise ScheduleOverflowError(
+            f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
+        )
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
-    k_min = constants.k_min
     periods = tuple(max(math.ceil(max(k, k_min)), 1) for k in raw)
     bound = unroll_error_bound(e0, periods, constants).bound if periods else e0
     return DesignOutput(
@@ -372,10 +376,13 @@ def _finalize_design(family, eps, e0, constants, raw, within):
 
 def _check_design_inputs(eps: float, e0: float) -> bool:
     """Returns True when the design degenerates to zero cycles."""
-    if eps <= 0.0:
-        raise DomainError("target accuracy must be positive")
-    if e0 <= 0.0:
-        raise DomainError("initial error must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"target accuracy must be positive and finite, got {eps}")
+    if not 0.0 < e0 < math.inf:
+        raise DomainError(f"initial error must be positive and finite, got {e0}")
+    if eps**2 == 0.0:
+        # every designed period scales with 1 / eps^2
+        raise ScheduleOverflowError(f"target accuracy {eps} is too small: its periods overflow")
     if eps >= 2.0 * e0:
         warnings.warn(
             f"target accuracy {eps} already met by the initial error bound "

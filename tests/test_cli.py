@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,29 @@ def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("design --gamma 0.7 --eps 1e-300", "is too small"),
+        ("design --gamma 0.7 --eps 1e-300 --schedule fixed", "is too small"),
+        ("design --gamma 0.7 --eps 1e-150", "exceed the exact-integer range"),
+        ("design --gamma 0.7 --eps nan", "target accuracy must be positive and finite"),
+        ("design --gamma 0.7 --eps 0.5 --e0 nan", "initial error must be positive and finite"),
+        ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must be positive and finite"),
+        ("oracle --gamma 0.7 --tol nan", "tol must be positive"),
+        ("gridworld --gamma 1.5", "gamma must lie in [0, 1)"),
+    ],
+)
+def test_bad_numeric_inputs_fail_without_traceback(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning before the diagnostic
+        assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_run_config_lists_every_limit_violation(tmp_path):

@@ -39,7 +39,7 @@ def test_hazard_entering_pairs(grid07):
         assert grid07.reward(s, a).values == (-3.0,)
     n_hazard_pairs = sum(
         1
-        for s, a in grid07.active_pairs
+        for s, a in zip(grid07.pair_state.tolist(), grid07.pair_action.tolist())
         if grid07.reward(s, a).kind == "deterministic"
     )
     assert n_hazard_pairs == 7
@@ -102,6 +102,9 @@ def test_spec_validation_errors():
         tq.GridSpec(layout=("..", ".."), gamma=0.5, rewards=gridworld_spec(0.7).rewards)
     with pytest.raises(DomainError):
         tq.GridSpec(layout=("SX",), gamma=0.5, rewards=gridworld_spec(0.7).rewards)
+    for gamma in (1.5, 1.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            gridworld_spec(gamma)
 
 
 def test_custom_layout_builds():

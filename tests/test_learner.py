@@ -82,17 +82,17 @@ def test_inner_step_full_replacement(uniform):
     mdp = make_selfloop_mdp(gamma=0.5, reward=4.0)
     q = tq.new_q_table(mdp)
     frozen = tq.new_q_table(mdp)
-    out = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=1.0, rng=np.random.default_rng(0))
-    assert q[out.state, out.action] == 4.0  # target = 4 + 0.5 * 0
-    assert out.delta == 4.0
+    p, delta = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=1.0, rng=np.random.default_rng(0))
+    assert q[mdp.pair_state[p], mdp.pair_action[p]] == 4.0  # target = 4 + 0.5 * 0
+    assert delta == 4.0
 
 
 def test_inner_step_convex_combination(uniform):
     mdp = make_selfloop_mdp(gamma=0.5, reward=4.0)
     q = tq.new_q_table(mdp, fill=2.0)
     frozen = tq.new_q_table(mdp)  # continuation 0, so target = 4
-    out = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=0.5, rng=np.random.default_rng(0))
-    assert q[out.state, out.action] == 3.0
+    p, _ = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=0.5, rng=np.random.default_rng(0))
+    assert q[mdp.pair_state[p], mdp.pair_action[p]] == 3.0
 
 
 def test_inner_step_touches_one_entry(grid07, uniform):
@@ -100,10 +100,10 @@ def test_inner_step_touches_one_entry(grid07, uniform):
     q = random_q(grid07, rng)
     frozen = q.copy()
     before = q.copy()
-    out = tq.inner_sgd_step(q, frozen, grid07, uniform, alpha=0.3, rng=rng)
+    p, _ = tq.inner_sgd_step(q, frozen, grid07, uniform, alpha=0.3, rng=rng)
     changed = np.argwhere(q != before)
     assert changed.shape == (1, 2)
-    assert tuple(changed[0]) == (out.state, out.action)
+    assert tuple(changed[0]) == (grid07.pair_state[p], grid07.pair_action[p])
 
 
 def test_inner_step_alpha_domain(grid07, uniform):
@@ -222,39 +222,6 @@ def test_inner_loop_trajectory_policy(grid07, theory_steps):
 
 
 # ---------------------------------------------------------------------------
-# TD-error tracker
-
-
-def test_tracker_mean_exactness():
-    rng = np.random.default_rng(7)
-    tracker = tq.TdErrorTracker(6)
-    samples = {p: [] for p in range(6)}
-    for _ in range(500):
-        p = int(rng.integers(6))
-        d = float(rng.normal())
-        tracker.update(p, d)
-        samples[p].append(d)
-    for p in range(6):
-        if samples[p]:
-            assert tracker.means[p] == pytest.approx(np.mean(samples[p]), abs=1e-12)
-        else:
-            assert tracker.means[p] == 0.0
-    manual = sum(abs(np.mean(samples[p])) if samples[p] else 0.0 for p in range(6)) / 6
-    assert tracker.stopping_stat() == pytest.approx(manual, abs=1e-12)
-
-
-def test_tracker_stat_zero_iff_all_zero():
-    tracker = tq.TdErrorTracker(4)
-    assert tracker.stopping_stat() == 0.0
-    tracker.update(2, 0.0)
-    assert tracker.stopping_stat() == 0.0
-    tracker.update(1, -0.5)
-    assert tracker.stopping_stat() > 0.0
-    tracker.reset()
-    assert tracker.stopping_stat() == 0.0
-
-
-# ---------------------------------------------------------------------------
 # Periodic runner
 
 
@@ -286,7 +253,7 @@ def test_periodic_budget_stop_and_costs(grid07, theory_steps, uniform):
         tq.new_q_table(grid07), tq.FixedPeriod(300), theory_steps, uniform, grid07,
         np.random.default_rng(1), sample_budget=1000,
     )
-    costs = trace.costs()
+    costs = [rec.cumulative_cost for rec in trace.records]
     assert costs == [0, 300, 600, 900, 1200]  # crossing cycle completes
     assert trace.final.cumulative_cost >= 1000
 
@@ -432,7 +399,8 @@ def test_adaptive_steps_within_bounds_and_deterministic(grid07, oracle07, theory
 
 
 def test_adaptive_tracker_consistency(grid07, theory_steps, uniform):
-    # the inlined engine statistics must match a TdErrorTracker replay
+    # the engine's statistic must match one recomputed from a replay's
+    # per-pair TD-error sums and counts
     trace = tq.run_accuracy_triggered_q(
         tq.new_q_table(grid07), 100, 400, theory_steps, uniform, grid07,
         np.random.default_rng(8), n_cycles=1,
@@ -442,14 +410,15 @@ def test_adaptive_tracker_consistency(grid07, theory_steps, uniform):
     rewards = grid07.draw_rewards(pairs, u)
     cont = _frozen_continuation(tq.new_q_table(grid07), grid07)
     alphas = tq.TheoryInverseStepSize.from_pair_count(52).alphas(400)
-    tracker = tq.TdErrorTracker(52)
-    values = np.zeros(52)
+    values, sums, counts = np.zeros(52), np.zeros(52), np.zeros(52)
     for i in range(steps_taken):
         p = int(pairs[i])
         delta = rewards[i] + cont[p] - values[p]
         values[p] += alphas[i] * delta
-        tracker.update(p, delta)
-    assert tracker.stopping_stat() == pytest.approx(trace.records[1].stop_stat, abs=1e-12)
+        sums[p] += delta
+        counts[p] += 1
+    stat = np.sum(np.abs(sums / np.maximum(counts, 1))) / 52
+    assert stat == pytest.approx(trace.records[1].stop_stat, abs=1e-12)
 
 
 _GRID = tq.build_gridworld(0.7)
@@ -525,6 +494,48 @@ def test_adaptive_kernel_matches_per_step_replay_property(use_chain, zero_start,
            is not None)
 
 
+def _trajectory_replay(q_in, mdp, step_sizes, epsilon, k_max, seed):
+    # per-step reference for one accuracy-triggered cycle under trajectory
+    # exploration: inner_sgd_step with a fresh policy, and the stopping
+    # statistic recomputed exactly after every step; never stops early
+    policy = tq.EpsilonGreedyTrajectory(epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    q = np.array(q_in, dtype=float)
+    counts = np.zeros(mdp.num_active_pairs)
+    sums = np.zeros(mdp.num_active_pairs)
+    stats = []
+    for k in range(k_max):
+        p, delta = tq.inner_sgd_step(q, q_in, mdp, policy, step_sizes.alpha(k), rng)
+        counts[p] += 1
+        sums[p] += delta
+        stats.append(float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / mdp.num_active_pairs)
+    return stats
+
+
+@pytest.mark.parametrize("stop_fraction", [0.0, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("k_min", [1, 40])
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+def test_adaptive_trajectory_matches_per_step_replay(grid07, theory_steps, epsilon, k_min,
+                                                     stop_fraction):
+    # the threshold sits just above the replay's lowest statistic from k_min
+    # to the step stop_fraction of the way on to k_max; the first step at or
+    # past k_min at or below it is where the runner must stop
+    k_max, seed = 600, 17
+    q_in = random_q(grid07, np.random.default_rng(seed))
+    stats = _trajectory_replay(q_in, grid07, theory_steps, epsilon, k_max, seed)
+    window = stats[k_min - 1:k_min + round(stop_fraction * (k_max - k_min))]
+    eps_n = min(window) * (1.0 + 1e-6)
+    # a statistic within rounding of the threshold could fall either side
+    assert not np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * eps_n)
+    expected = k_min + int(np.flatnonzero(np.array(stats[k_min - 1:]) <= eps_n)[0])
+    trace = tq.run_accuracy_triggered_q(
+        q_in, k_min, k_max, theory_steps, tq.EpsilonGreedyTrajectory(epsilon=epsilon), grid07,
+        np.random.default_rng(seed), accuracy=lambda n: eps_n, n_cycles=1,
+    )
+    assert trace.records[1].inner_steps == expected
+    assert trace.records[1].stop_stat == pytest.approx(stats[expected - 1], rel=0, abs=1e-12)
+
+
 def test_adaptive_trajectory_policy(grid07, theory_steps):
     pol = tq.EpsilonGreedyTrajectory(epsilon=1.0)
     trace = tq.run_accuracy_triggered_q(
@@ -560,16 +571,21 @@ def test_adaptive_validation(grid07, theory_steps, uniform):
 
 
 def test_uniform_policy_xi_and_frequencies(grid07, uniform):
-    assert uniform.xi(grid07) == pytest.approx(1.0 / 52.0)
-    pairs, _ = _draw_block(grid07, 52_000, np.random.default_rng(10))
+    # each step draws one pair id with probability xi = 1/52, the same ids
+    # as one block draw from the same generator
+    rng = np.random.default_rng(10)
+    q = tq.new_q_table(grid07)
+    pairs = np.array([uniform.draw_pair(q, grid07, rng) for _ in range(52_000)])
+    assert np.array_equal(pairs, _draw_block(grid07, 52_000, np.random.default_rng(10))[0])
     counts = np.bincount(pairs, minlength=52)
     assert counts.min() > 700 and counts.max() < 1300
 
 
 def test_trajectory_policy_resets_and_draws_active_pairs(grid07, oracle07):
     pol = tq.EpsilonGreedyTrajectory(epsilon=0.3)
-    pol.reset(grid07)
     rng = np.random.default_rng(11)
+    # a fresh policy starts from the start state
+    assert grid07.pair_state[pol.draw_pair(oracle07, grid07, rng)] == grid07.start_state
     seen = set()
     for _ in range(500):
         p = pol.draw_pair(oracle07, grid07, rng)

@@ -42,10 +42,15 @@ def test_reward_distribution_validation():
 
 
 def test_reward_sampling_consumes_one_uniform():
-    d = tq.RewardDistribution.deterministic(2.5)
+    # a deterministic reward still takes its uniform: one sampled step
+    # advances the generator exactly as one pair id and one uniform
+    mdp = make_selfloop_mdp(gamma=0.5, reward=2.5)
+    q = tq.new_q_table(mdp)
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
-    assert d.sample(rng_a) == 2.5
+    tq.inner_sgd_step(q, q.copy(), mdp, tq.UniformStateAction(), 1.0, rng_a)
+    assert sorted(q[mdp.pair_state, mdp.pair_action]) == [0.0, 2.5]
+    rng_b.integers(mdp.num_active_pairs)
     rng_b.random()
     # both generators advanced identically
     assert rng_a.random() == rng_b.random()
@@ -183,6 +188,8 @@ def test_value_iteration_iteration_limit(grid07):
         tq.value_iteration_oracle(grid07, tol=1e-10, max_iter=2)
     with pytest.raises(DomainError):
         tq.value_iteration_oracle(grid07, tol=0.0)
+    with pytest.raises(DomainError):
+        tq.value_iteration_oracle(grid07, tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,61 +235,56 @@ def test_sup_distance_shape_mismatch(grid07):
 # Sampling
 
 
+class _FixedPair:
+    # exploration stub that always draws pair (s, a)
+    def __init__(self, mdp, s, a):
+        self.pair = mdp.pair_id(s, a)
+
+    def draw_pair(self, q, mdp, rng):
+        return self.pair
+
+
 def test_sample_transition_hazard_entering_always_minus_three(grid07):
-    rng = np.random.default_rng(7)
     # cell 1 moving right enters the hazard at cell 2
-    for _ in range(100):
-        r, ns = tq.sample_transition(grid07, 1, 3, rng)
-        assert r == -3.0
-        assert ns == 2
+    p = grid07.pair_id(1, 3)
+    assert np.all(grid07.draw_rewards(p, np.random.default_rng(7).random(100)) == -3.0)
+    assert grid07.pair_next_state[p] == 2
 
 
 def test_sample_transition_default_frequencies(grid07):
-    rng = np.random.default_rng(8)
-    draws = [tq.sample_transition(grid07, 0, 1, rng)[0] for _ in range(10_000)]
-    freq_low = sum(1 for r in draws if r == -0.08) / len(draws)
+    draws = grid07.draw_rewards(grid07.pair_id(0, 1), np.random.default_rng(8).random(10_000))
+    freq_low = np.mean(draws == -0.08)
     assert abs(freq_low - 0.5) <= 0.01
-    assert set(draws) == {-0.08, 0.05}
+    assert set(draws.tolist()) == {-0.08, 0.05}
 
 
 def test_sample_transition_goal_leaving_mean(grid07):
-    rng = np.random.default_rng(9)
-    total = 0.0
+    p = grid07.pair_id(15, 0)
     n = 100_000
-    for _ in range(n):
-        r, ns = tq.sample_transition(grid07, 15, 0, rng)
-        total += r
-        assert ns == 16
-    assert abs(total / n - 1.0) <= 0.01
+    assert abs(grid07.draw_rewards(p, np.random.default_rng(9).random(n)).mean() - 1.0) <= 0.01
+    assert grid07.pair_next_state[p] == 16
 
 
 def test_sample_transition_domain_errors(grid07):
-    rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        tq.sample_transition(grid07, 2, 0, rng)  # terminal hazard
+        grid07.pair_id(2, 0)  # terminal hazard
     with pytest.raises(DomainError):
-        tq.sample_transition(grid07, 99, 0, rng)
+        grid07.pair_id(99, 0)
     with pytest.raises(DomainError):
-        tq.sample_transition(grid07, 0, 7, rng)
+        grid07.pair_id(0, 7)
 
 
 def test_sample_bellman_target_deterministic_no_bootstrap(grid07):
+    # hazard entry: reward -3 and no bootstrap from the terminal next state,
+    # whatever the frozen table holds there
     rng = np.random.default_rng(10)
-    q0 = tq.new_q_table(grid07)
+    q_frozen = random_q(grid07, rng, scale=2.0)
+    q_frozen[2] = 5.0
+    policy = _FixedPair(grid07, 1, 3)
     for _ in range(50):
-        t = tq.sample_bellman_target(q0, grid07, 1, 3, rng)
-        assert t.target_value == -3.0  # hazard entry, zero continuation
-
-
-def test_sample_bellman_target_default_mc_mean(grid07):
-    rng = np.random.default_rng(11)
-    q0 = tq.new_q_table(grid07)
-    n = 100_000
-    vals = np.array(
-        [tq.sample_bellman_target(q0, grid07, 0, 1, rng).target_value for _ in range(n)]
-    )
-    sigma = tq.RewardDistribution.two_point(-0.08, 0.05).variance() ** 0.5
-    assert abs(vals.mean() - (-0.015)) <= 3 * sigma / np.sqrt(n)
+        q = tq.new_q_table(grid07)
+        p, delta = tq.inner_sgd_step(q, q_frozen, grid07, policy, 1.0, rng)
+        assert delta == -3.0 and q[1, 3] == -3.0
 
 
 def test_sample_bellman_target_unbiased_every_pair(grid07):
@@ -291,12 +293,7 @@ def test_sample_bellman_target_unbiased_every_pair(grid07):
     exact = tq.exact_bellman_apply(q_frozen, grid07)
     n = 100_000
     for p in range(grid07.num_active_pairs):
-        u = rng.random(n)
-        r = np.where(
-            u < grid07.pair_p_first[p],
-            grid07.pair_value_first[p],
-            grid07.pair_value_second[p],
-        )
+        r = grid07.draw_rewards(p, rng.random(n))
         ns = grid07.pair_next_state[p]
         cont = 0.0 if grid07.terminal_mask[ns] else np.max(q_frozen[ns])
         targets = r + grid07.gamma * cont
@@ -305,10 +302,14 @@ def test_sample_bellman_target_unbiased_every_pair(grid07):
 
 
 def test_sampled_target_recomputable(grid07, oracle07):
+    # with alpha = 1 the entry becomes the sampled target: one of the pair's
+    # two rewards plus gamma times the frozen table's next-state maximum
     rng = np.random.default_rng(13)
-    t = tq.sample_bellman_target(oracle07, grid07, 0, 1, rng)
-    cont = 0.0 if grid07.terminal_mask[t.next_state] else np.max(oracle07[t.next_state])
-    assert t.target_value == t.reward + grid07.gamma * cont
+    q = tq.new_q_table(grid07)
+    p, delta = tq.inner_sgd_step(q, oracle07, grid07, _FixedPair(grid07, 0, 1), 1.0, rng)
+    cont = np.max(oracle07[grid07.pair_next_state[p]])
+    assert q[0, 1] == delta
+    assert delta in (-0.08 + grid07.gamma * cont, 0.05 + grid07.gamma * cont)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +336,6 @@ def test_evaluate_greedy_into_hazard(grid07):
     q[1, 3] = 1.0
     score = tq.evaluate_greedy(q, grid07, 0, 7)
     assert score == pytest.approx(-0.015 + -3.0, abs=1e-12)
-
-
-def test_evaluate_greedy_stochastic_flag(grid07, oracle07):
-    with pytest.raises(DomainError):
-        tq.evaluate_greedy(oracle07, grid07, 0, 7, stochastic=True)
-    score = tq.evaluate_greedy(
-        oracle07, grid07, 0, 7, stochastic=True, rng=np.random.default_rng(14)
-    )
-    # six two-point default draws plus one goal draw bound the support
-    assert 6 * -0.08 + 0.5 <= score <= 6 * 0.05 + 1.5
-    again = tq.evaluate_greedy(
-        oracle07, grid07, 0, 7, stochastic=True, rng=np.random.default_rng(14)
-    )
-    assert score == again
 
 
 def test_evaluate_greedy_horizon_error(grid07, oracle07):

@@ -247,10 +247,15 @@ def test_design_clamps_to_k_min():
 
 
 def test_design_input_validation(constants07):
-    with pytest.raises(DomainError):
-        tq.design_fixed_period(-0.1, 3.0, constants07)
-    with pytest.raises(DomainError):
-        tq.design_growing_period(0.1, 0.0, constants07)
+    for designer in (tq.design_fixed_period, tq.design_growing_period):
+        for eps, e0 in ((-0.1, 3.0), (0.1, 0.0), (math.nan, 3.0), (math.inf, 3.0),
+                        (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(DomainError):
+                designer(eps, e0, constants07)
+        # eps^2 underflows to zero, or the periods pass 2^53
+        for eps in (1e-300, 1e-150):
+            with pytest.raises(ScheduleOverflowError):
+                designer(eps, 3.0, constants07)
 
 
 def test_design_schedule_handle(constants07):
