@@ -34,6 +34,7 @@ if exploring, then the reward uniform.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,9 +175,23 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
 
 def _checked_alphas(step_sizes, count, start=0):
     alphas = step_sizes.alphas(count, start=start)
-    if not np.all((alphas > 0.0) & (alphas <= 1.0)):
+    # a NaN makes min() NaN and fails the test
+    if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
         raise DomainError("step sizes must lie in (0, 1]")
     return alphas
+
+
+class _RunStepSizes:
+    """One run's step sizes, keeping the last array ``alphas`` returned.
+
+    Step sizes restart every cycle, so a fixed period's are the same array
+    each cycle: it is computed once per run, and a growing period keeps at
+    most one period's array alive. Callers only read the array.
+    """
+
+    def __init__(self, step_sizes):
+        self.alpha = step_sizes.alpha
+        self.alphas = functools.lru_cache(maxsize=1)(step_sizes.alphas)
 
 
 def _apply_cycle(q, cont, mdp, pairs, u, alphas):
@@ -190,15 +205,15 @@ def _apply_cycle(q, cont, mdp, pairs, u, alphas):
     at its end, so the cycle is applied as consecutive blocks of ``_CHUNK``
     steps, each carrying the per-pair values into the next. Blocking keeps
     the kernel's temporaries at O(_CHUNK + n_pairs * max hits per block)
-    whatever the period; rewards are drawn from the uniforms ``u`` block by
-    block too.
+    whatever the period. Each block turns its uniforms ``u`` into rewards
+    after sorting its steps by pair id; the rewards, and so the trace, are
+    those of the unsorted draw.
     """
-    values = q[mdp.pair_state, mdp.pair_action]
+    values = q.take(mdp.pair_flat)
     for lo in range(0, len(pairs), _CHUNK):
         hi = lo + _CHUNK
-        rewards = mdp.draw_rewards(pairs[lo:hi], u[lo:hi])
-        _apply_block(values, cont, pairs[lo:hi], rewards, alphas[lo:hi])
-    q[mdp.pair_state, mdp.pair_action] = values
+        _apply_block(values, cont, mdp, pairs[lo:hi], u[lo:hi], alphas[lo:hi])
+    q.put(mdp.pair_flat, values)
 
 
 def _sort_hits(pairs, n_pairs):
@@ -214,16 +229,18 @@ def _sort_hits(pairs, n_pairs):
     return order, np.bincount(pairs, minlength=n_pairs)
 
 
-def _apply_block(values, cont, pairs, rewards, alphas):
+def _apply_block(values, cont, mdp, pairs, u, alphas):
     """Closed-form update of the per-pair ``values`` over one block of steps.
 
     Pair p's hits, latest first, fill column p of a hit-major matrix below
     a leading row of 1.0 and are padded with 1.0, so one cumprod down the
     columns gives every suffix product prod_{j>i} beta_j (the row above
-    hit i) and the whole product (the last row).
+    hit i) and the whole product (the last row). Rewards are drawn on the
+    sorted ids ``ids``: step i's reward still comes from its own uniform.
     """
     n_pairs = values.size
     order, counts = _sort_hits(pairs, n_pairs)
+    ids = pairs[order]
     rows = int(counts.max()) + 1
     # sorted hit i of a pair whose hits end before sorted position e sits
     # at row e - i
@@ -233,11 +250,10 @@ def _apply_block(values, cont, pairs, rewards, alphas):
     betas = np.ones(rows * n_pairs)
     betas[flat] = 1.0 - als
     prods = np.cumprod(betas.reshape(rows, n_pairs), axis=0)
-    targets = rewards[order] + np.repeat(cont, counts)
+    targets = mdp.draw_rewards(ids, u[order]) + cont[ids]
     weighted = als * prods.ravel()[flat - n_pairs] * targets
     values *= prods[-1]
-    values += np.bincount(np.repeat(np.arange(n_pairs), counts), weights=weighted,
-                          minlength=n_pairs)
+    values += np.bincount(ids, weights=weighted, minlength=n_pairs)
 
 
 def run_inner_loop(
@@ -355,6 +371,7 @@ def run_periodic_q(
     """
     if isinstance(schedule, AccuracyTriggered):
         raise DomainError("adaptive schedules are run by run_accuracy_triggered_q")
+    step_sizes = _RunStepSizes(step_sizes)
 
     def cycle(n, q):
         k = schedule.period(n)
@@ -424,7 +441,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     n_pairs = mdp.num_active_pairs
     columns = np.arange(n_pairs)
     cont = _frozen_continuation(q_frozen, mdp)
-    values = q[mdp.pair_state, mdp.pair_action]
+    values = q.take(mdp.pair_flat)
     counts = np.zeros(n_pairs, dtype=np.int64)
     sums = np.zeros(n_pairs)
     stat = 0.0
@@ -477,7 +494,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         steps += used
         if stops.size:
             break
-    q[mdp.pair_state, mdp.pair_action] = values
+    q.put(mdp.pair_flat, values)
     return steps, float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs
 
 

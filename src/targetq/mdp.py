@@ -120,6 +120,9 @@ class TabularMdp:
         n = len(pairs)
         self.pair_state = np.fromiter((s for s, _ in pairs), dtype=np.int64, count=n)
         self.pair_action = np.fromiter((a for _, a in pairs), dtype=np.int64, count=n)
+        # row-major flat index of each active pair: q.take / q.put on it do
+        # the work of q[pair_state, pair_action] at a fraction of its cost
+        self.pair_flat = self.pair_state * self.num_actions + self.pair_action
         self.pair_next_state = np.fromiter(
             (int(transitions[p]) for p in pairs), dtype=np.int64, count=n
         )
@@ -180,7 +183,7 @@ def _check_table(q: np.ndarray, mdp: TabularMdp) -> None:
             f"Q-table shape {q.shape} does not match "
             f"({mdp.num_states}, {mdp.num_actions})"
         )
-    if not np.all(np.isfinite(q[mdp.pair_state, mdp.pair_action])):
+    if not np.isfinite(q.take(mdp.pair_flat)).all():
         raise DomainError("Q-table has non-finite entries on active pairs")
 
 
@@ -196,9 +199,7 @@ def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     _check_table(q, mdp)
     v = greedy_state_values(q, mdp)
     out = np.repeat(mdp.terminal_mean[:, None], mdp.num_actions, axis=1)
-    out[mdp.pair_state, mdp.pair_action] = (
-        mdp.pair_reward_mean + mdp.gamma * v[mdp.pair_next_state]
-    )
+    out.put(mdp.pair_flat, mdp.pair_reward_mean + mdp.gamma * v[mdp.pair_next_state])
     return out
 
 
@@ -206,8 +207,8 @@ def sup_distance(q1: np.ndarray, q2: np.ndarray, mdp: TabularMdp) -> float:
     """Supremum distance over active state-action pairs."""
     _check_table(q1, mdp)
     _check_table(q2, mdp)
-    d = q1[mdp.pair_state, mdp.pair_action] - q2[mdp.pair_state, mdp.pair_action]
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    d = q1.take(mdp.pair_flat) - q2.take(mdp.pair_flat)
+    return float(np.abs(d).max()) if d.size else 0.0
 
 
 def value_iteration_oracle(
@@ -241,19 +242,21 @@ def evaluate_greedy(
 
     Follows argmax_a Q(s, a) (ties to the lowest action index) for at most
     ``horizon`` steps, stopping early in a terminal state. The score is the
-    undiscounted sum of reward means along the path.
+    undiscounted sum of reward means along the path, added in path order.
+    The greedy action of every state comes from one ``argmax`` over the
+    table; the rollout itself walks Python ints.
     """
     _check_table(q, mdp)
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     mdp._check_state(start)
+    actions = q.argmax(axis=1).tolist()
     score = 0.0
     s = int(start)
     for _ in range(horizon):
-        if mdp.terminal_mask[s]:
+        if s in mdp.terminal:
             break
-        a = int(np.argmax(q[s]))
-        p = mdp.pair_id(s, a)
-        score += float(mdp.pair_reward_mean[p])
-        s = int(mdp.pair_next_state[p])
+        p = mdp.pair_id(s, actions[s])
+        score += mdp.pair_reward_mean.item(p)
+        s = mdp.pair_next_state.item(p)
     return score

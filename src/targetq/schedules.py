@@ -23,7 +23,7 @@ from .errors import (
     ScheduleOverflowError,
     ValidityRegimeWarning,
 )
-from .mdp import TabularMdp
+from .mdp import TabularMdp, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -83,9 +83,8 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
     fixed point over active pairs."""
     if xi <= 0.0:
         raise DomainError("xi must be positive")
-    sup = float(np.max(np.abs(q_star[mdp.pair_state, mdp.pair_action])))
-    if not math.isfinite(sup):
-        raise DomainError("q_star has non-finite entries")
+    _check_table(q_star, mdp)
+    sup = float(np.abs(q_star.take(mdp.pair_flat)).max())
     return RateConstants(
         xi=float(xi),
         sigma_sq=float(np.max(mdp.pair_reward_var)),
@@ -348,11 +347,21 @@ def _design_cycle_count(eps: float, e0: float, mu: float) -> int:
     return max(math.ceil(x), 0)
 
 
-def _finalize_design(family, eps, e0, constants, raw, within):
+def _finalize_design(family, eps, e0, constants, raw, regime=None):
+    """Clamp, ceil and cost the raw periods. ``regime`` is the validity
+    bound that eps misses, or None when eps is within it; the warning comes
+    after the overflow check, so a design that is refused warns of nothing."""
     k_min = constants.k_min
     if any(not max(k, k_min) < _EXACT_INT_LIMIT for k in raw):
         raise ScheduleOverflowError(
             f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
+        )
+    if regime is not None:
+        warnings.warn(
+            f"eps={eps} is outside the {family}-design validity regime ({regime}); "
+            "periods are clamped to k_min",
+            ValidityRegimeWarning,
+            stacklevel=3,
         )
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
@@ -369,7 +378,7 @@ def _finalize_design(family, eps, e0, constants, raw, within):
         predicted_error_bound=bound,
         mu=constants.mu,
         k_min=k_min,
-        within_validity=within,
+        within_validity=regime is None,
         degenerate=not periods,
     )
 
@@ -383,6 +392,13 @@ def _check_design_inputs(eps: float, e0: float) -> bool:
     if eps**2 == 0.0:
         # every designed period scales with 1 / eps^2
         raise ScheduleOverflowError(f"target accuracy {eps} is too small: its periods overflow")
+    if not eps / (2.0 * e0) > 0.0:
+        # the cycle count is log(eps / 2 e0) / log(mu); 2 e0 overflowed or
+        # the ratio underflowed
+        raise DomainError(
+            f"initial error {e0} is too large for target accuracy {eps}: "
+            "eps / (2 e0) is not representable"
+        )
     if eps >= 2.0 * e0:
         warnings.warn(
             f"target accuracy {eps} already met by the initial error bound "
@@ -403,20 +419,13 @@ def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> Desi
     a warning is emitted (the clamp keeps the contraction argument valid).
     """
     if _check_design_inputs(eps, e0):
-        return _finalize_design("fixed", eps, e0, constants, (), True)
+        return _finalize_design("fixed", eps, e0, constants, ())
     mu, c1, c2 = constants.mu, constants.c1, constants.c2
-    within = eps <= (1.0 - constants.gamma) * math.sqrt(c2 / c1)
-    if not within:
-        warnings.warn(
-            f"eps={eps} is outside the fixed-design validity regime "
-            f"(<= {(1.0 - constants.gamma) * math.sqrt(c2 / c1):.6g}); "
-            "periods are clamped to k_min",
-            ValidityRegimeWarning,
-            stacklevel=2,
-        )
+    limit = (1.0 - constants.gamma) * math.sqrt(c2 / c1)
     n = _design_cycle_count(eps, e0, mu)
     k = (4.0 * c2 / eps**2) * ((1.0 - mu**n) / (1.0 - mu)) ** 2
-    return _finalize_design("fixed", eps, e0, constants, (k,) * n, within)
+    return _finalize_design("fixed", eps, e0, constants, (k,) * n,
+                            None if eps <= limit else f"<= {limit:.6g}")
 
 
 def design_growing_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -430,23 +439,16 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     with nu = (1 - gamma) / (1 - mu^(2/3)).
     """
     if _check_design_inputs(eps, e0):
-        return _finalize_design("growing", eps, e0, constants, (), True)
+        return _finalize_design("growing", eps, e0, constants, ())
     mu, c2 = constants.mu, constants.c2
     rho = mu ** (2.0 / 3.0)
     nu = (1.0 - constants.gamma) / (1.0 - rho)
     limit = 2.0 * e0 * (nu / (2.0 * e0 + nu)) ** 1.5
-    within = eps < limit
-    if not within:
-        warnings.warn(
-            f"eps={eps} is outside the growing-design validity regime "
-            f"(< {limit:.6g}); periods are clamped to k_min",
-            ValidityRegimeWarning,
-            stacklevel=2,
-        )
     n = _design_cycle_count(eps, e0, mu)
     c_eps = (4.0 * c2 / eps**2) * ((1.0 - rho**n) / (1.0 - rho)) ** 2
     raw = tuple(c_eps * rho ** float(n - 1 - j) for j in range(n))
-    return _finalize_design("growing", eps, e0, constants, raw, within)
+    return _finalize_design("growing", eps, e0, constants, raw,
+                            None if eps < limit else f"< {limit:.6g}")
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, messa
         ("design --gamma 0.7 --eps nan", "target accuracy must be positive and finite"),
         ("design --gamma 0.7 --eps 0.5 --e0 nan", "initial error must be positive and finite"),
         ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must be positive and finite"),
+        ("design --gamma 0.7 --eps 0.5 --e0 1e308", "is too large for target accuracy"),
+        ("design --gamma 0.7 --eps 1e-10 --e0 1e300", "exceed the exact-integer range"),
         ("oracle --gamma 0.7 --tol nan", "tol must be positive"),
         ("gridworld --gamma 1.5", "gamma must lie in [0, 1)"),
     ],

@@ -1,10 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import targetq as tq
 from targetq.errors import DomainError
-from targetq.learner import _CHUNK, _adaptive_cycle_uniform, _draw_block, _frozen_continuation
+from targetq.learner import (
+    _CHUNK,
+    _adaptive_cycle_uniform,
+    _checked_alphas,
+    _draw_block,
+    _frozen_continuation,
+)
 
 from conftest import make_chain_mdp, make_selfloop_mdp, random_q
 
@@ -334,6 +342,62 @@ def test_runners_reject_invalid_limits(grid07, theory_steps, uniform, adaptive, 
         else:
             tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, uniform, grid07, rng,
                               **limits)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, 1.7])
+@pytest.mark.parametrize("at", [0, 9])
+def test_step_sizes_out_of_range_rejected(grid07, uniform, bad, at):
+    steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
+    with pytest.raises(DomainError, match="step sizes"):
+        _checked_alphas(steps, 10)
+    q0 = tq.new_q_table(grid07)
+    with pytest.raises(DomainError, match="step sizes"):
+        tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, uniform, grid07,
+                          np.random.default_rng(0), n_cycles=3)
+    with pytest.raises(DomainError, match="step sizes"):
+        tq.run_accuracy_triggered_q(q0, 10, 10, steps, uniform, grid07,
+                                    np.random.default_rng(0), n_cycles=3)
+
+
+def test_periodic_step_sizes_computed_once_per_run(grid07, uniform):
+    calls = []
+    steps = tq.CustomStepSize(lambda k: calls.append(k) or 1.0 / (k + 1))
+    for _ in range(2):
+        calls.clear()
+        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(100), steps, uniform, grid07,
+                          np.random.default_rng(0), n_cycles=5)
+        assert calls == list(range(100))  # a fixed period's array, once in each run
+    calls.clear()
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((30, 40, 30)), steps, uniform,
+                      grid07, np.random.default_rng(0))
+    assert calls == list(range(30)) + list(range(40)) + list(range(30))
+
+
+# SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with
+# oracle bias, record_gap and a 7-step evaluation. Same config and seed give
+# the same trace, so a speed-up that changes a trace fails here; update a
+# digest only together with a stated trace change
+_PINNED_TRACES = {
+    ("fixed 1000", "theory"): "ac9c2d4a791910bb26ea8f72b7774f485c5a46d72255f3c075b22e2baa3384ec",
+    ("fixed 1000", "constant"): "71cef4d5e3d4fc53c6c45399a3203d9839245b0c39d4b1ede5cae25b482cd1c5",
+    ("fixed 8193", "theory"): "57f8e7121496cc84f31cf953e004757355227316cb3f7b60c2aa0e26c27aa267",
+    ("fixed 8193", "constant"): "c4879415456bedad7652ac12d2651f92b392e3b4fb13ae4c6acf7bbb9e5171bf",
+    ("geometric 1000", "theory"): "34a34af7b1631a6742ad9e86b1b6cdbe0ceec2563ab6c63a8b7ea02a2abfccdd",
+    ("geometric 1000", "constant"): "2067a10537bd2b8ea465ffb3f29ce54966ed03e002051fab31e8612661045fb4",
+}
+
+
+@pytest.mark.parametrize("schedule, steps", _PINNED_TRACES)
+def test_periodic_traces_bit_identical(grid07, oracle07, uniform, schedule, steps):
+    kind, k = schedule.split()
+    sched = tq.FixedPeriod(int(k)) if kind == "fixed" else tq.GeometricPeriod(int(k), 0.7)
+    step_sizes = (tq.TheoryInverseStepSize.from_pair_count(52) if steps == "theory"
+                  else tq.ConstantStepSize(0.05))
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), sched, step_sizes, uniform, grid07,
+                              np.random.default_rng(11), sample_budget=200_000, oracle=oracle07,
+                              eval_horizon=7, record_gap=True)
+    digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
+    assert digest == _PINNED_TRACES[schedule, steps]
 
 
 # ---------------------------------------------------------------------------

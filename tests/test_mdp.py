@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import targetq as tq
 from targetq.errors import DimensionError, DomainError, IterationLimitError
@@ -341,6 +342,90 @@ def test_evaluate_greedy_into_hazard(grid07):
 def test_evaluate_greedy_horizon_error(grid07, oracle07):
     with pytest.raises(DomainError):
         tq.evaluate_greedy(oracle07, grid07, 0, -1)
+
+
+def _greedy_rollout_reference(q, mdp, start, horizon):
+    # per-step reference: one argmax per visited state, reward means added
+    # in path order
+    score = 0.0
+    s = int(start)
+    for _ in range(horizon):
+        if mdp.terminal_mask[s]:
+            break
+        a = int(np.argmax(q[s]))
+        p = mdp.pair_id(s, a)
+        score += float(mdp.pair_reward_mean[p])
+        s = int(mdp.pair_next_state[p])
+    return score
+
+
+_GREEDY_MDPS = (tq.build_gridworld(0.7), make_chain_mdp(0.5), make_selfloop_mdp(0.5, 1.0))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    which=st.integers(0, len(_GREEDY_MDPS) - 1),
+    ties=st.booleans(),
+    horizon=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_greedy_matches_per_step_reference(which, ties, horizon, seed):
+    mdp = _GREEDY_MDPS[which]
+    rng = np.random.default_rng(seed)
+    # integer tables in {-1, 0, 1} make most rows tie; terminal rows stay
+    # random too, since they are never acted on
+    q = (rng.integers(-1, 2, size=(mdp.num_states, mdp.num_actions)).astype(float) if ties
+         else rng.normal(size=(mdp.num_states, mdp.num_actions)))
+    for start in range(mdp.num_states):  # terminal starts included
+        assert (tq.evaluate_greedy(q, mdp, start, horizon)
+                == _greedy_rollout_reference(q, mdp, start, horizon))
+
+
+# ---------------------------------------------------------------------------
+# Table checks at every entry point
+
+
+_STEPS = tq.TheoryInverseStepSize(xi=1.0 / 52.0)
+
+# every public entry point that takes a Q-table, called as (q, mdp, oracle)
+_TABLE_ENTRY_POINTS = {
+    "sup_distance first": lambda q, mdp, oracle: tq.sup_distance(q, oracle, mdp),
+    "sup_distance second": lambda q, mdp, oracle: tq.sup_distance(oracle, q, mdp),
+    "evaluate_greedy": lambda q, mdp, oracle: tq.evaluate_greedy(q, mdp, mdp.start_state, 7),
+    "exact_bellman_apply": lambda q, mdp, oracle: tq.exact_bellman_apply(q, mdp),
+    "run_inner_loop": lambda q, mdp, oracle: tq.run_inner_loop(
+        q, 10, _STEPS, tq.UniformStateAction(), mdp, np.random.default_rng(0)),
+    "run_periodic_q": lambda q, mdp, oracle: tq.run_periodic_q(
+        q, tq.FixedPeriod(10), _STEPS, tq.UniformStateAction(), mdp, np.random.default_rng(0),
+        n_cycles=1),
+    "compute_constants": lambda q, mdp, oracle: tq.compute_constants(mdp, 1.0 / 52.0, q),
+}
+
+
+@pytest.mark.parametrize("entry", _TABLE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_entry_points_reject_non_finite_active_entries(grid07, oracle07, entry, bad):
+    for p in (0, grid07.num_active_pairs - 1):
+        q = oracle07.copy()
+        q[grid07.pair_state[p], grid07.pair_action[p]] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)
+
+
+@pytest.mark.parametrize("entry", _TABLE_ENTRY_POINTS)
+def test_entry_points_reject_wrong_shape(grid07, oracle07, entry):
+    for shape in ((grid07.num_states, grid07.num_actions + 1), (grid07.num_actions, grid07.num_states),
+                  (grid07.num_states * grid07.num_actions,)):
+        with pytest.raises(DimensionError):
+            _TABLE_ENTRY_POINTS[entry](np.zeros(shape), grid07, oracle07)
+
+
+@pytest.mark.parametrize("entry", _TABLE_ENTRY_POINTS)
+def test_entry_points_accept_non_finite_terminal_rows(grid07, oracle07, entry):
+    # only active pairs are checked; terminal rows are inert
+    q = oracle07.copy()
+    q[sorted(grid07.terminal)] = np.nan
+    _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)
 
 
 def test_chain_mdp_smoke():
