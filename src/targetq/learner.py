@@ -11,10 +11,10 @@ TD error over all pairs falls below the cycle's threshold.
 Under uniform exploration a periodic cycle is applied in closed form: with
 the target frozen, each pair's value at the end of any stretch of steps is
 its value at the start scaled by the product of its (1 - alpha) factors plus
-a weighted sum of its own sampled targets. ``_apply_cycle`` evaluates this
-with array operations over consecutive blocks of ``_CHUNK`` steps and
-carries the per-pair values from block to block, so its temporary memory
-stays bounded however long the period is. ``_adaptive_cycle_uniform``
+a weighted sum of its own sampled targets. ``_apply_cycle`` draws and
+evaluates this one block of ``_CHUNK`` steps at a time and carries the
+per-pair values from block to block, so a cycle of any period runs in
+O(``_CHUNK``) memory. ``_adaptive_cycle_uniform``
 works chunk by chunk too, speculatively: it evaluates each chunk of steps
 whole, as if the cycle did not stop inside it, computes the stopping
 statistic after every step, and rolls the values back to the first step
@@ -23,9 +23,13 @@ step's pair depends on the table), so it runs ``inner_sgd_step`` once per
 step.
 
 Sample-stream contract (what makes traces reproducible): each run owns one
-``numpy.random.Generator``. Under uniform exploration a cycle draws its
-pair indices as one block, then its reward uniforms as one block; each step
-consumes exactly one pair index and one uniform. The accuracy-triggered
+``numpy.random.Generator``. Under uniform exploration a periodic cycle's
+stream is that of drawing all its pair indices, then all its reward
+uniforms; each step consumes exactly one pair index and one uniform. The
+draws themselves are made per block: numpy gives the same values drawn in
+pieces as in one call, so the cycle replays its later pair indices from a
+copy of the generator state while the run's generator skips past them to
+the uniforms (see ``_apply_cycle``). The accuracy-triggered
 runner draws blocks of at most ``_CHUNK`` steps and discards any drawn but
 unused samples when a cycle stops early, so speculation and roll-back draw
 exactly what a per-step loop over the same blocks would. Trajectory
@@ -52,6 +56,7 @@ from .mdp import (
 from .schedules import AccuracyTriggered, TufSchedule
 
 _CHUNK = 8192
+_CACHED_BLOCKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +187,57 @@ def _checked_alphas(step_sizes, count, start=0):
 
 
 class _RunStepSizes:
-    """One run's step sizes, keeping the last array ``alphas`` returned.
+    """One run's step sizes, keeping the arrays of the last
+    ``_CACHED_BLOCKS`` blocks ``alphas`` returned (at most 1 MiB).
 
-    Step sizes restart every cycle, so a fixed period's are the same array
-    each cycle: it is computed once per run, and a growing period keeps at
-    most one period's array alive. Callers only read the array.
+    Step sizes restart every cycle and a block's array depends only on its
+    start and length, so each cycle asks for the same blocks as the last,
+    apart from a growing period's new tail: a period of up to
+    ``_CACHED_BLOCKS`` blocks computes each block once per run. Callers
+    only read the arrays.
     """
 
     def __init__(self, step_sizes):
         self.alpha = step_sizes.alpha
-        self.alphas = functools.lru_cache(maxsize=1)(step_sizes.alphas)
+        self.alphas = functools.lru_cache(maxsize=_CACHED_BLOCKS)(step_sizes.alphas)
 
 
-def _apply_cycle(q, cont, mdp, pairs, u, alphas):
-    """Apply one cycle of asynchronous updates to ``q`` in place.
+def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
+    """Draw and apply one cycle of ``n_steps`` asynchronous updates to
+    ``q`` in place, one block of at most ``_CHUNK`` steps at a time.
 
     Because targets depend only on the frozen table, each coordinate's
     update sequence collapses to a weighted average of its own targets:
     q_end = (prod beta_i) q_start + sum_i alpha_i (prod_{j>i} beta_j) t_i
     with beta = 1 - alpha taken at that coordinate's hit steps. The same
     form maps the values at the start of any stretch of steps to the values
-    at its end, so the cycle is applied as consecutive blocks of ``_CHUNK``
-    steps, each carrying the per-pair values into the next. Blocking keeps
-    the kernel's temporaries at O(_CHUNK + n_pairs * max hits per block)
-    whatever the period. Each block turns its uniforms ``u`` into rewards
-    after sorting its steps by pair id; the rewards, and so the trace, are
-    those of the unsorted draw.
+    at its end, so each block carries the per-pair values into the next.
+
+    The samples are those of one whole-cycle draw: all pair ids, then all
+    uniforms. The first block's pair ids are drawn directly. If more blocks
+    follow, a replay generator takes a copy of the run's generator state,
+    the run's generator skips past the remaining pair ids, and each later
+    block takes its pair ids from the replay and its uniforms from the run's
+    generator. So nothing period-sized is ever held: the temporaries are
+    O(_CHUNK + n_pairs * max hits per block) whatever the period, at the
+    price of drawing every later pair id twice. Step sizes are computed and
+    checked per block.
     """
+    n_pairs = mdp.num_active_pairs
+    pairs = rng.integers(0, n_pairs, size=min(n_steps, _CHUNK))
+    if n_steps > _CHUNK:
+        # a fresh bit generator is cheaper to make than a deep copy
+        replay = np.random.Generator(type(rng.bit_generator)(0))
+        replay.bit_generator.state = rng.bit_generator.state
+        for lo in range(_CHUNK, n_steps, _CHUNK):
+            rng.integers(0, n_pairs, size=min(_CHUNK, n_steps - lo))
     values = q.take(mdp.pair_flat)
-    for lo in range(0, len(pairs), _CHUNK):
-        hi = lo + _CHUNK
-        _apply_block(values, cont, mdp, pairs[lo:hi], u[lo:hi], alphas[lo:hi])
+    for lo in range(0, n_steps, _CHUNK):
+        count = min(_CHUNK, n_steps - lo)
+        if lo:
+            pairs = replay.integers(0, n_pairs, size=count)
+        alphas = _checked_alphas(step_sizes, count, start=lo)
+        _apply_block(values, cont, mdp, pairs, rng.random(count), alphas)
     q.put(mdp.pair_flat, values)
 
 
@@ -235,22 +260,23 @@ def _apply_block(values, cont, mdp, pairs, u, alphas):
     Pair p's hits, latest first, fill column p of a hit-major matrix below
     a leading row of 1.0 and are padded with 1.0, so one cumprod down the
     columns gives every suffix product prod_{j>i} beta_j (the row above
-    hit i) and the whole product (the last row). Rewards are drawn on the
-    sorted ids ``ids``: step i's reward still comes from its own uniform.
+    hit i) and the whole product (the last row). Targets are drawn on the
+    sorted steps: step i's reward still comes from its own uniform.
     """
     n_pairs = values.size
     order, counts = _sort_hits(pairs, n_pairs)
-    ids = pairs[order]
+    columns = np.arange(n_pairs)
+    ids = np.repeat(columns, counts)
     rows = int(counts.max()) + 1
     # sorted hit i of a pair whose hits end before sorted position e sits
     # at row e - i
-    flat = (np.repeat(np.cumsum(counts) * n_pairs + np.arange(n_pairs), counts)
+    flat = (np.repeat(np.cumsum(counts) * n_pairs + columns, counts)
             - np.arange(0, len(pairs) * n_pairs, n_pairs))
     als = alphas[order]
     betas = np.ones(rows * n_pairs)
     betas[flat] = 1.0 - als
     prods = np.cumprod(betas.reshape(rows, n_pairs), axis=0)
-    targets = mdp.draw_rewards(ids, u[order]) + cont[ids]
+    targets = mdp.draw_sorted_targets(counts, u[order], cont)
     weighted = als * prods.ravel()[flat - n_pairs] * targets
     values *= prods[-1]
     values += np.bincount(ids, weights=weighted, minlength=n_pairs)
@@ -274,9 +300,7 @@ def run_inner_loop(
     _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
     if isinstance(policy, UniformStateAction):
-        alphas = _checked_alphas(step_sizes, n_steps)
-        pairs, u = _draw_block(mdp, n_steps, rng)
-        _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, pairs, u, alphas)
+        _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
     else:
         # trajectory policies keep their behavior state across cycles of a
         # run; use one policy instance per run
@@ -449,7 +473,6 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     while steps < k_max:
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
-        rewards = mdp.draw_rewards(pairs, u)
         alphas = _checked_alphas(step_sizes, block, start=steps)
         order, hits = _sort_hits(pairs, n_pairs)
         rows = int(hits.max()) + 1
@@ -458,7 +481,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         flat = (np.arange(n_pairs, (block + 1) * n_pairs, n_pairs)
                 - np.repeat((np.cumsum(hits) - hits) * n_pairs - columns, hits))
         als = alphas[order]
-        targets = rewards[order] + np.repeat(cont, hits)
+        targets = mdp.draw_sorted_targets(hits, u[order], cont)
         # row 0 is the map x -> x + start value and padding rows are the
         # identity; after the scan, shift[r] is rows 0..r composed and
         # applied to 0: the value after r hits

@@ -9,9 +9,10 @@ Conventions used throughout the package:
   of a Q-table are inert (value-iteration output pins them to the terminal
   state's mean reward, with zero continuation).
 * Transitions are deterministic; all stochasticity lives in the rewards.
-* Every reward draw takes exactly one uniform (``TabularMdp.draw_rewards``),
-  also for deterministic rewards, so sample streams do not depend on which
-  pair was drawn.
+* Every reward draw takes exactly one uniform (``TabularMdp.draw_rewards``,
+  or ``draw_sorted_targets`` for steps sorted by pair), also for
+  deterministic rewards, so sample streams do not depend on which pair was
+  drawn.
 """
 from __future__ import annotations
 
@@ -162,14 +163,33 @@ class TabularMdp:
 
     def draw_rewards(self, pairs, u):
         """Rewards of the pair ids ``pairs`` (array or scalar) from one
-        uniform each: the law's first value where ``u`` is below its
-        probability, else its last (a deterministic law's only value)."""
-        return np.where(u < self.pair_p_first[pairs], self.pair_value_first[pairs],
-                        self.pair_value_second[pairs])
+        uniform each (see ``_reward_rule``)."""
+        return _reward_rule(u, self.pair_p_first[pairs], self.pair_value_first[pairs],
+                            self.pair_value_second[pairs])
+
+    def draw_sorted_targets(self, counts, u, offset):
+        """Reward plus per-pair ``offset`` for steps sorted by pair id, pair
+        p taking ``counts[p]`` consecutive steps, from one uniform each.
+
+        The per-pair data are expanded with ``np.repeat`` rather than
+        gathered per step. Each element is the same single addition as in
+        ``draw_rewards(ids, u) + offset[ids]`` for the sorted ids ``ids``,
+        so the two agree bitwise.
+        """
+        return _reward_rule(u, np.repeat(self.pair_p_first, counts),
+                            np.repeat(self.pair_value_first + offset, counts),
+                            np.repeat(self.pair_value_second + offset, counts))
 
     def _check_state(self, s: int) -> None:
         if not 0 <= s < self.num_states:
             raise DomainError(f"state {s} out of range")
+
+
+def _reward_rule(u, p_first, first, second):
+    """The reward draw from a uniform ``u``: the law's first value where
+    ``u`` is below its probability, else its last (a deterministic law's
+    only value, with probability 1)."""
+    return np.where(u < p_first, first, second)
 
 
 def new_q_table(mdp: TabularMdp, fill: float = 0.0) -> np.ndarray:

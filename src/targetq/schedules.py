@@ -190,6 +190,14 @@ def geometric_period(k0: int, gamma: float, n: int) -> int:
     return _ceil_guarded(x)
 
 
+def _check_exact_periods(ks) -> None:
+    """Refuse periods past the exact-integer limit that geometric and
+    designed periods keep to; such a cycle could not run in practice."""
+    for k in ks:
+        if not k < _EXACT_INT_LIMIT:
+            raise ScheduleOverflowError(f"period {k} exceeds the exact-integer range (2**53)")
+
+
 @dataclass(frozen=True)
 class FixedPeriod:
     """Constant update period."""
@@ -199,6 +207,7 @@ class FixedPeriod:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError("period must be at least 1")
+        _check_exact_periods((self.k,))
 
     n_cycles: int | None = field(default=None, init=False)
 
@@ -232,6 +241,7 @@ class ExplicitPeriod:
     def __post_init__(self):
         if any(k < 1 for k in self.ks):
             raise DomainError("all periods must be at least 1")
+        _check_exact_periods(self.ks)
 
     @property
     def n_cycles(self) -> int:

@@ -142,6 +142,9 @@ def test_run_malformed_config_fails(tmp_path, capsys):
         ("budget = -5", "sample budget must be at least 1"),
         ("cycles = 0", "cycle count must be at least 1"),
         ("eval_horizon = -1", "evaluation horizon must be nonnegative"),
+        ("schedule = fixed 99999999999999999999999", "exceeds the exact-integer range"),
+        ("schedule = fixed 9223372036854775807", "exceeds the exact-integer range"),
+        ("schedule = custom 200 9223372036854775807", "exceeds the exact-integer range"),
     ],
 )
 def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, message):

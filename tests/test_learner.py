@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from targetq.learner import (
     _checked_alphas,
     _draw_block,
     _frozen_continuation,
+    _sort_hits,
 )
 
 from conftest import make_chain_mdp, make_selfloop_mdp, random_q
@@ -168,6 +170,68 @@ def test_inner_loop_matches_sequential_replay_property(use_chain, k, steps, seed
     pairs, u = _draw_block(mdp, k, np.random.default_rng(seed))
     slow = _sequential_replay(q_in, mdp, pairs, u, step_sizes.alphas(k))
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+# The periodic kernel draws a cycle per block yet keeps the stream of one
+# whole-cycle draw. That rests on numpy giving the same values in pieces as
+# in one call; a numpy that breaks it fails here.
+@pytest.mark.parametrize("n", [52, 400, 100_000])
+def test_chunked_draws_equal_one_shot_draws(n):
+    size = 2 * _CHUNK + 3
+    whole = np.random.default_rng(n)
+    ints, floats = whole.integers(0, n, size=size), whole.random(size)
+    for block in (_CHUNK, _CHUNK - 1, 1):
+        rng = np.random.default_rng(n)
+        pieces = [rng.integers(0, n, size=min(block, size - lo)) for lo in range(0, size, block)]
+        assert np.array_equal(np.concatenate(pieces), ints)
+        pieces = [rng.random(min(block, size - lo)) for lo in range(0, size, block)]
+        assert np.array_equal(np.concatenate(pieces), floats)
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_inner_loop_consumes_one_whole_cycle_draw(grid07, theory_steps, uniform, k):
+    rng = np.random.default_rng(12)
+    tq.run_inner_loop(tq.new_q_table(grid07), k, theory_steps, uniform, grid07, rng)
+    reference = np.random.default_rng(12)
+    _draw_block(grid07, k, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_inner_loop_memory_independent_of_period(grid07, theory_steps, uniform):
+    # a whole-cycle draw of 2M steps would hold about 46 MiB of pair ids,
+    # uniforms and step sizes
+    q_in = tq.new_q_table(grid07)
+    tracemalloc.start()
+    try:
+        tq.run_inner_loop(q_in, 2_000_000, theory_steps, uniform, grid07,
+                          np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    mdp_index=st.integers(0, 2),
+    k=st.integers(1, _CHUNK),
+    at_threshold=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_targets_equal_gathered_draw(mdp_index, k, at_threshold, seed):
+    # the kernels expand per-pair reward data by repeat over sorted steps;
+    # the targets must be bitwise those of the per-step gather
+    mdp = (tq.build_gridworld(0.7), _CHAIN_400, make_selfloop_mdp(0.9, 1.5))[mdp_index]
+    rng = np.random.default_rng(seed)
+    pairs, u = _draw_block(mdp, k, rng)
+    # some uniforms sit exactly on their pair's threshold
+    on = rng.random(k) < at_threshold
+    u[on] = mdp.pair_p_first[pairs[on]]
+    cont = _frozen_continuation(random_q(mdp, rng), mdp)
+    order, counts = _sort_hits(pairs, mdp.num_active_pairs)
+    expected = (mdp.draw_rewards(pairs, u) + cont[pairs])[order]
+    assert np.array_equal(mdp.draw_sorted_targets(counts, u[order], cont), expected)
 
 
 def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps, uniform):
@@ -370,7 +434,12 @@ def test_periodic_step_sizes_computed_once_per_run(grid07, uniform):
     calls.clear()
     tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((30, 40, 30)), steps, uniform,
                       grid07, np.random.default_rng(0))
-    assert calls == list(range(30)) + list(range(40)) + list(range(30))
+    assert calls == list(range(30)) + list(range(40))  # the third cycle reuses the first's
+    # a multi-block period: each block once per run
+    calls.clear()
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK + 5), steps, uniform,
+                      grid07, np.random.default_rng(0), n_cycles=3)
+    assert calls == list(range(2 * _CHUNK + 5))
 
 
 # SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with

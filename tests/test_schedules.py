@@ -310,6 +310,14 @@ def test_schedule_validation():
         tq.FixedPeriod(0)
     with pytest.raises(DomainError):
         tq.ExplicitPeriod((5, 0, 3))
+    # the exact-integer limit of geometric and designed periods holds for
+    # fixed and explicit ones too
+    for k in (2**53, 2**63 - 1, 10**23):
+        with pytest.raises(ScheduleOverflowError, match="exact-integer range"):
+            tq.FixedPeriod(k)
+        with pytest.raises(ScheduleOverflowError, match="exact-integer range"):
+            tq.ExplicitPeriod((5, k))
+    assert tq.FixedPeriod(2**53 - 1).period(0) == 2**53 - 1
     with pytest.raises(DomainError):
         tq.AccuracyTriggered(10, 5)
     sched = tq.AccuracyTriggered(10, 100)
