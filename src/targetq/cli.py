@@ -5,7 +5,8 @@ Subcommands:
 * ``oracle``    solve an environment's fixed point and print its action
                 values at the start state
 * ``design``    closed-form update-period design for a target accuracy
-* ``run``       one seeded run from a run config, optionally to CSV
+* ``run``       one seeded run (a one-arm, one-seed experiment) from a run
+                config, optionally to CSV
 * ``sweep``     multi-seed, multi-arm experiment from a sweep config
 * ``gridworld`` emit the bundled benchmark's environment spec
 """
@@ -26,7 +27,7 @@ from .config import (
 )
 from .errors import DomainError, IterationLimitError
 from .gridworld import ACTION_NAMES, dump_grid_spec, gridworld_spec
-from .harness import aggregate, emit_csv, run_experiment, run_one
+from .harness import aggregate, emit_csv, run_experiment
 from .mdp import value_iteration_oracle
 from .schedules import compute_constants, design_fixed_period, design_growing_period
 
@@ -127,11 +128,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_run_config(args.config, seed_override=args.seed)
-    oracle = value_iteration_oracle(cfg.mdp) if cfg.record_bias else None
-    trace = run_one(cfg.schedule, cfg.step_sizes, cfg.mdp, cfg.seed, oracle=oracle,
-                    n_cycles=cfg.n_cycles, sample_budget=cfg.sample_budget,
-                    eval_horizon=cfg.eval_horizon, eval_every=cfg.eval_every,
-                    label=cfg.label)
+    [[trace]] = run_experiment(cfg).values()  # one arm, one seed
     final = trace.final
     print(f"run '{trace.label}' seed={trace.seed}: {final.cycle} cycles, "
           f"{final.cumulative_cost} samples")

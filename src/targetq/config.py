@@ -1,5 +1,6 @@
 """Parsing of the key-value-section text formats: run configs, sweep
-configs, and designed-schedule files.
+configs, and designed-schedule files. A run config is read as the
+one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
 
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigValidationError, DomainError
 from .gridworld import build_gridworld, load_grid_spec, build_grid_mdp
 from .harness import Arm, ExperimentConfig
-from .learner import limit_violations
 from .mdp import TabularMdp
 from .schedules import (
     AccuracyTriggered,
@@ -113,20 +112,6 @@ def load_schedule_file(path) -> ExplicitPeriod:
     return ExplicitPeriod(periods, label=f"designed-{label}" if label in ("fixed", "growing") else label)
 
 
-@dataclass
-class RunConfig:
-    mdp: TabularMdp
-    schedule: object
-    step_sizes: object
-    seed: int
-    sample_budget: int | None
-    n_cycles: int | None
-    record_bias: bool
-    eval_horizon: int | None
-    eval_every: int
-    label: str
-
-
 def _get_section(parser: configparser.ConfigParser, name: str):
     if name not in parser:
         raise DomainError(f"config needs a [{name}] section")
@@ -145,39 +130,41 @@ def _read_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
+def _shared_keys(section) -> dict:
+    """The keys [run] and [sweep] share, as ExperimentConfig fields."""
+    return dict(
+        mdp=load_environment(section.get("env", "gridworld"), section.getfloat("gamma")),
+        sample_budget=section.getint("budget", fallback=None),
+        record_bias=section.getboolean("bias", fallback=True),
+        eval_horizon=section.getint("eval_horizon", fallback=None),
+        eval_every=section.getint("eval_every", fallback=1),
+    )
+
+
+def _arm(section, label: str, mdp: TabularMdp) -> Arm:
+    """An arm from a section's ``schedule`` and ``step_size`` keys."""
+    schedule = parse_schedule_spec(section["schedule"], mdp.gamma)
+    return Arm(label, schedule, parse_step_spec(section.get("step_size", "theory"), mdp))
+
+
+def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """A run config as the one-arm, one-seed experiment it describes."""
     parser = _read_config(path)
     section = _get_section(parser, "run")
     try:
-        gamma = section.getfloat("gamma")
-        mdp = load_environment(section.get("env", "gridworld"), gamma)
-        schedule = parse_schedule_spec(section["schedule"], mdp.gamma)
-        step_sizes = parse_step_spec(section.get("step_size", "theory"), mdp)
+        shared = _shared_keys(section)
+        arm = _arm(section, section.get("label", "run"), shared["mdp"])
         seed = seed_override if seed_override is not None else section.getint("seed", 0)
-        budget = section.getint("budget", fallback=None)
         cycles = section.getint("cycles", fallback=None)
-        record_bias = section.getboolean("bias", fallback=True)
-        eval_horizon = section.getint("eval_horizon", fallback=None)
-        eval_every = section.getint("eval_every", fallback=1)
     except (ValueError, KeyError) as exc:
         raise DomainError(f"malformed [run] section: {exc}") from exc
-    if budget is None and cycles is None:
+    if shared["sample_budget"] is None and cycles is None:
         raise DomainError("[run] needs budget or cycles")
-    problems = limit_violations(budget, eval_every, eval_horizon, n_cycles=cycles)
+    cfg = ExperimentConfig(arms=(arm,), seeds=(seed,), n_cycles=cycles, **shared)
+    problems = cfg.violations()
     if problems:
         raise ConfigValidationError(problems)
-    return RunConfig(
-        mdp=mdp,
-        schedule=schedule,
-        step_sizes=step_sizes,
-        seed=seed,
-        sample_budget=budget,
-        n_cycles=cycles,
-        record_bias=record_bias,
-        eval_horizon=eval_horizon,
-        eval_every=eval_every,
-        label=section.get("label", "run"),
-    )
+    return cfg
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -191,37 +178,21 @@ def parse_sweep_config(path) -> ExperimentConfig:
     parser = _read_config(path)
     section = _get_section(parser, "sweep")
     try:
-        gamma = section.getfloat("gamma")
-        mdp = load_environment(section.get("env", "gridworld"), gamma)
+        shared = _shared_keys(section)
         seeds = _parse_seeds(section.get("seeds", "range 2"))
-        budget = section.getint("budget")
-        record_bias = section.getboolean("bias", fallback=True)
-        eval_horizon = section.getint("eval_horizon", fallback=None)
-        eval_every = section.getint("eval_every", fallback=1)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed [sweep] section: {exc}") from exc
-    if budget is None:
+    if shared["sample_budget"] is None:
         raise DomainError("[sweep] needs a budget")
+    if len(seeds) < 2:
+        raise DomainError("[sweep] needs at least 2 seeds for bands")
     arms = []
     for name in parser.sections():
-        if not name.startswith("arm "):
-            continue
-        arm_section = parser[name]
-        label = name[4:].strip()
-        try:
-            schedule = parse_schedule_spec(arm_section["schedule"], mdp.gamma)
-            step_sizes = parse_step_spec(arm_section.get("step_size", "theory"), mdp)
-        except KeyError as exc:
-            raise DomainError(f"malformed [{name}] section: {exc}") from exc
-        arms.append(Arm(label=label, schedule=schedule, step_sizes=step_sizes))
+        if name.startswith("arm "):
+            try:
+                arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
+            except KeyError as exc:
+                raise DomainError(f"malformed [{name}] section: {exc}") from exc
     if not arms:
         raise DomainError("sweep config defines no [arm ...] sections")
-    return ExperimentConfig(
-        mdp=mdp,
-        arms=tuple(arms),
-        seeds=seeds,
-        sample_budget=budget,
-        eval_horizon=eval_horizon,
-        eval_every=eval_every,
-        record_bias=record_bias,
-    )
+    return ExperimentConfig(arms=tuple(arms), seeds=seeds, **shared)

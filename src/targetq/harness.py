@@ -51,10 +51,11 @@ class ExperimentConfig:
     mdp: TabularMdp
     arms: tuple[Arm, ...]
     seeds: tuple[int, ...]
-    sample_budget: int
+    sample_budget: int | None
     eval_horizon: int | None = None
     eval_every: int = 1
     record_bias: bool = True
+    n_cycles: int | None = None
 
     def violations(self) -> list[str]:
         problems = []
@@ -67,13 +68,14 @@ class ExperimentConfig:
             problems.append("no seeds configured")
         if len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds must be distinct")
-        problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon)
+        problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon,
+                                     n_cycles=self.n_cycles)
         return problems
 
 
 def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, **options) -> RunTrace:
-    """One seeded run from a zero table under uniform exploration, as the
-    sweep and the ``run`` command make it: adaptive schedules go to the
+    """One seeded run from a zero table under uniform exploration, as
+    ``run_experiment`` makes it: adaptive schedules go to the
     accuracy-triggered runner, the rest to the periodic one."""
     rng = np.random.default_rng(seed)
     q0 = new_q_table(mdp)
@@ -88,6 +90,7 @@ def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, **options) -> RunT
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:
     """Run every (arm, seed) pair; deterministic given the configuration.
+    A ``targetq run`` is the one-arm, one-seed case.
 
     Runs are independent (no shared mutable state), executed seed-major
     within each arm and collected in configuration order.
@@ -100,8 +103,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:
     for arm in cfg.arms:
         results[arm.label] = [
             run_one(arm.schedule, arm.step_sizes, cfg.mdp, seed, oracle=oracle,
-                    sample_budget=cfg.sample_budget, eval_horizon=cfg.eval_horizon,
-                    eval_every=cfg.eval_every, label=arm.label)
+                    n_cycles=cfg.n_cycles, sample_budget=cfg.sample_budget,
+                    eval_horizon=cfg.eval_horizon, eval_every=cfg.eval_every, label=arm.label)
             for seed in cfg.seeds
         ]
     return results
@@ -122,16 +125,19 @@ class AggregateStats:
     score_hi: list[float | None]
 
 
-def _locf_matrix(traces: Sequence[RunTrace], grid: np.ndarray, getter) -> np.ndarray | None:
+def _locf_bands(traces: Sequence[RunTrace], grid: np.ndarray, getter) -> list[list]:
+    """Mean, median, 2.5 and 97.5 percentiles across seeds at each grid cost,
+    each seed carrying its last recorded value forward; None where some seed
+    has not recorded a value yet."""
     rows = []
     for trace in traces:
-        costs = np.array([rec.cumulative_cost for rec in trace.records])
-        vals = [getter(rec) for rec in trace.records]
-        if any(v is None for v in vals):
-            return None
-        idx = np.searchsorted(costs, grid, side="right") - 1
-        rows.append(np.array(vals, dtype=float)[idx])
-    return np.vstack(rows)
+        kept = [(rec.cumulative_cost, v) for rec in trace.records if (v := getter(rec)) is not None]
+        idx = np.searchsorted([c for c, _ in kept], grid, side="right") - 1
+        # index -1 (before the seed's first value) lands on the NaN sentinel
+        rows.append(np.array([v for _, v in kept] + [np.nan], dtype=float)[idx])
+    values = np.vstack(rows)
+    lo, med, hi = np.percentile(values, [2.5, 50.0, 97.5], axis=0)
+    return [np.where(np.isnan(col), None, col).tolist() for col in (values.mean(axis=0), med, lo, hi)]
 
 
 def aggregate(traces: Sequence[RunTrace]) -> AggregateStats:
@@ -148,32 +154,10 @@ def aggregate(traces: Sequence[RunTrace]) -> AggregateStats:
     grid = np.unique(
         np.concatenate([[rec.cumulative_cost for rec in t.records] for t in traces])
     )
-    n = len(grid)
-    stats = AggregateStats(
-        costs=[int(c) for c in grid],
-        bias_mean=[None] * n,
-        bias_median=[None] * n,
-        bias_lo=[None] * n,
-        bias_hi=[None] * n,
-        score_median=[None] * n,
-        score_lo=[None] * n,
-        score_hi=[None] * n,
-    )
-    bias = _locf_matrix(traces, grid, lambda rec: rec.bias)
-    if bias is not None:
-        lo, med, hi = np.percentile(bias, [2.5, 50.0, 97.5], axis=0)
-        stats.bias_mean = list(bias.mean(axis=0))
-        stats.bias_median = list(med)
-        stats.bias_lo = list(lo)
-        stats.bias_hi = list(hi)
-    # Scores aggregate only when every record carries one (per-cycle cadence).
-    score = _locf_matrix(traces, grid, lambda rec: rec.score)
-    if score is not None:
-        lo, med, hi = np.percentile(score, [2.5, 50.0, 97.5], axis=0)
-        stats.score_median = list(med)
-        stats.score_lo = list(lo)
-        stats.score_hi = list(hi)
-    return stats
+    bias_mean, bias_median, bias_lo, bias_hi = _locf_bands(traces, grid, lambda rec: rec.bias)
+    _, score_median, score_lo, score_hi = _locf_bands(traces, grid, lambda rec: rec.score)
+    return AggregateStats([int(c) for c in grid], bias_mean, bias_median, bias_lo, bias_hi,
+                          score_median, score_lo, score_hi)
 
 
 def _fmt(x) -> str:

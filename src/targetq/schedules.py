@@ -267,6 +267,7 @@ class AccuracyTriggered:
     def __post_init__(self):
         if not 1 <= self.k_min <= self.k_max:
             raise DomainError("need 1 <= k_min <= k_max")
+        _check_exact_periods((self.k_min, self.k_max))
 
     n_cycles: int | None = field(default=None, init=False)
 

@@ -99,18 +99,24 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     assert rows[0]["bias_median"] == "3"
 
 
-def test_run_adaptive_schedule_matches_direct_call(tmp_path, grid07, oracle07, capsys):
+@pytest.mark.parametrize("spec", ["adaptive 50 500", "fixed 200"])
+def test_run_matches_direct_call(tmp_path, grid07, oracle07, capsys, spec):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(
-        RUN_CFG.replace("schedule = fixed 200", "schedule = adaptive 50 500") + "cycles = 3\n"
-    )
+    cfg.write_text(RUN_CFG.replace("schedule = fixed 200", f"schedule = {spec}") + "cycles = 3\n")
     via_cli = tmp_path / "cli.csv"
     assert main(["run", "--config", str(cfg), "--out", str(via_cli)]) == 0
-    direct = tq.run_accuracy_triggered_q(
-        tq.new_q_table(grid07), 50, 500, tq.TheoryInverseStepSize.from_pair_count(52),
-        tq.UniformStateAction(), grid07, np.random.default_rng(3), oracle=oracle07,
-        n_cycles=3, sample_budget=2000, eval_horizon=7, seed=3,
-    )
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    options = dict(oracle=oracle07, n_cycles=3, sample_budget=2000, eval_horizon=7, seed=3)
+    if spec.startswith("adaptive"):
+        direct = tq.run_accuracy_triggered_q(
+            tq.new_q_table(grid07), 50, 500, steps, tq.UniformStateAction(), grid07,
+            np.random.default_rng(3), **options,
+        )
+    else:
+        direct = tq.run_periodic_q(
+            tq.new_q_table(grid07), tq.FixedPeriod(200), steps, tq.UniformStateAction(), grid07,
+            np.random.default_rng(3), **options,
+        )
     assert len(direct.records) == 4
     direct_csv = tmp_path / "direct.csv"
     tq.emit_csv(direct, direct_csv)
@@ -145,6 +151,9 @@ def test_run_malformed_config_fails(tmp_path, capsys):
         ("schedule = fixed 99999999999999999999999", "exceeds the exact-integer range"),
         ("schedule = fixed 9223372036854775807", "exceeds the exact-integer range"),
         ("schedule = custom 200 9223372036854775807", "exceeds the exact-integer range"),
+        ("schedule = adaptive 99999999999999999999999 99999999999999999999999",
+         "exceeds the exact-integer range"),
+        ("schedule = adaptive 10 9223372036854775808", "exceeds the exact-integer range"),
     ],
 )
 def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, message):
@@ -212,6 +221,19 @@ def test_sweep_csv_byte_identical(tmp_path, capsys):
     assert {r["arm"] for r in rows} == {"fixed-200", "geo-100"}
 
 
+@pytest.mark.parametrize("seeds", ["5", "range 1"])
+def test_one_seed_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, seeds):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("targetq.harness.run_one", no_run)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_CFG.replace("seeds = 0 1 2", f"seeds = {seeds}"))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [sweep] needs at least 2 seeds for bands\n"
+
+
 def test_gridworld_emit_and_reload(tmp_path, capsys):
     out = tmp_path / "grid.ini"
     assert main(["gridworld", "--gamma", "0.9", "--out", str(out)]) == 0
@@ -262,9 +284,10 @@ def test_parse_run_and_sweep_configs(tmp_path):
     run_path = tmp_path / "run.ini"
     run_path.write_text(RUN_CFG)
     cfg = parse_run_config(run_path, seed_override=9)
-    assert cfg.seed == 9
+    assert cfg.seeds == (9,)
     assert cfg.sample_budget == 2000
-    assert isinstance(cfg.schedule, tq.FixedPeriod)
+    assert isinstance(cfg.arms[0].schedule, tq.FixedPeriod)
+    assert cfg.n_cycles is None
 
     sweep_path = tmp_path / "sweep.ini"
     sweep_path.write_text(SWEEP_CFG)

@@ -167,6 +167,13 @@ def test_aggregate_cost_alignment_carries_forward():
     # at cost 20: b carries 0.5 forward
     assert stats.bias_mean[3] == pytest.approx((1.0 + 0.5) / 2)
     assert all(x < y for x, y in zip(stats.costs, stats.costs[1:]))
+    # scores recorded every other record (eval_every = 2) carry forward too;
+    # before a seed's first score there is none to carry
+    a = _trace([0, 10, 20, 30], [3.0] * 4, [-1.0, None, -2.0, None])
+    b = _trace([0, 10, 20], [3.0] * 3, [None, -4.0, None])
+    stats = tq.aggregate([a, b])
+    assert stats.score_median == [None, -2.5, -3.0, -3.0]
+    assert stats.bias_median == [3.0] * 4
 
 
 def test_aggregate_band_ordering(small_results):
