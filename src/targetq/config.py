@@ -191,7 +191,7 @@ def parse_sweep_config(path) -> ExperimentConfig:
         if name.startswith("arm "):
             try:
                 arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
-            except KeyError as exc:
+            except (ValueError, KeyError) as exc:
                 raise DomainError(f"malformed [{name}] section: {exc}") from exc
     if not arms:
         raise DomainError("sweep config defines no [arm ...] sections")

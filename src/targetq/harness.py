@@ -70,6 +70,8 @@ class ExperimentConfig:
             problems.append("seeds must be distinct")
         problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon,
                                      n_cycles=self.n_cycles)
+        if self.sample_budget is None and self.n_cycles is None:
+            problems.append("an unbounded run needs n_cycles or sample_budget")
         return problems
 
 

@@ -186,20 +186,28 @@ def _checked_alphas(step_sizes, count, start=0):
     return alphas
 
 
+def _read_only_alphas(step_sizes, count, start=0):
+    """``_checked_alphas`` as a read-only copy: the step-size object's own
+    arrays stay writeable and no caller can change the copy."""
+    alphas = np.array(_checked_alphas(step_sizes, count, start=start))
+    alphas.flags.writeable = False
+    return alphas
+
+
 class _RunStepSizes:
-    """One run's step sizes, keeping the arrays of the last
-    ``_CACHED_BLOCKS`` blocks ``alphas`` returned (at most 1 MiB).
+    """One run's step sizes, keeping the checked, read-only arrays of the
+    last ``_CACHED_BLOCKS`` blocks ``alphas`` returned (at most 1 MiB).
 
     Step sizes restart every cycle and a block's array depends only on its
     start and length, so each cycle asks for the same blocks as the last,
     apart from a growing period's new tail: a period of up to
-    ``_CACHED_BLOCKS`` blocks computes each block once per run. Callers
-    only read the arrays.
+    ``_CACHED_BLOCKS`` blocks computes and checks each block once per run.
     """
 
     def __init__(self, step_sizes):
         self.alpha = step_sizes.alpha
-        self.alphas = functools.lru_cache(maxsize=_CACHED_BLOCKS)(step_sizes.alphas)
+        self.alphas = functools.lru_cache(maxsize=_CACHED_BLOCKS)(
+            functools.partial(_read_only_alphas, step_sizes))
 
 
 def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
@@ -220,8 +228,8 @@ def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
     block takes its pair ids from the replay and its uniforms from the run's
     generator. So nothing period-sized is ever held: the temporaries are
     O(_CHUNK + n_pairs * max hits per block) whatever the period, at the
-    price of drawing every later pair id twice. Step sizes are computed and
-    checked per block.
+    price of drawing every later pair id twice. ``step_sizes`` is a
+    ``_RunStepSizes``, so its blocks come checked.
     """
     n_pairs = mdp.num_active_pairs
     pairs = rng.integers(0, n_pairs, size=min(n_steps, _CHUNK))
@@ -236,8 +244,7 @@ def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
         count = min(_CHUNK, n_steps - lo)
         if lo:
             pairs = replay.integers(0, n_pairs, size=count)
-        alphas = _checked_alphas(step_sizes, count, start=lo)
-        _apply_block(values, cont, mdp, pairs, rng.random(count), alphas)
+        _apply_block(values, cont, mdp, pairs, rng.random(count), step_sizes.alphas(count, lo))
     q.put(mdp.pair_flat, values)
 
 
@@ -250,8 +257,22 @@ def _sort_hits(pairs, n_pairs):
     the ids as the smallest unsigned type that holds them lets the stable
     sort use radix sort; the order equals that of the int64 sort.
     """
-    order = np.argsort(pairs.astype(np.min_scalar_type(n_pairs - 1)), kind="stable")
+    order = pairs.astype(np.min_scalar_type(n_pairs - 1)).argsort(kind="stable")
     return order, np.bincount(pairs, minlength=n_pairs)
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_columns(n_pairs):
+    """The pair ids and the pair ids less one row (n_pairs), read-only.
+
+    Only these small arrays are kept across blocks: a per-step array kept
+    for each block length (up to 64 KiB each) would pin heap memory among
+    the block temporaries, 1.7 MB of peak RSS on the long-period benchmark.
+    """
+    ids = np.arange(n_pairs)
+    lowered = ids - n_pairs
+    ids.flags.writeable = lowered.flags.writeable = False
+    return ids, lowered
 
 
 def _apply_block(values, cont, mdp, pairs, u, alphas):
@@ -264,22 +285,25 @@ def _apply_block(values, cont, mdp, pairs, u, alphas):
     sorted steps: step i's reward still comes from its own uniform.
     """
     n_pairs = values.size
+    ids, lowered = _pair_columns(n_pairs)
     order, counts = _sort_hits(pairs, n_pairs)
-    columns = np.arange(n_pairs)
-    ids = np.repeat(columns, counts)
     rows = int(counts.max()) + 1
     # sorted hit i of a pair whose hits end before sorted position e sits
-    # at row e - i
-    flat = (np.repeat(np.cumsum(counts) * n_pairs + columns, counts)
-            - np.arange(0, len(pairs) * n_pairs, n_pairs))
+    # at row e - i; ``above`` indexes the row above it
+    above = counts.cumsum()
+    above *= n_pairs
+    above += lowered
+    above = above.repeat(counts)
+    above -= np.arange(0, pairs.size * n_pairs, n_pairs)
     als = alphas[order]
-    betas = np.ones(rows * n_pairs)
-    betas[flat] = 1.0 - als
-    prods = np.cumprod(betas.reshape(rows, n_pairs), axis=0)
-    targets = mdp.draw_sorted_targets(counts, u[order], cont)
-    weighted = als * prods.ravel()[flat - n_pairs] * targets
+    prods = np.ones((rows, n_pairs))
+    prods.ravel()[n_pairs:][above] = 1.0 - als
+    np.multiply.accumulate(prods, axis=0, out=prods)
+    weighted = prods.take(above)
+    weighted *= als
+    weighted *= mdp.draw_sorted_targets(counts, u[order], cont)
     values *= prods[-1]
-    values += np.bincount(ids, weights=weighted, minlength=n_pairs)
+    values += np.bincount(ids.repeat(counts), weights=weighted, minlength=n_pairs)
 
 
 def run_inner_loop(
@@ -300,6 +324,8 @@ def run_inner_loop(
     _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
     if isinstance(policy, UniformStateAction):
+        if not isinstance(step_sizes, _RunStepSizes):  # a cache for this cycle alone
+            step_sizes = _RunStepSizes(step_sizes)
         _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
     else:
         # trajectory policies keep their behavior state across cycles of a

@@ -115,7 +115,11 @@ class TabularMdp:
                     raise DomainError(f"transition target {ns} out of range for {(s, a)}")
                 pairs.append((s, a))
 
-        self._pair_index = {pair: i for i, pair in enumerate(pairs)}
+        # pair id of each (s, a), -1 for a terminal state's pairs; rows are
+        # Python lists so a rollout walks it without numpy scalars
+        self._pair_table = [[-1] * num_actions for _ in range(num_states)]
+        for i, (s, a) in enumerate(pairs):
+            self._pair_table[s][a] = i
         self._reward_laws = [rewards[p] for p in pairs]
 
         n = len(pairs)
@@ -142,18 +146,18 @@ class TabularMdp:
 
     @property
     def num_active_pairs(self) -> int:
-        return len(self._pair_index)
+        return len(self._reward_laws)
 
     def pair_id(self, s: int, a: int) -> int:
         """Index of (s, a) in the flat active-pair arrays; terminal or
         out-of-range pairs are a domain error."""
-        try:
-            return self._pair_index[(s, a)]
-        except KeyError:
-            self._check_state(s)
-            if not 0 <= a < self.num_actions:
-                raise DomainError(f"action {a} out of range") from None
-            raise DomainError(f"state {s} is terminal; pair ({s}, {a}) inactive") from None
+        self._check_state(s)
+        if not 0 <= a < self.num_actions:
+            raise DomainError(f"action {a} out of range")
+        p = self._pair_table[s][a]
+        if p < 0:
+            raise DomainError(f"state {s} is terminal; pair ({s}, {a}) inactive")
+        return p
 
     def transition(self, s: int, a: int) -> int:
         return int(self.pair_next_state[self.pair_id(s, a)])
@@ -203,7 +207,9 @@ def _check_table(q: np.ndarray, mdp: TabularMdp) -> None:
             f"Q-table shape {q.shape} does not match "
             f"({mdp.num_states}, {mdp.num_actions})"
         )
-    if not np.isfinite(q.take(mdp.pair_flat)).all():
+    # counting is exact, warns on nothing and, unlike a reduction, is cheap
+    # on small tables
+    if np.count_nonzero(np.isfinite(q.take(mdp.pair_flat))) != mdp.num_active_pairs:
         raise DomainError("Q-table has non-finite entries on active pairs")
 
 
@@ -264,7 +270,8 @@ def evaluate_greedy(
     ``horizon`` steps, stopping early in a terminal state. The score is the
     undiscounted sum of reward means along the path, added in path order.
     The greedy action of every state comes from one ``argmax`` over the
-    table; the rollout itself walks Python ints.
+    table; the rollout itself walks Python ints through the MDP's pair
+    table.
     """
     _check_table(q, mdp)
     if horizon < 0:
@@ -274,9 +281,9 @@ def evaluate_greedy(
     score = 0.0
     s = int(start)
     for _ in range(horizon):
-        if s in mdp.terminal:
+        p = mdp._pair_table[s][actions[s]]
+        if p < 0:  # terminal
             break
-        p = mdp.pair_id(s, actions[s])
         score += mdp.pair_reward_mean.item(p)
         s = mdp.pair_next_state.item(p)
     return score

@@ -297,6 +297,24 @@ def test_parse_run_and_sweep_configs(tmp_path):
     assert sweep.arms[1].schedule.gamma == 0.7
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("schedule = mystery 3", "malformed [arm geo-100] section: bad schedule spec 'mystery 3'"),
+     ("step_size = constant 2", "malformed [arm geo-100] section: bad step-size spec 'constant 2'"),
+     ("step_size = theory x", "malformed [arm geo-100] section: bad step-size spec 'theory x'")],
+)
+def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    head, geo = SWEEP_CFG.split("[arm geo-100]")
+    geo = "\n".join(l for l in geo.splitlines() if not l.startswith(key + " "))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"{head}[arm geo-100]{geo}\n{line}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_parse_sweep_range_seeds(tmp_path):
     text = SWEEP_CFG.replace("seeds = 0 1 2", "seeds = range 5")
     path = tmp_path / "sweep.ini"

@@ -43,6 +43,18 @@ def test_config_validation_lists_every_violation(grid07):
     assert len(err.value.violations) == 4
 
 
+def test_unbounded_config_fails_before_the_oracle_solve(grid07, monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("the oracle was solved for a config that cannot run")
+
+    monkeypatch.setattr(tq.harness, "value_iteration_oracle", spy)
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=(0, 1), sample_budget=None)
+    with pytest.raises(ConfigValidationError, match="unbounded run needs n_cycles or sample_budget"):
+        tq.run_experiment(cfg)
+
+
 def test_single_run_equals_direct_call(grid07, oracle07, small_cfg):
     traces = tq.run_experiment(
         tq.ExperimentConfig(

@@ -9,6 +9,7 @@ import targetq as tq
 from targetq.errors import DomainError
 from targetq.learner import (
     _CHUNK,
+    _RunStepSizes,
     _adaptive_cycle_uniform,
     _checked_alphas,
     _draw_block,
@@ -423,6 +424,47 @@ def test_step_sizes_out_of_range_rejected(grid07, uniform, bad, at):
                                     np.random.default_rng(0), n_cycles=3)
 
 
+def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07, uniform):
+    # one bad step deep in the third block of the first cycle
+    steps = tq.CustomStepSize(lambda k: 1.5 if k == 2 * _CHUNK + 3 else 0.5)
+    with pytest.raises(DomainError, match="step sizes"):
+        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(3 * _CHUNK), steps, uniform,
+                          grid07, np.random.default_rng(0), n_cycles=1)
+    with pytest.raises(DomainError, match="step sizes"):
+        tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, uniform, grid07,
+                          np.random.default_rng(0))
+
+
+class _TableStepSizes:
+    """Step sizes served as slices of one array the object owns."""
+
+    def __init__(self, n):
+        self.table = np.full(n, 0.5)
+
+    def alpha(self, k):
+        return float(self.table[k])
+
+    def alphas(self, count, start=0):
+        return self.table[start:start + count]
+
+
+def test_cached_step_sizes_are_read_only_copies(grid07, uniform):
+    steps = _TableStepSizes(2 * _CHUNK)
+    cache = _RunStepSizes(steps)
+    cached = cache.alphas(_CHUNK, _CHUNK)
+    assert cache.alphas(_CHUNK, _CHUNK) is cached
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+    assert not np.shares_memory(cached, steps.table)
+    steps.table[:] = 0.25  # the object's own array stays writeable
+    assert np.all(cached == 0.5)
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK), steps,
+                              uniform, grid07, np.random.default_rng(0), n_cycles=2)
+    assert trace.final.inner_steps == 2 * _CHUNK
+    assert steps.table.flags.writeable and np.all(steps.table == 0.25)
+
+
 def test_periodic_step_sizes_computed_once_per_run(grid07, uniform):
     calls = []
     steps = tq.CustomStepSize(lambda k: calls.append(k) or 1.0 / (k + 1))
@@ -467,6 +509,25 @@ def test_periodic_traces_bit_identical(grid07, oracle07, uniform, schedule, step
                               eval_horizon=7, record_gap=True)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
     assert digest == _PINNED_TRACES[schedule, steps]
+
+
+# the same for accuracy-triggered runs with k_min = 1000, k_max = 100000
+_PINNED_ADAPTIVE_TRACES = {
+    "theory": "4d489bc288bfbc3f2bb7cc0a09d6fdaa65aa585eca78690895a89355a0a61444",
+    "constant": "0a9b357f5a19b8b688852803ae6b824137b5cf64e4bbac90f45fb3874726fef7",
+}
+
+
+@pytest.mark.parametrize("steps", _PINNED_ADAPTIVE_TRACES)
+def test_adaptive_traces_bit_identical(grid07, oracle07, uniform, steps):
+    step_sizes = (tq.TheoryInverseStepSize.from_pair_count(52) if steps == "theory"
+                  else tq.ConstantStepSize(0.05))
+    trace = tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 1000, 100_000, step_sizes,
+                                        uniform, grid07, np.random.default_rng(11),
+                                        sample_budget=200_000, oracle=oracle07, eval_horizon=7,
+                                        record_gap=True)
+    digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
+    assert digest == _PINNED_ADAPTIVE_TRACES[steps]
 
 
 # ---------------------------------------------------------------------------

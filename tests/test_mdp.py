@@ -402,10 +402,12 @@ _TABLE_ENTRY_POINTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", _TABLE_ENTRY_POINTS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_entry_points_reject_non_finite_active_entries(grid07, oracle07, entry, bad):
-    for p in (0, grid07.num_active_pairs - 1):
+    # on every active pair, and without a RuntimeWarning on the way
+    for p in range(grid07.num_active_pairs):
         q = oracle07.copy()
         q[grid07.pair_state[p], grid07.pair_action[p]] = bad
         with pytest.raises(DomainError, match="non-finite"):
@@ -420,11 +422,22 @@ def test_entry_points_reject_wrong_shape(grid07, oracle07, entry):
             _TABLE_ENTRY_POINTS[entry](np.zeros(shape), grid07, oracle07)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", _TABLE_ENTRY_POINTS)
 def test_entry_points_accept_non_finite_terminal_rows(grid07, oracle07, entry):
     # only active pairs are checked; terminal rows are inert
     q = oracle07.copy()
     q[sorted(grid07.terminal)] = np.nan
+    _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(set(_TABLE_ENTRY_POINTS) - {"compute_constants"}))
+def test_entry_points_accept_huge_finite_entries(grid07, oracle07, entry):
+    # the finite test is exact: 1e308 is finite, whatever a sum of such
+    # entries would do (compute_constants squares sup|Q*|, so it is left out)
+    q = np.full((grid07.num_states, grid07.num_actions), 1e308)
+    q[sorted(grid07.terminal)] = np.inf
     _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)
 
 
