@@ -33,10 +33,7 @@ from .harness import (
 )
 from .learner import (
     CycleRecord,
-    EpsilonGreedyTrajectory,
     RunTrace,
-    UniformStateAction,
-    inner_sgd_step,
     run_accuracy_triggered_q,
     run_inner_loop,
     run_periodic_q,
@@ -60,7 +57,6 @@ from .schedules import (
     FixedPeriod,
     GeometricPeriod,
     RateConstants,
-    SummabilityDiagnostic,
     TheoryInverseStepSize,
     UnrollResult,
     compute_constants,
@@ -68,7 +64,6 @@ from .schedules import (
     design_growing_period,
     geometric_period,
     schedule_cost,
-    summability_check,
     unroll_error_bound,
 )
 

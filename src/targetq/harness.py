@@ -15,13 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigValidationError
-from .learner import (
-    RunTrace,
-    UniformStateAction,
-    limit_violations,
-    run_accuracy_triggered_q,
-    run_periodic_q,
-)
+from .learner import RunTrace, limit_violations, run_accuracy_triggered_q, run_periodic_q
 from .mdp import TabularMdp, new_q_table, value_iteration_oracle
 from .schedules import AccuracyTriggered, TufSchedule
 
@@ -76,18 +70,15 @@ class ExperimentConfig:
 
 
 def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, **options) -> RunTrace:
-    """One seeded run from a zero table under uniform exploration, as
-    ``run_experiment`` makes it: adaptive schedules go to the
-    accuracy-triggered runner, the rest to the periodic one."""
+    """One seeded run from a zero table, as ``run_experiment`` makes it:
+    adaptive schedules go to the accuracy-triggered runner, the rest to the
+    periodic one."""
     rng = np.random.default_rng(seed)
     q0 = new_q_table(mdp)
     if isinstance(schedule, AccuracyTriggered):
-        return run_accuracy_triggered_q(
-            q0, schedule.k_min, schedule.k_max, step_sizes, UniformStateAction(), mdp, rng,
-            accuracy=schedule.accuracy, seed=seed, **options,
-        )
-    return run_periodic_q(q0, schedule, step_sizes, UniformStateAction(), mdp, rng,
-                          seed=seed, **options)
+        return run_accuracy_triggered_q(q0, schedule.k_min, schedule.k_max, step_sizes, mdp, rng,
+                                        accuracy=schedule.accuracy, seed=seed, **options)
+    return run_periodic_q(q0, schedule, step_sizes, mdp, rng, seed=seed, **options)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:

@@ -8,33 +8,29 @@ predetermined schedule (fixed, geometric or explicit periods) and
 ``run_accuracy_triggered_q`` stops each inner loop once the mean absolute
 TD error over all pairs falls below the cycle's threshold.
 
-Under uniform exploration a periodic cycle is applied in closed form: with
-the target frozen, each pair's value at the end of any stretch of steps is
-its value at the start scaled by the product of its (1 - alpha) factors plus
-a weighted sum of its own sampled targets. ``_apply_cycle`` draws and
-evaluates this one block of ``_CHUNK`` steps at a time and carries the
-per-pair values from block to block, so a cycle of any period runs in
-O(``_CHUNK``) memory. ``_adaptive_cycle_uniform``
-works chunk by chunk too, speculatively: it evaluates each chunk of steps
-whole, as if the cycle did not stop inside it, computes the stopping
-statistic after every step, and rolls the values back to the first step
-that meets the stopping rule. Trajectory exploration cannot be batched (each
-step's pair depends on the table), so it runs ``inner_sgd_step`` once per
-step.
+A periodic cycle is applied in closed form: with the target frozen, each
+pair's value at the end of any stretch of steps is its value at the start
+scaled by the product of its (1 - alpha) factors plus a weighted sum of its
+own sampled targets. ``_apply_cycle`` draws and evaluates this one block of
+``_CHUNK`` steps at a time and carries the per-pair values from block to
+block, so a cycle of any period runs in O(``_CHUNK``) memory.
+``_adaptive_cycle_uniform`` works chunk by chunk too, speculatively: it
+evaluates each chunk of steps whole, as if the cycle did not stop inside it,
+computes the stopping statistic after every step, and rolls the values back
+to the first step that meets the stopping rule.
 
 Sample-stream contract (what makes traces reproducible): each run owns one
-``numpy.random.Generator``. Under uniform exploration a periodic cycle's
-stream is that of drawing all its pair indices, then all its reward
-uniforms; each step consumes exactly one pair index and one uniform. The
-draws themselves are made per block: numpy gives the same values drawn in
-pieces as in one call, so the cycle replays its later pair indices from a
-copy of the generator state while the run's generator skips past them to
-the uniforms (see ``_apply_cycle``). The accuracy-triggered
-runner draws blocks of at most ``_CHUNK`` steps and discards any drawn but
-unused samples when a cycle stops early, so speculation and roll-back draw
-exactly what a per-step loop over the same blocks would. Trajectory
-exploration draws per step: one uniform (explore coin), the random action
-if exploring, then the reward uniform.
+``numpy.random.Generator``, and every step draws its pair uniformly from
+the active pairs. A periodic cycle's stream is that of drawing all its pair
+indices, then all its reward uniforms; each step consumes exactly one pair
+index and one uniform. The draws themselves are made per block: numpy gives
+the same values drawn in pieces as in one call, so the cycle replays its
+later pair indices from a copy of the generator state while the run's
+generator skips past them to the uniforms (see ``_apply_cycle``). The
+accuracy-triggered runner draws blocks of at most ``_CHUNK`` steps and
+discards any drawn but unused samples when a cycle stops early, so
+speculation and roll-back draw exactly what a per-step loop over the same
+blocks would.
 """
 from __future__ import annotations
 
@@ -57,46 +53,6 @@ from .schedules import AccuracyTriggered, TufSchedule
 
 _CHUNK = 8192
 _CACHED_BLOCKS = 16
-
-
-# ---------------------------------------------------------------------------
-# Exploration policies
-
-
-@dataclass(frozen=True)
-class UniformStateAction:
-    """Generative exploration: every active pair drawn with probability
-    exactly 1/n_pairs at every step."""
-
-    def draw_pair(self, q: np.ndarray, mdp: TabularMdp, rng: np.random.Generator) -> int:
-        return int(rng.integers(mdp.num_active_pairs))
-
-
-class EpsilonGreedyTrajectory:
-    """Trajectory exploration: epsilon-greedy on the current table along a
-    behavior trajectory that resets to the start state on termination.
-
-    The per-step pair probabilities depend on the trajectory, so the
-    exploration constant cannot be derived here.
-    """
-
-    def __init__(self, epsilon: float):
-        if not 0.0 <= epsilon <= 1.0:
-            raise DomainError("epsilon must lie in [0, 1]")
-        self.epsilon = epsilon
-        self._state: int | None = None
-
-    def draw_pair(self, q: np.ndarray, mdp: TabularMdp, rng: np.random.Generator) -> int:
-        if self._state is None or mdp.terminal_mask[self._state]:
-            self._state = mdp.start_state
-        s = self._state
-        if rng.random() < self.epsilon:
-            a = int(rng.integers(mdp.num_actions))
-        else:
-            a = int(np.argmax(q[s]))
-        p = mdp.pair_id(s, a)
-        self._state = int(mdp.pair_next_state[p])
-        return p
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +96,6 @@ class RunTrace:
 # Inner loop
 
 
-def inner_sgd_step(
-    q: np.ndarray,
-    q_frozen: np.ndarray,
-    mdp: TabularMdp,
-    policy,
-    alpha: float,
-    rng: np.random.Generator,
-) -> tuple[int, float]:
-    """One asynchronous SGD step: draw a pair, sample its Bellman target
-    from the frozen table, move that single entry of ``q`` by alpha toward
-    the target. Mutates ``q`` in place and returns the pair id and the
-    observed TD error.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    p = policy.draw_pair(q, mdp, rng)
-    r = float(mdp.draw_rewards(p, rng.random()))
-    ns = int(mdp.pair_next_state[p])
-    cont = 0.0 if mdp.terminal_mask[ns] else float(np.max(q_frozen[ns]))
-    target = r + mdp.gamma * cont
-    s, a = int(mdp.pair_state[p]), int(mdp.pair_action[p])
-    delta = target - q[s, a]
-    q[s, a] += alpha * delta
-    return p, float(delta)
-
-
 def _frozen_continuation(q_frozen: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     """Per-pair gamma * V(next) under the frozen table."""
     v = greedy_state_values(q_frozen, mdp)
@@ -205,7 +135,6 @@ class _RunStepSizes:
     """
 
     def __init__(self, step_sizes):
-        self.alpha = step_sizes.alpha
         self.alphas = functools.lru_cache(maxsize=_CACHED_BLOCKS)(
             functools.partial(_read_only_alphas, step_sizes))
 
@@ -310,7 +239,6 @@ def run_inner_loop(
     q_in: np.ndarray,
     n_steps: int,
     step_sizes,
-    policy,
     mdp: TabularMdp,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -323,15 +251,9 @@ def run_inner_loop(
         raise DomainError("n_steps must be at least 1")
     _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
-    if isinstance(policy, UniformStateAction):
-        if not isinstance(step_sizes, _RunStepSizes):  # a cache for this cycle alone
-            step_sizes = _RunStepSizes(step_sizes)
-        _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
-    else:
-        # trajectory policies keep their behavior state across cycles of a
-        # run; use one policy instance per run
-        for k in range(n_steps):
-            inner_sgd_step(q, q_in, mdp, policy, step_sizes.alpha(k), rng)
+    if not isinstance(step_sizes, _RunStepSizes):  # a cache for this cycle alone
+        step_sizes = _RunStepSizes(step_sizes)
+    _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
     return q
 
 
@@ -400,7 +322,6 @@ def run_periodic_q(
     q0: np.ndarray,
     schedule: TufSchedule,
     step_sizes,
-    policy,
     mdp: TabularMdp,
     rng: np.random.Generator,
     *,
@@ -425,7 +346,7 @@ def run_periodic_q(
 
     def cycle(n, q):
         k = schedule.period(n)
-        return run_inner_loop(q, k, step_sizes, policy, mdp, rng), k, k, None
+        return run_inner_loop(q, k, step_sizes, mdp, rng), k, k, None
 
     limit = min((c for c in (n_cycles, schedule.n_cycles) if c is not None), default=None)
     return _run_cycles(q0, mdp, cycle, limit, sample_budget, **options)
@@ -436,7 +357,6 @@ def run_accuracy_triggered_q(
     k_min: int,
     k_max: int,
     step_sizes,
-    policy,
     mdp: TabularMdp,
     rng: np.random.Generator,
     *,
@@ -459,12 +379,7 @@ def run_accuracy_triggered_q(
     def cycle(n, q):
         eps_n = adaptive.threshold(n + 1)
         q_new = np.array(q, dtype=float)
-        if isinstance(policy, UniformStateAction):
-            steps, stat = _adaptive_cycle_uniform(q_new, q, mdp, step_sizes, k_min, k_max,
-                                                  eps_n, rng)
-        else:
-            steps, stat = _adaptive_cycle_trajectory(q_new, q, mdp, step_sizes, policy, k_min,
-                                                     k_max, eps_n, rng)
+        steps, stat = _adaptive_cycle_uniform(q_new, q, mdp, step_sizes, k_min, k_max, eps_n, rng)
         return q_new, None, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
@@ -546,23 +461,3 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     q.put(mdp.pair_flat, values)
     return steps, float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs
 
-
-def _adaptive_cycle_trajectory(q, q_frozen, mdp, step_sizes, policy, k_min, k_max, eps_n, rng):
-    """Per-step variant for trajectory exploration. Keeps each pair's
-    running mean TD error and, for the stopping test, a running total of
-    their absolute values, updated by each step's change; the returned
-    statistic is recomputed exactly from the means."""
-    n_pairs = mdp.num_active_pairs
-    # Python lists: per-element updates on them cost a fraction of numpy's
-    counts = [0] * n_pairs
-    means = [0.0] * n_pairs
-    total = 0.0
-    for steps in range(1, k_max + 1):
-        p, delta = inner_sgd_step(q, q_frozen, mdp, policy, step_sizes.alpha(steps - 1), rng)
-        old = abs(means[p])
-        counts[p] += 1
-        means[p] += (delta - means[p]) / counts[p]
-        total += abs(means[p]) - old
-        if steps >= k_min and total / n_pairs <= eps_n:
-            break
-    return steps, float(np.sum(np.abs(means))) / n_pairs

@@ -40,8 +40,11 @@ class RateConstants:
     (c1 * dist^2 + c2) / (k + s) and the effective outer contraction mu.
 
     xi is the per-step lower bound on the probability of sampling any
-    active pair; sigma_sq bounds all reward variances; q_star_sup is the
-    sup norm of the fixed point; n_pairs the active pair count.
+    active pair under i.i.d. uniform sampling, the only sampling the library
+    runs (xi = 1/n_pairs there); sigma_sq bounds all reward variances;
+    q_star_sup is the sup norm of the fixed point; n_pairs the active pair
+    count. Inputs that are not finite, or whose constants overflow, raise
+    ``DomainError``.
     """
 
     xi: float
@@ -56,17 +59,26 @@ class RateConstants:
     def __post_init__(self):
         if not 0.0 < self.xi <= 1.0:
             raise DomainError(f"xi must lie in (0, 1], got {self.xi}")
-        if self.sigma_sq < 0.0:
-            raise DomainError("sigma_sq must be nonnegative")
+        if not 0.0 <= self.sigma_sq < math.inf:
+            raise DomainError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
+        if not 0.0 <= self.q_star_sup < math.inf:
+            raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be positive")
         xi, gamma = self.xi, self.gamma
-        c1 = (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2 + (
-            16.0 / xi**2 + 8.0 / xi
-        ) * gamma**2
-        c2 = (8.0 / xi**2 + 4.0 / xi) * (self.sigma_sq + 2.0 * gamma**2 * self.q_star_sup**2)
+        try:
+            c1 = (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2 + (
+                16.0 / xi**2 + 8.0 / xi
+            ) * gamma**2
+            c2 = (8.0 / xi**2 + 4.0 / xi) * (self.sigma_sq + 2.0 * gamma**2 * self.q_star_sup**2)
+        except (OverflowError, ZeroDivisionError):
+            # a float ** that overflows raises, and xi**2 can underflow to 0
+            c1 = c2 = math.inf
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            raise DomainError(f"rate constants c1, c2 are not finite for xi={xi}, "
+                              f"sigma_sq={self.sigma_sq}, q_star_sup={self.q_star_sup}")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "mu", (1.0 + gamma) / 2.0)
@@ -81,8 +93,6 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
     """Rate constants for an environment: sigma_sq is the worst reward
     variance over active pairs, q_star_sup the sup norm of the supplied
     fixed point over active pairs."""
-    if xi <= 0.0:
-        raise DomainError("xi must be positive")
     _check_table(q_star, mdp)
     sup = float(np.abs(q_star.take(mdp.pair_flat)).max())
     return RateConstants(
@@ -307,7 +317,7 @@ def unroll_error_bound(
     e0: float, periods: Sequence[int], constants: RateConstants
 ) -> UnrollResult:
     """Unroll the error recursion from e0 across the given periods."""
-    if e0 < 0.0:
+    if not e0 >= 0.0:  # NaN fails too
         raise DomainError("e0 must be nonnegative")
     seq = [float(e0)]
     e = float(e0)
@@ -461,53 +471,3 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     return _finalize_design("growing", eps, e0, constants, raw,
                             None if eps < limit else f"< {limit:.6g}")
 
-
-# ---------------------------------------------------------------------------
-# Summability diagnostic
-
-
-@dataclass(frozen=True)
-class SummabilityDiagnostic:
-    """Partial sum of 1/sqrt(K_n) and an advisory verdict on whether the
-    full series converges (a sufficient condition for almost-sure
-    convergence of the outer loop)."""
-
-    partial_sum: float
-    verdict: str
-    tail_fraction: float
-
-
-def summability_check(schedule: TufSchedule, horizon: int) -> SummabilityDiagnostic:
-    """Advisory check of sum_n 1/sqrt(K_n) over the first ``horizon`` cycles.
-
-    Fixed schedules are flagged divergent (linear partial sums), geometric
-    ones convergent (geometric tail). Finite explicit lists get a heuristic
-    verdict from the fraction of mass in the second half of the horizon;
-    adaptive schedules are indeterminate (periods are data-dependent) and
-    are summed at their k_max floor.
-    """
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
-    if isinstance(schedule, AccuracyTriggered):
-        terms = [1.0 / math.sqrt(schedule.k_max)] * horizon
-        return SummabilityDiagnostic(
-            partial_sum=float(sum(terms)), verdict="indeterminate", tail_fraction=0.5
-        )
-    if isinstance(schedule, ExplicitPeriod):
-        horizon = min(horizon, schedule.n_cycles)
-    if isinstance(schedule, GeometricPeriod):
-        # real-valued periods, so long horizons cannot overflow; this upper
-        # bounds the true terms (ceiling only shrinks them)
-        g13 = schedule.gamma ** (1.0 / 3.0)
-        terms = [g13**n / math.sqrt(schedule.k0) for n in range(horizon)]
-    else:
-        terms = [1.0 / math.sqrt(schedule.period(n)) for n in range(horizon)]
-    total = float(sum(terms))
-    tail = float(sum(terms[horizon // 2 :])) / total if total > 0.0 else 0.0
-    if isinstance(schedule, FixedPeriod):
-        verdict = "divergent"
-    elif isinstance(schedule, GeometricPeriod):
-        verdict = "convergent"
-    else:
-        verdict = "convergent" if tail < 0.2 else "divergent"
-    return SummabilityDiagnostic(partial_sum=total, verdict=verdict, tail_fraction=tail)

@@ -29,6 +29,22 @@ def start_value_closed_form(gamma):
     return -0.015 * (1.0 - gamma**6) / (1.0 - gamma) + gamma**6
 
 
+def inner_sgd_step(q, q_frozen, mdp, p, alpha, u):
+    """Per-step reference for the vectorized kernels: one asynchronous SGD
+    step on pair ``p``. Samples its Bellman target from the frozen table,
+    with the reward drawn from the uniform ``u``, moves that single entry
+    of ``q`` by alpha toward the target in place and returns the TD error.
+    """
+    r = float(mdp.draw_rewards(p, u))
+    ns = int(mdp.pair_next_state[p])
+    cont = 0.0 if mdp.terminal_mask[ns] else float(np.max(q_frozen[ns]))
+    target = r + mdp.gamma * cont
+    s, a = int(mdp.pair_state[p]), int(mdp.pair_action[p])
+    delta = target - q[s, a]
+    q[s, a] += alpha * delta
+    return float(delta)
+
+
 def make_selfloop_mdp(gamma=0.5, reward=0.0):
     """One non-terminal state whose actions all loop back to it."""
     dist = tq.RewardDistribution.deterministic(reward)

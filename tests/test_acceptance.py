@@ -81,7 +81,6 @@ def test_criterion_2_contraction_suite():
 
 def test_criterion_3_inner_loop_rate_bound(grid07, oracle07, theory_steps):
     t0 = time.time()
-    pol = tq.UniformStateAction()
     c = tq.compute_constants(grid07, 1.0 / 52.0, oracle07)
     q0 = tq.new_q_table(grid07)
     image = tq.exact_bellman_apply(q0, grid07)
@@ -92,7 +91,7 @@ def test_criterion_3_inner_loop_rate_bound(grid07, oracle07, theory_steps):
     for k in (100, 1000, 10_000, 100_000):
         errs = []
         for seed in range(100):
-            q = tq.run_inner_loop(q0, k, theory_steps, pol, grid07, np.random.default_rng(seed))
+            q = tq.run_inner_loop(q0, k, theory_steps, grid07, np.random.default_rng(seed))
             d = (q - image)[rows, cols]
             errs.append(float(d @ d))
         emp = float(np.mean(errs))
@@ -166,7 +165,6 @@ def test_criterion_5_closed_form_cost(designs):
 
 @pytest.fixture(scope="session")
 def comparison_runs(grid07, oracle07, theory_steps):
-    pol = tq.UniformStateAction()
     seeds = range(20)
 
     def periodic(schedule):
@@ -174,7 +172,7 @@ def comparison_runs(grid07, oracle07, theory_steps):
         for seed in seeds:
             out.append(
                 tq.run_periodic_q(
-                    tq.new_q_table(grid07), schedule, theory_steps, pol, grid07,
+                    tq.new_q_table(grid07), schedule, theory_steps, grid07,
                     np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
                 )
             )
@@ -279,20 +277,19 @@ def test_criterion_6c_long_period_slow_start(comparison_runs):
 
 def test_criterion_7_accuracy_triggered(grid07, oracle07, theory_steps):
     t0 = time.time()
-    pol = tq.UniformStateAction()
     k_min, k_max = 1000, 1_000_000
     adaptive, geometric = [], []
     for seed in range(10):
         adaptive.append(
             tq.run_accuracy_triggered_q(
-                tq.new_q_table(grid07), k_min, k_max, theory_steps, pol, grid07,
+                tq.new_q_table(grid07), k_min, k_max, theory_steps, grid07,
                 np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
             )
         )
         geometric.append(
             tq.run_periodic_q(
                 tq.new_q_table(grid07), tq.GeometricPeriod(1000, grid07.gamma), theory_steps,
-                pol, grid07, np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
+                grid07, np.random.default_rng(seed), oracle=oracle07, sample_budget=BUDGET,
             )
         )
     stops_early = all(

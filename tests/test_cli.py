@@ -109,12 +109,12 @@ def test_run_matches_direct_call(tmp_path, grid07, oracle07, capsys, spec):
     options = dict(oracle=oracle07, n_cycles=3, sample_budget=2000, eval_horizon=7, seed=3)
     if spec.startswith("adaptive"):
         direct = tq.run_accuracy_triggered_q(
-            tq.new_q_table(grid07), 50, 500, steps, tq.UniformStateAction(), grid07,
+            tq.new_q_table(grid07), 50, 500, steps, grid07,
             np.random.default_rng(3), **options,
         )
     else:
         direct = tq.run_periodic_q(
-            tq.new_q_table(grid07), tq.FixedPeriod(200), steps, tq.UniformStateAction(), grid07,
+            tq.new_q_table(grid07), tq.FixedPeriod(200), steps, grid07,
             np.random.default_rng(3), **options,
         )
     assert len(direct.records) == 4
@@ -178,6 +178,7 @@ def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, messa
         ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must be positive and finite"),
         ("design --gamma 0.7 --eps 0.5 --e0 1e308", "is too large for target accuracy"),
         ("design --gamma 0.7 --eps 1e-10 --e0 1e300", "exceed the exact-integer range"),
+        ("design --gamma 0.7 --eps 0.5 --xi 1e-200", "rate constants c1, c2 are not finite"),
         ("oracle --gamma 0.7 --tol nan", "tol must be positive"),
         ("gridworld --gamma 1.5", "gamma must lie in [0, 1)"),
     ],

@@ -17,51 +17,39 @@ from targetq.learner import (
     _sort_hits,
 )
 
-from conftest import make_chain_mdp, make_selfloop_mdp, random_q
-
-
-@pytest.fixture()
-def uniform():
-    return tq.UniformStateAction()
+from conftest import inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
 
 
 def _sequential_replay(q_in, mdp, pairs, u, alphas):
     # step-by-step reference for the same sample blocks
-    rewards = mdp.draw_rewards(pairs, u)
     q = np.array(q_in, dtype=float)
-    cont = _frozen_continuation(q_in, mdp)
-    for i in range(len(pairs)):
-        p = pairs[i]
-        s, a = mdp.pair_state[p], mdp.pair_action[p]
-        q[s, a] += alphas[i] * (rewards[i] + cont[p] - q[s, a])
+    for p, ui, alpha in zip(pairs.tolist(), u.tolist(), alphas.tolist()):
+        inner_sgd_step(q, q_in, mdp, p, alpha, ui)
     return q
 
 
 def _adaptive_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, rng):
-    # per-step reference for one accuracy-triggered cycle under uniform
-    # exploration: the kernel's chunked draws replayed one step at a time,
-    # with the stopping statistic recomputed exactly after every step;
-    # returns the final per-pair values and the statistic after each step
+    # per-step reference for one accuracy-triggered cycle: the kernel's
+    # chunked draws replayed one inner_sgd_step at a time, with the stopping
+    # statistic recomputed exactly after every step; returns the final
+    # per-pair values and the statistic after each step
     n_pairs = mdp.num_active_pairs
-    cont = _frozen_continuation(q_in, mdp)
-    values = q_in[mdp.pair_state, mdp.pair_action].astype(float)
+    q = np.array(q_in, dtype=float)
     counts = np.zeros(n_pairs)
     sums = np.zeros(n_pairs)
     stats = []
     while len(stats) < k_max:
         block = min(_CHUNK, k_max - len(stats))
         pairs, u = _draw_block(mdp, block, rng)
-        rewards = mdp.draw_rewards(pairs, u)
         alphas = step_sizes.alphas(block, start=len(stats))
-        for p, r, alpha in zip(pairs.tolist(), rewards.tolist(), alphas.tolist()):
-            delta = r + cont[p] - values[p]
-            values[p] += alpha * delta
+        for p, ui, alpha in zip(pairs.tolist(), u.tolist(), alphas.tolist()):
+            delta = inner_sgd_step(q, q_in, mdp, p, alpha, ui)
             counts[p] += 1
             sums[p] += delta
             stats.append(float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs)
             if len(stats) >= k_min and stats[-1] <= eps_n:
-                return values, stats
-    return values, stats
+                return q.take(mdp.pair_flat), stats
+    return q.take(mdp.pair_flat), stats
 
 
 def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, seed):
@@ -86,62 +74,66 @@ def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, s
 
 
 # ---------------------------------------------------------------------------
-# Single step
+# Single step: conftest's inner_sgd_step, the per-step reference
 
 
-def test_inner_step_full_replacement(uniform):
+def test_inner_step_full_replacement():
     mdp = make_selfloop_mdp(gamma=0.5, reward=4.0)
     q = tq.new_q_table(mdp)
     frozen = tq.new_q_table(mdp)
-    p, delta = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=1.0, rng=np.random.default_rng(0))
-    assert q[mdp.pair_state[p], mdp.pair_action[p]] == 4.0  # target = 4 + 0.5 * 0
+    delta = inner_sgd_step(q, frozen, mdp, 1, alpha=1.0, u=0.5)
+    assert q[mdp.pair_state[1], mdp.pair_action[1]] == 4.0  # target = 4 + 0.5 * 0
     assert delta == 4.0
 
 
-def test_inner_step_convex_combination(uniform):
+def test_inner_step_convex_combination():
     mdp = make_selfloop_mdp(gamma=0.5, reward=4.0)
     q = tq.new_q_table(mdp, fill=2.0)
     frozen = tq.new_q_table(mdp)  # continuation 0, so target = 4
-    p, _ = tq.inner_sgd_step(q, frozen, mdp, uniform, alpha=0.5, rng=np.random.default_rng(0))
-    assert q[mdp.pair_state[p], mdp.pair_action[p]] == 3.0
+    inner_sgd_step(q, frozen, mdp, 0, alpha=0.5, u=0.5)
+    assert q[mdp.pair_state[0], mdp.pair_action[0]] == 3.0
 
 
-def test_inner_step_touches_one_entry(grid07, uniform):
+def test_inner_step_touches_one_entry(grid07):
     rng = np.random.default_rng(1)
     q = random_q(grid07, rng)
     frozen = q.copy()
     before = q.copy()
-    p, _ = tq.inner_sgd_step(q, frozen, grid07, uniform, alpha=0.3, rng=rng)
+    p = int(rng.integers(grid07.num_active_pairs))
+    inner_sgd_step(q, frozen, grid07, p, alpha=0.3, u=rng.random())
     changed = np.argwhere(q != before)
     assert changed.shape == (1, 2)
     assert tuple(changed[0]) == (grid07.pair_state[p], grid07.pair_action[p])
 
 
-def test_inner_step_alpha_domain(grid07, uniform):
+def test_inner_step_alpha_domain(grid07):
+    # the reference has no domain check; a one-step run is where alpha is refused
     q = tq.new_q_table(grid07)
     for alpha in (0.0, -0.1, 1.1):
         with pytest.raises(DomainError):
-            tq.inner_sgd_step(q, q.copy(), grid07, uniform, alpha, np.random.default_rng(0))
+            tq.run_inner_loop(q, 1, tq.CustomStepSize(lambda k: alpha), grid07,
+                              np.random.default_rng(0))
+    assert np.array_equal(q, tq.new_q_table(grid07))
 
 
 # ---------------------------------------------------------------------------
 # Inner loop
 
 
-def test_inner_loop_single_step_sets_sampled_target(grid07, uniform, theory_steps):
+def test_inner_loop_single_step_sets_sampled_target(grid07, theory_steps):
     q_in = tq.new_q_table(grid07)
-    q = tq.run_inner_loop(q_in, 1, theory_steps, uniform, grid07, np.random.default_rng(2))
+    q = tq.run_inner_loop(q_in, 1, theory_steps, grid07, np.random.default_rng(2))
     # alpha(0) = 1: exactly one entry holds one sampled target
     diff = np.argwhere(q != q_in)
     assert diff.shape == (1, 2)
     assert np.all(q_in == 0.0)
 
 
-def test_inner_loop_matches_sequential_replay(grid07, theory_steps, uniform):
+def test_inner_loop_matches_sequential_replay(grid07, theory_steps):
     rng = np.random.default_rng(3)
     q_in = random_q(grid07, rng)
     for k in (1, 7, 300, 5000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
-        fast = tq.run_inner_loop(q_in, k, theory_steps, uniform, grid07, np.random.default_rng(42))
+        fast = tq.run_inner_loop(q_in, k, theory_steps, grid07, np.random.default_rng(42))
         pairs, u = _draw_block(grid07, k, np.random.default_rng(42))
         slow = _sequential_replay(q_in, grid07, pairs, u, theory_steps.alphas(k))
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
@@ -166,8 +158,7 @@ def test_inner_loop_matches_sequential_replay_property(use_chain, k, steps, seed
     mdp = _CHAIN_400 if use_chain else tq.build_gridworld(0.7)
     step_sizes = tq.CustomStepSize(lambda i: steps[i % len(steps)])
     q_in = random_q(mdp, np.random.default_rng(seed))
-    fast = tq.run_inner_loop(q_in, k, step_sizes, tq.UniformStateAction(), mdp,
-                             np.random.default_rng(seed))
+    fast = tq.run_inner_loop(q_in, k, step_sizes, mdp, np.random.default_rng(seed))
     pairs, u = _draw_block(mdp, k, np.random.default_rng(seed))
     slow = _sequential_replay(q_in, mdp, pairs, u, step_sizes.alphas(k))
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
@@ -191,22 +182,21 @@ def test_chunked_draws_equal_one_shot_draws(n):
 
 
 @pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_inner_loop_consumes_one_whole_cycle_draw(grid07, theory_steps, uniform, k):
+def test_inner_loop_consumes_one_whole_cycle_draw(grid07, theory_steps, k):
     rng = np.random.default_rng(12)
-    tq.run_inner_loop(tq.new_q_table(grid07), k, theory_steps, uniform, grid07, rng)
+    tq.run_inner_loop(tq.new_q_table(grid07), k, theory_steps, grid07, rng)
     reference = np.random.default_rng(12)
     _draw_block(grid07, k, reference)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_inner_loop_memory_independent_of_period(grid07, theory_steps, uniform):
+def test_inner_loop_memory_independent_of_period(grid07, theory_steps):
     # a whole-cycle draw of 2M steps would hold about 46 MiB of pair ids,
     # uniforms and step sizes
     q_in = tq.new_q_table(grid07)
     tracemalloc.start()
     try:
-        tq.run_inner_loop(q_in, 2_000_000, theory_steps, uniform, grid07,
-                          np.random.default_rng(0))
+        tq.run_inner_loop(q_in, 2_000_000, theory_steps, grid07, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,32 +225,32 @@ def test_sorted_targets_equal_gathered_draw(mdp_index, k, at_threshold, seed):
     assert np.array_equal(mdp.draw_sorted_targets(counts, u[order], cont), expected)
 
 
-def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps, uniform):
+def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps):
     # replay with targets built from the input table reproduces the engine,
     # so the bootstrap never reads the evolving iterate
     rng = np.random.default_rng(4)
     q_in = random_q(grid07, rng)
-    fast = tq.run_inner_loop(q_in, 400, theory_steps, uniform, grid07, np.random.default_rng(7))
+    fast = tq.run_inner_loop(q_in, 400, theory_steps, grid07, np.random.default_rng(7))
     pairs, u = _draw_block(grid07, 400, np.random.default_rng(7))
     slow = _sequential_replay(q_in, grid07, pairs, u, theory_steps.alphas(400))
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
     assert np.array_equal(q_in, random_q(grid07, np.random.default_rng(4)))  # untouched
 
 
-def test_inner_loop_error_decreases_with_k(theory_steps, uniform):
+def test_inner_loop_error_decreases_with_k(theory_steps):
     mdp = make_chain_mdp(gamma=0.5)  # deterministic rewards
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
     q_in = tq.new_q_table(mdp, fill=1.0)
     image = tq.exact_bellman_apply(q_in, mdp)
     errs = []
     for k in (50, 500, 5000):
-        q = tq.run_inner_loop(q_in, k, steps, uniform, mdp, np.random.default_rng(5))
+        q = tq.run_inner_loop(q_in, k, steps, mdp, np.random.default_rng(5))
         errs.append(tq.sup_distance(q, image, mdp))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
 
 
-def test_inner_loop_rate_bound_small(grid07, oracle07, theory_steps, uniform):
+def test_inner_loop_rate_bound_small(grid07, oracle07, theory_steps):
     # cheap version of the mean-squared-error rate check
     c = tq.compute_constants(grid07, 1.0 / 52.0, oracle07)
     q_in = tq.new_q_table(grid07)
@@ -269,38 +259,29 @@ def test_inner_loop_rate_bound_small(grid07, oracle07, theory_steps, uniform):
     k = 500
     errs = []
     for seed in range(30):
-        q = tq.run_inner_loop(q_in, k, theory_steps, uniform, grid07, np.random.default_rng(seed))
+        q = tq.run_inner_loop(q_in, k, theory_steps, grid07, np.random.default_rng(seed))
         d = (q - image)[grid07.pair_state, grid07.pair_action]
         errs.append(float(d @ d))
     assert np.mean(errs) <= 1.1 * (c.c1 * dist_sq + c.c2) / (k + theory_steps.s)
 
 
-def test_inner_loop_validation(grid07, theory_steps, uniform):
+def test_inner_loop_validation(grid07, theory_steps):
     with pytest.raises(DomainError):
-        tq.run_inner_loop(tq.new_q_table(grid07), 0, theory_steps, uniform, grid07, np.random.default_rng(0))
+        tq.run_inner_loop(tq.new_q_table(grid07), 0, theory_steps, grid07, np.random.default_rng(0))
     with pytest.raises(DomainError):
         tq.run_inner_loop(
-            tq.new_q_table(grid07), 10, tq.CustomStepSize(lambda k: 2.0), uniform, grid07,
+            tq.new_q_table(grid07), 10, tq.CustomStepSize(lambda k: 2.0), grid07,
             np.random.default_rng(0),
         )
-
-
-def test_inner_loop_trajectory_policy(grid07, theory_steps):
-    pol = tq.EpsilonGreedyTrajectory(epsilon=0.5)
-    q_in = tq.new_q_table(grid07)
-    q = tq.run_inner_loop(q_in, 200, theory_steps, pol, grid07, np.random.default_rng(6))
-    assert q.shape == q_in.shape
-    assert np.any(q != q_in)
-    assert np.all(np.isfinite(q[grid07.pair_state, grid07.pair_action]))
 
 
 # ---------------------------------------------------------------------------
 # Periodic runner
 
 
-def test_periodic_zero_cycles(grid07, oracle07, theory_steps, uniform):
+def test_periodic_zero_cycles(grid07, oracle07, theory_steps):
     trace = tq.run_periodic_q(
-        tq.new_q_table(grid07), tq.FixedPeriod(100), theory_steps, uniform, grid07,
+        tq.new_q_table(grid07), tq.FixedPeriod(100), theory_steps, grid07,
         np.random.default_rng(0), oracle=oracle07, n_cycles=0,
     )
     assert len(trace.records) == 1
@@ -309,10 +290,10 @@ def test_periodic_zero_cycles(grid07, oracle07, theory_steps, uniform):
     assert rec.bias == pytest.approx(3.0)
 
 
-def test_periodic_seeded_determinism(grid07, oracle07, theory_steps, uniform):
+def test_periodic_seeded_determinism(grid07, oracle07, theory_steps):
     def go():
         return tq.run_periodic_q(
-            tq.new_q_table(grid07), tq.FixedPeriod(250), theory_steps, uniform, grid07,
+            tq.new_q_table(grid07), tq.FixedPeriod(250), theory_steps, grid07,
             np.random.default_rng(123), oracle=oracle07, n_cycles=6,
             eval_horizon=7, record_gap=True,
         )
@@ -321,9 +302,9 @@ def test_periodic_seeded_determinism(grid07, oracle07, theory_steps, uniform):
     assert a.records == b.records
 
 
-def test_periodic_budget_stop_and_costs(grid07, theory_steps, uniform):
+def test_periodic_budget_stop_and_costs(grid07, theory_steps):
     trace = tq.run_periodic_q(
-        tq.new_q_table(grid07), tq.FixedPeriod(300), theory_steps, uniform, grid07,
+        tq.new_q_table(grid07), tq.FixedPeriod(300), theory_steps, grid07,
         np.random.default_rng(1), sample_budget=1000,
     )
     costs = [rec.cumulative_cost for rec in trace.records]
@@ -331,14 +312,14 @@ def test_periodic_budget_stop_and_costs(grid07, theory_steps, uniform):
     assert trace.final.cumulative_cost >= 1000
 
 
-def test_periodic_near_exact_inner_tracks_value_iteration(uniform):
+def test_periodic_near_exact_inner_tracks_value_iteration():
     # deterministic rewards and long cycles approximate exact updates
     mdp = make_chain_mdp(gamma=0.5)
     oracle = tq.value_iteration_oracle(mdp)
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
     q0 = tq.new_q_table(mdp, fill=2.0)
     trace = tq.run_periodic_q(
-        q0, tq.FixedPeriod(4000), steps, uniform, mdp, np.random.default_rng(2),
+        q0, tq.FixedPeriod(4000), steps, mdp, np.random.default_rng(2),
         oracle=oracle, n_cycles=5,
     )
     q_exact = q0
@@ -361,10 +342,10 @@ def test_outer_contraction_exact_realization():
         )
 
 
-def test_measured_gap_nonnegative_and_improves_with_period(grid07, oracle07, theory_steps, uniform):
+def test_measured_gap_nonnegative_and_improves_with_period(grid07, oracle07, theory_steps):
     def gaps(period, seed):
         trace = tq.run_periodic_q(
-            tq.new_q_table(grid07), tq.FixedPeriod(period), theory_steps, uniform,
+            tq.new_q_table(grid07), tq.FixedPeriod(period), theory_steps,
             grid07, np.random.default_rng(seed), n_cycles=6, record_gap=True,
         )
         return [rec.bellman_gap for rec in trace.records[1:]]
@@ -379,15 +360,15 @@ def test_measured_gap_nonnegative_and_improves_with_period(grid07, oracle07, the
     assert np.all(per_cycle_big <= per_cycle_small)
 
 
-def test_periodic_rejects_adaptive_schedule(grid07, theory_steps, uniform):
+def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
     with pytest.raises(DomainError):
         tq.run_periodic_q(
             tq.new_q_table(grid07), tq.AccuracyTriggered(10, 100), theory_steps,
-            uniform, grid07, np.random.default_rng(0), n_cycles=2,
+            grid07, np.random.default_rng(0), n_cycles=2,
         )
     with pytest.raises(DomainError):
         tq.run_periodic_q(
-            tq.new_q_table(grid07), tq.FixedPeriod(10), theory_steps, uniform, grid07,
+            tq.new_q_table(grid07), tq.FixedPeriod(10), theory_steps, grid07,
             np.random.default_rng(0),
         )
 
@@ -399,39 +380,38 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps, uniform):
     ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
-def test_runners_reject_invalid_limits(grid07, theory_steps, uniform, adaptive, limits):
+def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
     q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
     with pytest.raises(DomainError):
         if adaptive:
-            tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, uniform, grid07, rng, **limits)
+            tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, grid07, rng, **limits)
         else:
-            tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, uniform, grid07, rng,
-                              **limits)
+            tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, **limits)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.7])
 @pytest.mark.parametrize("at", [0, 9])
-def test_step_sizes_out_of_range_rejected(grid07, uniform, bad, at):
+def test_step_sizes_out_of_range_rejected(grid07, bad, at):
     steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
     with pytest.raises(DomainError, match="step sizes"):
         _checked_alphas(steps, 10)
     q0 = tq.new_q_table(grid07)
     with pytest.raises(DomainError, match="step sizes"):
-        tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, uniform, grid07,
+        tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, grid07,
                           np.random.default_rng(0), n_cycles=3)
     with pytest.raises(DomainError, match="step sizes"):
-        tq.run_accuracy_triggered_q(q0, 10, 10, steps, uniform, grid07,
+        tq.run_accuracy_triggered_q(q0, 10, 10, steps, grid07,
                                     np.random.default_rng(0), n_cycles=3)
 
 
-def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07, uniform):
+def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07):
     # one bad step deep in the third block of the first cycle
     steps = tq.CustomStepSize(lambda k: 1.5 if k == 2 * _CHUNK + 3 else 0.5)
     with pytest.raises(DomainError, match="step sizes"):
-        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(3 * _CHUNK), steps, uniform,
+        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(3 * _CHUNK), steps,
                           grid07, np.random.default_rng(0), n_cycles=1)
     with pytest.raises(DomainError, match="step sizes"):
-        tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, uniform, grid07,
+        tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, grid07,
                           np.random.default_rng(0))
 
 
@@ -441,14 +421,11 @@ class _TableStepSizes:
     def __init__(self, n):
         self.table = np.full(n, 0.5)
 
-    def alpha(self, k):
-        return float(self.table[k])
-
     def alphas(self, count, start=0):
         return self.table[start:start + count]
 
 
-def test_cached_step_sizes_are_read_only_copies(grid07, uniform):
+def test_cached_step_sizes_are_read_only_copies(grid07):
     steps = _TableStepSizes(2 * _CHUNK)
     cache = _RunStepSizes(steps)
     cached = cache.alphas(_CHUNK, _CHUNK)
@@ -460,26 +437,26 @@ def test_cached_step_sizes_are_read_only_copies(grid07, uniform):
     steps.table[:] = 0.25  # the object's own array stays writeable
     assert np.all(cached == 0.5)
     trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK), steps,
-                              uniform, grid07, np.random.default_rng(0), n_cycles=2)
+                              grid07, np.random.default_rng(0), n_cycles=2)
     assert trace.final.inner_steps == 2 * _CHUNK
     assert steps.table.flags.writeable and np.all(steps.table == 0.25)
 
 
-def test_periodic_step_sizes_computed_once_per_run(grid07, uniform):
+def test_periodic_step_sizes_computed_once_per_run(grid07):
     calls = []
     steps = tq.CustomStepSize(lambda k: calls.append(k) or 1.0 / (k + 1))
     for _ in range(2):
         calls.clear()
-        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(100), steps, uniform, grid07,
+        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(100), steps, grid07,
                           np.random.default_rng(0), n_cycles=5)
         assert calls == list(range(100))  # a fixed period's array, once in each run
     calls.clear()
-    tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((30, 40, 30)), steps, uniform,
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((30, 40, 30)), steps,
                       grid07, np.random.default_rng(0))
     assert calls == list(range(30)) + list(range(40))  # the third cycle reuses the first's
     # a multi-block period: each block once per run
     calls.clear()
-    tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK + 5), steps, uniform,
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK + 5), steps,
                       grid07, np.random.default_rng(0), n_cycles=3)
     assert calls == list(range(2 * _CHUNK + 5))
 
@@ -499,12 +476,12 @@ _PINNED_TRACES = {
 
 
 @pytest.mark.parametrize("schedule, steps", _PINNED_TRACES)
-def test_periodic_traces_bit_identical(grid07, oracle07, uniform, schedule, steps):
+def test_periodic_traces_bit_identical(grid07, oracle07, schedule, steps):
     kind, k = schedule.split()
     sched = tq.FixedPeriod(int(k)) if kind == "fixed" else tq.GeometricPeriod(int(k), 0.7)
     step_sizes = (tq.TheoryInverseStepSize.from_pair_count(52) if steps == "theory"
                   else tq.ConstantStepSize(0.05))
-    trace = tq.run_periodic_q(tq.new_q_table(grid07), sched, step_sizes, uniform, grid07,
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), sched, step_sizes, grid07,
                               np.random.default_rng(11), sample_budget=200_000, oracle=oracle07,
                               eval_horizon=7, record_gap=True)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
@@ -519,11 +496,11 @@ _PINNED_ADAPTIVE_TRACES = {
 
 
 @pytest.mark.parametrize("steps", _PINNED_ADAPTIVE_TRACES)
-def test_adaptive_traces_bit_identical(grid07, oracle07, uniform, steps):
+def test_adaptive_traces_bit_identical(grid07, oracle07, steps):
     step_sizes = (tq.TheoryInverseStepSize.from_pair_count(52) if steps == "theory"
                   else tq.ConstantStepSize(0.05))
     trace = tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 1000, 100_000, step_sizes,
-                                        uniform, grid07, np.random.default_rng(11),
+                                        grid07, np.random.default_rng(11),
                                         sample_budget=200_000, oracle=oracle07, eval_horizon=7,
                                         record_gap=True)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
@@ -534,9 +511,9 @@ def test_adaptive_traces_bit_identical(grid07, oracle07, uniform, steps):
 # Geometric schedule
 
 
-def test_geometric_runner_periods_match_schedule(grid07, theory_steps, uniform):
+def test_geometric_runner_periods_match_schedule(grid07, theory_steps):
     trace = tq.run_periodic_q(
-        tq.new_q_table(grid07), tq.GeometricPeriod(100, grid07.gamma), theory_steps, uniform,
+        tq.new_q_table(grid07), tq.GeometricPeriod(100, grid07.gamma), theory_steps,
         grid07, np.random.default_rng(3), n_cycles=8,
     )
     planned = [rec.planned_period for rec in trace.records[1:]]
@@ -544,9 +521,9 @@ def test_geometric_runner_periods_match_schedule(grid07, theory_steps, uniform):
     assert [rec.inner_steps for rec in trace.records[1:]] == planned
 
 
-def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps, uniform):
+def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps):
     trace = tq.run_periodic_q(
-        tq.new_q_table(grid07), tq.ExplicitPeriod((50, 80)), theory_steps, uniform,
+        tq.new_q_table(grid07), tq.ExplicitPeriod((50, 80)), theory_steps,
         grid07, np.random.default_rng(0), n_cycles=10,
     )
     assert [rec.planned_period for rec in trace.records[1:]] == [50, 80]
@@ -556,32 +533,32 @@ def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps, uniform)
 # Accuracy-triggered runner
 
 
-def test_adaptive_stops_at_k_min_when_converged(uniform):
+def test_adaptive_stops_at_k_min_when_converged():
     # fixed point of an all-zero environment is exactly zero, so every TD
     # error vanishes and each cycle stops right at k_min
     mdp = make_selfloop_mdp(gamma=0.5, reward=0.0)
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
     trace = tq.run_accuracy_triggered_q(
-        tq.new_q_table(mdp), 50, 10_000, steps, uniform, mdp,
+        tq.new_q_table(mdp), 50, 10_000, steps, mdp,
         np.random.default_rng(4), n_cycles=5,
     )
     assert [rec.inner_steps for rec in trace.records[1:]] == [50] * 5
     assert all(rec.stop_stat == 0.0 for rec in trace.records[1:])
 
 
-def test_adaptive_zero_threshold_runs_to_k_max(grid07, theory_steps, uniform):
+def test_adaptive_zero_threshold_runs_to_k_max(grid07, theory_steps):
     trace = tq.run_accuracy_triggered_q(
-        tq.new_q_table(grid07), 10, 300, theory_steps, uniform, grid07,
+        tq.new_q_table(grid07), 10, 300, theory_steps, grid07,
         np.random.default_rng(5), accuracy=lambda n: 0.0, n_cycles=3,
     )
     assert [rec.inner_steps for rec in trace.records[1:]] == [300] * 3
     assert all(rec.stop_stat > 0.0 for rec in trace.records[1:])
 
 
-def test_adaptive_steps_within_bounds_and_deterministic(grid07, oracle07, theory_steps, uniform):
+def test_adaptive_steps_within_bounds_and_deterministic(grid07, oracle07, theory_steps):
     def go():
         return tq.run_accuracy_triggered_q(
-            tq.new_q_table(grid07), 200, 5000, theory_steps, uniform, grid07,
+            tq.new_q_table(grid07), 200, 5000, theory_steps, grid07,
             np.random.default_rng(6), oracle=oracle07, sample_budget=20_000,
         )
 
@@ -592,24 +569,21 @@ def test_adaptive_steps_within_bounds_and_deterministic(grid07, oracle07, theory
         assert rec.stop_stat is not None
 
 
-def test_adaptive_tracker_consistency(grid07, theory_steps, uniform):
+def test_adaptive_tracker_consistency(grid07, theory_steps):
     # the engine's statistic must match one recomputed from a replay's
     # per-pair TD-error sums and counts
     trace = tq.run_accuracy_triggered_q(
-        tq.new_q_table(grid07), 100, 400, theory_steps, uniform, grid07,
+        tq.new_q_table(grid07), 100, 400, theory_steps, grid07,
         np.random.default_rng(8), n_cycles=1,
     )
     steps_taken = trace.records[1].inner_steps
     pairs, u = _draw_block(grid07, min(8192, 400), np.random.default_rng(8))
-    rewards = grid07.draw_rewards(pairs, u)
-    cont = _frozen_continuation(tq.new_q_table(grid07), grid07)
     alphas = tq.TheoryInverseStepSize.from_pair_count(52).alphas(400)
-    values, sums, counts = np.zeros(52), np.zeros(52), np.zeros(52)
+    q_in = tq.new_q_table(grid07)
+    q, sums, counts = q_in.copy(), np.zeros(52), np.zeros(52)
     for i in range(steps_taken):
         p = int(pairs[i])
-        delta = rewards[i] + cont[p] - values[p]
-        values[p] += alphas[i] * delta
-        sums[p] += delta
+        sums[p] += inner_sgd_step(q, q_in, grid07, p, alphas[i], u[i])
         counts[p] += 1
     stat = np.sum(np.abs(sums / np.maximum(counts, 1))) / 52
     assert stat == pytest.approx(trace.records[1].stop_stat, abs=1e-12)
@@ -688,104 +662,37 @@ def test_adaptive_kernel_matches_per_step_replay_property(use_chain, zero_start,
            is not None)
 
 
-def _trajectory_replay(q_in, mdp, step_sizes, epsilon, k_max, seed):
-    # per-step reference for one accuracy-triggered cycle under trajectory
-    # exploration: inner_sgd_step with a fresh policy, and the stopping
-    # statistic recomputed exactly after every step; never stops early
-    policy = tq.EpsilonGreedyTrajectory(epsilon=epsilon)
-    rng = np.random.default_rng(seed)
-    q = np.array(q_in, dtype=float)
-    counts = np.zeros(mdp.num_active_pairs)
-    sums = np.zeros(mdp.num_active_pairs)
-    stats = []
-    for k in range(k_max):
-        p, delta = tq.inner_sgd_step(q, q_in, mdp, policy, step_sizes.alpha(k), rng)
-        counts[p] += 1
-        sums[p] += delta
-        stats.append(float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / mdp.num_active_pairs)
-    return stats
-
-
-@pytest.mark.parametrize("stop_fraction", [0.0, 0.1, 0.5, 1.0])
-@pytest.mark.parametrize("k_min", [1, 40])
-@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
-def test_adaptive_trajectory_matches_per_step_replay(grid07, theory_steps, epsilon, k_min,
-                                                     stop_fraction):
-    # the threshold sits just above the replay's lowest statistic from k_min
-    # to the step stop_fraction of the way on to k_max; the first step at or
-    # past k_min at or below it is where the runner must stop
-    k_max, seed = 600, 17
-    q_in = random_q(grid07, np.random.default_rng(seed))
-    stats = _trajectory_replay(q_in, grid07, theory_steps, epsilon, k_max, seed)
-    window = stats[k_min - 1:k_min + round(stop_fraction * (k_max - k_min))]
-    eps_n = min(window) * (1.0 + 1e-6)
-    # a statistic within rounding of the threshold could fall either side
-    assert not np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * eps_n)
-    expected = k_min + int(np.flatnonzero(np.array(stats[k_min - 1:]) <= eps_n)[0])
-    trace = tq.run_accuracy_triggered_q(
-        q_in, k_min, k_max, theory_steps, tq.EpsilonGreedyTrajectory(epsilon=epsilon), grid07,
-        np.random.default_rng(seed), accuracy=lambda n: eps_n, n_cycles=1,
-    )
-    assert trace.records[1].inner_steps == expected
-    assert trace.records[1].stop_stat == pytest.approx(stats[expected - 1], rel=0, abs=1e-12)
-
-
-def test_adaptive_trajectory_policy(grid07, theory_steps):
-    pol = tq.EpsilonGreedyTrajectory(epsilon=1.0)
-    trace = tq.run_accuracy_triggered_q(
-        tq.new_q_table(grid07), 20, 200, theory_steps, pol, grid07,
-        np.random.default_rng(9), n_cycles=2,
-    )
-    assert len(trace.records) == 3
-
-
-def test_adaptive_validation(grid07, theory_steps, uniform):
+def test_adaptive_validation(grid07, theory_steps):
     with pytest.raises(DomainError):
         tq.run_accuracy_triggered_q(
-            tq.new_q_table(grid07), 100, 50, theory_steps, uniform, grid07,
+            tq.new_q_table(grid07), 100, 50, theory_steps, grid07,
             np.random.default_rng(0), n_cycles=1,
         )
     with pytest.raises(DomainError):
         tq.run_accuracy_triggered_q(
-            tq.new_q_table(grid07), 10, 50, theory_steps, uniform, grid07,
+            tq.new_q_table(grid07), 10, 50, theory_steps, grid07,
             np.random.default_rng(0),
         )
     # step sizes outside (0, 1] are refused, as by run_inner_loop
-    for policy in (uniform, tq.EpsilonGreedyTrajectory(epsilon=0.5)):
-        for bad in (1.7, 0.0):
-            with pytest.raises(DomainError):
-                tq.run_accuracy_triggered_q(
-                    tq.new_q_table(grid07), 10, 50, tq.CustomStepSize(lambda k: bad),
-                    policy, grid07, np.random.default_rng(0), n_cycles=1,
-                )
+    for bad in (1.7, 0.0):
+        with pytest.raises(DomainError):
+            tq.run_accuracy_triggered_q(
+                tq.new_q_table(grid07), 10, 50, tq.CustomStepSize(lambda k: bad), grid07,
+                np.random.default_rng(0), n_cycles=1,
+            )
+
 
 
 # ---------------------------------------------------------------------------
-# Exploration policies
+# Sampling
 
 
-def test_uniform_policy_xi_and_frequencies(grid07, uniform):
-    # each step draws one pair id with probability xi = 1/52, the same ids
-    # as one block draw from the same generator
-    rng = np.random.default_rng(10)
-    q = tq.new_q_table(grid07)
-    pairs = np.array([uniform.draw_pair(q, grid07, rng) for _ in range(52_000)])
-    assert np.array_equal(pairs, _draw_block(grid07, 52_000, np.random.default_rng(10))[0])
+def test_uniform_policy_xi_and_frequencies(grid07):
+    # each step draws one active pair id with probability xi = 1/52, the xi
+    # of the theory step sizes for this MDP
+    assert grid07.num_active_pairs == 52
+    assert tq.TheoryInverseStepSize.from_pair_count(grid07.num_active_pairs).xi == 1.0 / 52.0
+    pairs, _ = _draw_block(grid07, 52_000, np.random.default_rng(10))
+    assert pairs.min() >= 0 and pairs.max() < 52
     counts = np.bincount(pairs, minlength=52)
     assert counts.min() > 700 and counts.max() < 1300
-
-
-def test_trajectory_policy_resets_and_draws_active_pairs(grid07, oracle07):
-    pol = tq.EpsilonGreedyTrajectory(epsilon=0.3)
-    rng = np.random.default_rng(11)
-    # a fresh policy starts from the start state
-    assert grid07.pair_state[pol.draw_pair(oracle07, grid07, rng)] == grid07.start_state
-    seen = set()
-    for _ in range(500):
-        p = pol.draw_pair(oracle07, grid07, rng)
-        s = int(grid07.pair_state[p])
-        assert not grid07.terminal_mask[s]
-        seen.add(p)
-    assert len(seen) > 5
-    with pytest.raises(DomainError):
-        tq.EpsilonGreedyTrajectory(epsilon=1.5)

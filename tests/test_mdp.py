@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 import targetq as tq
 from targetq.errors import DimensionError, DomainError, IterationLimitError
 
-from conftest import make_chain_mdp, make_selfloop_mdp, random_q, start_value_closed_form
+from conftest import (
+    inner_sgd_step,
+    make_chain_mdp,
+    make_selfloop_mdp,
+    random_q,
+    start_value_closed_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +55,7 @@ def test_reward_sampling_consumes_one_uniform():
     q = tq.new_q_table(mdp)
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
-    tq.inner_sgd_step(q, q.copy(), mdp, tq.UniformStateAction(), 1.0, rng_a)
+    q = tq.run_inner_loop(q, 1, tq.ConstantStepSize(1.0), mdp, rng_a)
     assert sorted(q[mdp.pair_state, mdp.pair_action]) == [0.0, 2.5]
     rng_b.integers(mdp.num_active_pairs)
     rng_b.random()
@@ -236,15 +242,6 @@ def test_sup_distance_shape_mismatch(grid07):
 # Sampling
 
 
-class _FixedPair:
-    # exploration stub that always draws pair (s, a)
-    def __init__(self, mdp, s, a):
-        self.pair = mdp.pair_id(s, a)
-
-    def draw_pair(self, q, mdp, rng):
-        return self.pair
-
-
 def test_sample_transition_hazard_entering_always_minus_three(grid07):
     # cell 1 moving right enters the hazard at cell 2
     p = grid07.pair_id(1, 3)
@@ -281,10 +278,10 @@ def test_sample_bellman_target_deterministic_no_bootstrap(grid07):
     rng = np.random.default_rng(10)
     q_frozen = random_q(grid07, rng, scale=2.0)
     q_frozen[2] = 5.0
-    policy = _FixedPair(grid07, 1, 3)
-    for _ in range(50):
+    p = grid07.pair_id(1, 3)
+    for u in rng.random(50):
         q = tq.new_q_table(grid07)
-        p, delta = tq.inner_sgd_step(q, q_frozen, grid07, policy, 1.0, rng)
+        delta = inner_sgd_step(q, q_frozen, grid07, p, 1.0, u)
         assert delta == -3.0 and q[1, 3] == -3.0
 
 
@@ -307,7 +304,8 @@ def test_sampled_target_recomputable(grid07, oracle07):
     # two rewards plus gamma times the frozen table's next-state maximum
     rng = np.random.default_rng(13)
     q = tq.new_q_table(grid07)
-    p, delta = tq.inner_sgd_step(q, oracle07, grid07, _FixedPair(grid07, 0, 1), 1.0, rng)
+    p = grid07.pair_id(0, 1)
+    delta = inner_sgd_step(q, oracle07, grid07, p, 1.0, rng.random())
     cont = np.max(oracle07[grid07.pair_next_state[p]])
     assert q[0, 1] == delta
     assert delta in (-0.08 + grid07.gamma * cont, 0.05 + grid07.gamma * cont)
@@ -394,9 +392,9 @@ _TABLE_ENTRY_POINTS = {
     "evaluate_greedy": lambda q, mdp, oracle: tq.evaluate_greedy(q, mdp, mdp.start_state, 7),
     "exact_bellman_apply": lambda q, mdp, oracle: tq.exact_bellman_apply(q, mdp),
     "run_inner_loop": lambda q, mdp, oracle: tq.run_inner_loop(
-        q, 10, _STEPS, tq.UniformStateAction(), mdp, np.random.default_rng(0)),
+        q, 10, _STEPS, mdp, np.random.default_rng(0)),
     "run_periodic_q": lambda q, mdp, oracle: tq.run_periodic_q(
-        q, tq.FixedPeriod(10), _STEPS, tq.UniformStateAction(), mdp, np.random.default_rng(0),
+        q, tq.FixedPeriod(10), _STEPS, mdp, np.random.default_rng(0),
         n_cycles=1),
     "compute_constants": lambda q, mdp, oracle: tq.compute_constants(mdp, 1.0 / 52.0, q),
 }
@@ -435,7 +433,9 @@ def test_entry_points_accept_non_finite_terminal_rows(grid07, oracle07, entry):
 @pytest.mark.parametrize("entry", sorted(set(_TABLE_ENTRY_POINTS) - {"compute_constants"}))
 def test_entry_points_accept_huge_finite_entries(grid07, oracle07, entry):
     # the finite test is exact: 1e308 is finite, whatever a sum of such
-    # entries would do (compute_constants squares sup|Q*|, so it is left out)
+    # entries would do (compute_constants is left out: its c2 grows with
+    # sup|Q*|^2, which overflows here, so it refuses such a table with a
+    # DomainError; see test_rate_constants_validation)
     q = np.full((grid07.num_states, grid07.num_actions), 1e308)
     q[sorted(grid07.terminal)] = np.inf
     _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)

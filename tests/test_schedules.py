@@ -48,13 +48,19 @@ def test_mu_direct_substitution():
     assert c.mu == pytest.approx(0.95)
 
 
-def test_rate_constants_validation():
-    with pytest.raises(DomainError):
-        tq.RateConstants(xi=0.0, sigma_sq=1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4)
-    with pytest.raises(DomainError):
-        tq.RateConstants(xi=0.5, sigma_sq=-1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4)
-    with pytest.raises(DomainError):
-        tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=1.0, n_pairs=4)
+def test_rate_constants_validation(grid07):
+    good = dict(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4)
+    for bad in (dict(xi=0.0), dict(sigma_sq=-1.0), dict(gamma=1.0),
+                dict(q_star_sup=math.nan), dict(q_star_sup=-1.0), dict(q_star_sup=math.inf),
+                dict(sigma_sq=math.inf), dict(sigma_sq=math.nan),
+                # finite inputs whose c1 or c2 is not finite (1e-200**2 underflows to 0)
+                dict(q_star_sup=1e200), dict(sigma_sq=1e308), dict(xi=1e-200)):
+        with pytest.raises(DomainError):
+            tq.RateConstants(**{**good, **bad})
+    # a finite table whose sup is past sqrt(max float)
+    huge = np.full((grid07.num_states, grid07.num_actions), 1e308)
+    with pytest.raises(DomainError, match="not finite"):
+        tq.compute_constants(grid07, 1.0 / 52.0, huge)
 
 
 def test_k_min_formula(constants07):
@@ -268,37 +274,57 @@ def test_design_schedule_handle(constants07):
 
 
 # ---------------------------------------------------------------------------
-# Summability diagnostic
+# Summability: the unrolled bound vanishes only when sum_n 1/sqrt(K_n) converges
 
 
-def test_summability_fixed_divergent():
-    d = tq.summability_check(tq.FixedPeriod(400), horizon=100)
-    assert d.verdict == "divergent"
-    assert d.partial_sum == pytest.approx(100 / 20.0)
+def test_summability_fixed_divergent(constants07):
+    # fixed periods add the same noise term every cycle, so the bound
+    # settles at sqrt(c2 / K) / (1 - mu) instead of falling to zero
+    c = constants07
+    sched = tq.FixedPeriod(400)
+    ks = [sched.period(n) for n in range(100)]
+    floor = math.sqrt(c.c2 / 400) / (1.0 - c.mu)
+    steady = tq.unroll_error_bound(floor, ks, c)
+    assert steady.per_cycle == pytest.approx([floor] * 101, rel=1e-12)
+    rising = tq.unroll_error_bound(0.0, ks, c)
+    assert all(a < b <= floor for a, b in zip(rising.per_cycle, rising.per_cycle[1:]))
+    assert rising.bound == pytest.approx((1.0 - c.mu**100) * floor, rel=1e-9)
 
 
-def test_summability_geometric_convergent():
-    k0, gamma = 1000, 0.7
-    d = tq.summability_check(tq.GeometricPeriod(k0, gamma), horizon=200)
-    assert d.verdict == "convergent"
-    bound = 1.0 / ((1.0 - gamma ** (1.0 / 3.0)) * math.sqrt(k0))
-    assert d.partial_sum <= bound
+def test_summability_geometric_convergent(constants07):
+    # K_n >= k0 gamma^(-2n/3), so the noise terms shrink by gamma^(1/3) a
+    # cycle and the bound is at most the geometric sum they give
+    c, k0, gamma, horizon = constants07, 1000, 0.7, 100
+    sched = tq.GeometricPeriod(k0, gamma)
+    out = tq.unroll_error_bound(3.0, [sched.period(n) for n in range(horizon)], c)
+    g13 = gamma ** (1.0 / 3.0)
+    cap = c.mu**horizon * 3.0 + sum(
+        c.mu ** (horizon - 1 - n) * math.sqrt(c.c2 / k0) * g13**n for n in range(horizon)
+    )
+    assert out.bound <= cap
+    peak = int(np.argmax(out.per_cycle))
+    assert all(a > b for a, b in zip(out.per_cycle[peak:], out.per_cycle[peak + 1:]))
+    assert out.bound < 1e-2
 
 
-def test_summability_custom_polynomial():
-    sched = tq.ExplicitPeriod(tuple(n**4 for n in range(1, 200)))
-    d = tq.summability_check(sched, horizon=500)
-    assert d.verdict == "convergent"
+def test_summability_custom_polynomial(constants07):
+    # K_n = n^4: noise terms sqrt(c2) / n^2 are summable, and the bound
+    # falls about as 1/n^2 once the first cycles' error has contracted
+    periods = tuple(n**4 for n in range(1, 200))
+    sched = tq.ExplicitPeriod(periods)
+    out = tq.unroll_error_bound(3.0, [sched.period(n) for n in range(sched.n_cycles)],
+                                constants07)
+    tail = out.per_cycle[20:]
+    assert all(a > b for a, b in zip(tail, tail[1:]))
+    assert out.bound < out.per_cycle[100] / 3.0
 
 
-def test_summability_adaptive_indeterminate():
-    d = tq.summability_check(tq.AccuracyTriggered(10, 1000), horizon=50)
-    assert d.verdict == "indeterminate"
-
-
-def test_summability_domain():
+def test_summability_domain(constants07):
+    for e0 in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            tq.unroll_error_bound(e0, [10], constants07)
     with pytest.raises(DomainError):
-        tq.summability_check(tq.FixedPeriod(5), horizon=0)
+        tq.unroll_error_bound(3.0, [10, 0], constants07)
 
 
 # ---------------------------------------------------------------------------
