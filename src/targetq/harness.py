@@ -9,7 +9,7 @@ order, so a configuration determines its outputs byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np

@@ -139,9 +139,10 @@ class _RunStepSizes:
             functools.partial(_read_only_alphas, step_sizes))
 
 
-def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
-    """Draw and apply one cycle of ``n_steps`` asynchronous updates to
-    ``q`` in place, one block of at most ``_CHUNK`` steps at a time.
+def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
+    """Draw and apply one cycle of ``n_steps`` asynchronous updates to the
+    per-pair ``values`` in place, one block of at most ``_CHUNK`` steps at a
+    time.
 
     Because targets depend only on the frozen table, each coordinate's
     update sequence collapses to a weighted average of its own targets:
@@ -168,13 +169,11 @@ def _apply_cycle(q, cont, mdp, step_sizes, n_steps, rng):
         replay.bit_generator.state = rng.bit_generator.state
         for lo in range(_CHUNK, n_steps, _CHUNK):
             rng.integers(0, n_pairs, size=min(_CHUNK, n_steps - lo))
-    values = q.take(mdp.pair_flat)
     for lo in range(0, n_steps, _CHUNK):
         count = min(_CHUNK, n_steps - lo)
         if lo:
             pairs = replay.integers(0, n_pairs, size=count)
         _apply_block(values, cont, mdp, pairs, rng.random(count), step_sizes.alphas(count, lo))
-    q.put(mdp.pair_flat, values)
 
 
 def _sort_hits(pairs, n_pairs):
@@ -216,7 +215,7 @@ def _apply_block(values, cont, mdp, pairs, u, alphas):
     n_pairs = values.size
     ids, lowered = _pair_columns(n_pairs)
     order, counts = _sort_hits(pairs, n_pairs)
-    rows = int(counts.max()) + 1
+    rows = int(np.maximum.reduce(counts)) + 1
     # sorted hit i of a pair whose hits end before sorted position e sits
     # at row e - i; ``above`` indexes the row above it
     above = counts.cumsum()
@@ -225,7 +224,8 @@ def _apply_block(values, cont, mdp, pairs, u, alphas):
     above = above.repeat(counts)
     above -= np.arange(0, pairs.size * n_pairs, n_pairs)
     als = alphas[order]
-    prods = np.ones((rows, n_pairs))
+    prods = np.empty((rows, n_pairs))
+    prods.fill(1.0)
     prods.ravel()[n_pairs:][above] = 1.0 - als
     np.multiply.accumulate(prods, axis=0, out=prods)
     weighted = prods.take(above)
@@ -249,11 +249,12 @@ def run_inner_loop(
     """
     if n_steps < 1:
         raise DomainError("n_steps must be at least 1")
-    _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
+    values = _check_table(q, mdp)
     if not isinstance(step_sizes, _RunStepSizes):  # a cache for this cycle alone
         step_sizes = _RunStepSizes(step_sizes)
-    _apply_cycle(q, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
+    _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
+    q.put(mdp.pair_flat, values)
     return q
 
 
@@ -286,7 +287,18 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     Each record carries the sup distance to ``oracle`` if given, and every
     ``eval_every`` cycles the greedy score over ``eval_horizon`` steps from
     ``mdp.start_state`` if a horizon is given; ``record_gap`` adds the
-    distance from the cycle's exact Bellman image."""
+    distance from the cycle's exact Bellman image, taken every cycle.
+
+    Distances and scores are computed one stack at a time: each table to
+    record is copied into a stack of max(1, ``_CHUNK`` // table size)
+    tables, allocated once per run, and when the stack is full, and once
+    when the run ends, one ``sup_distance`` call over the stack and one
+    ``evaluate_greedy`` call over its due tables record them all. So the
+    trace is complete when the run returns, and each record equals the one
+    a per-cycle call would give. A non-finite table still fails the run
+    with the same ``DomainError``, from the next cycle's check or, at the
+    latest, from its stack's.
+    """
     problems = limit_violations(sample_budget, eval_every, eval_horizon)
     if limit is not None and limit < 0:
         problems.append("cycle count must be nonnegative")
@@ -295,21 +307,37 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     if limit is None and sample_budget is None:
         raise DomainError("an unbounded run needs n_cycles or sample_budget")
     _check_table(q0, mdp)
+    if oracle is not None:
+        _check_table(oracle, mdp)
     q = np.array(q0, dtype=float)
     trace = RunTrace(gamma=mdp.gamma, label=label, seed=seed)
+    stack = np.empty((max(1, _CHUNK // q.size), *q.shape))
+    pending = []  # the record fields of the tables in the stack, but bias and score
+
+    def record_stack():
+        count = len(pending)
+        tables = stack[:count]
+        biases = sup_distance(tables, oracle, mdp).tolist() if oracle is not None else [None] * count
+        scores = [None] * count
+        due = slice(-pending[0]["cycle"] % eval_every, count, eval_every)
+        if eval_horizon is not None and due.start < count:
+            scores[due] = evaluate_greedy(tables[due], mdp, mdp.start_state, eval_horizon).tolist()
+        trace.records.extend(CycleRecord(**fields, bias=bias, score=score)
+                             for fields, bias, score in zip(pending, biases, scores))
+        pending.clear()
+
     n = cost = steps = 0
     planned = gap = stat = None
     while True:
-        bias = sup_distance(q, oracle, mdp) if oracle is not None else None
-        score = None
-        if eval_horizon is not None and n % eval_every == 0:
-            score = evaluate_greedy(q, mdp, mdp.start_state, eval_horizon)
-        trace.records.append(CycleRecord(
-            cycle=n, planned_period=planned, inner_steps=steps, cumulative_cost=cost,
-            bias=bias, bellman_gap=gap, score=score, stop_stat=stat))
+        stack[len(pending)] = q
+        pending.append(dict(cycle=n, planned_period=planned, inner_steps=steps,
+                            cumulative_cost=cost, bellman_gap=gap, stop_stat=stat))
         over_budget = sample_budget is not None and cost >= sample_budget
         if over_budget or (limit is not None and n >= limit):
+            record_stack()
             return trace
+        if len(pending) == len(stack):
+            record_stack()
         image = exact_bellman_apply(q, mdp) if record_gap else None
         q_new, planned, steps, stat = cycle(n, q)
         gap = sup_distance(q_new, image, mdp) if record_gap else None

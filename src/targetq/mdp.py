@@ -139,6 +139,13 @@ class TabularMdp:
 
         self.terminal_mask = np.zeros(num_states, dtype=bool)
         self.terminal_mask[list(self.terminal)] = True
+        # a greedy rollout's step from flat index s * num_actions + a: the
+        # pair's reward mean and next state, terminal states absorbing at
+        # reward 0
+        self._step_reward = np.zeros(num_states * num_actions)
+        self._step_reward[self.pair_flat] = self.pair_reward_mean
+        self._step_next = np.arange(num_states).repeat(num_actions)
+        self._step_next[self.pair_flat] = self.pair_next_state
         self.terminal_mean = np.zeros(num_states)
         for s in self.terminal:
             if terminal_rewards is not None and s in terminal_rewards:
@@ -175,14 +182,14 @@ class TabularMdp:
         """Reward plus per-pair ``offset`` for steps sorted by pair id, pair
         p taking ``counts[p]`` consecutive steps, from one uniform each.
 
-        The per-pair data are expanded with ``np.repeat`` rather than
-        gathered per step. Each element is the same single addition as in
+        The per-pair data are expanded with ``repeat`` rather than gathered
+        per step. Each element is the same single addition as in
         ``draw_rewards(ids, u) + offset[ids]`` for the sorted ids ``ids``,
         so the two agree bitwise.
         """
-        return _reward_rule(u, np.repeat(self.pair_p_first, counts),
-                            np.repeat(self.pair_value_first + offset, counts),
-                            np.repeat(self.pair_value_second + offset, counts))
+        return _reward_rule(u, self.pair_p_first.repeat(counts),
+                            (self.pair_value_first + offset).repeat(counts),
+                            (self.pair_value_second + offset).repeat(counts))
 
     def _check_state(self, s: int) -> None:
         if not 0 <= s < self.num_states:
@@ -201,21 +208,28 @@ def new_q_table(mdp: TabularMdp, fill: float = 0.0) -> np.ndarray:
     return np.full((mdp.num_states, mdp.num_actions), float(fill))
 
 
-def _check_table(q: np.ndarray, mdp: TabularMdp) -> None:
-    if q.shape != (mdp.num_states, mdp.num_actions):
+def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
+    """Check a table, or a stack of tables along a leading axis, and return
+    a fresh array of its active-pair values (one row per table)."""
+    if q.ndim not in (2, 3) or q.shape[-2:] != (mdp.num_states, mdp.num_actions):
         raise DimensionError(
             f"Q-table shape {q.shape} does not match "
             f"({mdp.num_states}, {mdp.num_actions})"
         )
+    if q.ndim == 2:
+        values = q.take(mdp.pair_flat)
+    else:  # one row per table
+        values = q.reshape(len(q), q.shape[1] * q.shape[2]).take(mdp.pair_flat, axis=1)
     # counting is exact, warns on nothing and, unlike a reduction, is cheap
     # on small tables
-    if np.count_nonzero(np.isfinite(q.take(mdp.pair_flat))) != mdp.num_active_pairs:
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise DomainError("Q-table has non-finite entries on active pairs")
+    return values
 
 
 def greedy_state_values(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     """V(s) = max_a Q(s, a) for non-terminal s, 0 for terminal s."""
-    return np.where(mdp.terminal_mask, 0.0, q.max(axis=1))
+    return np.where(mdp.terminal_mask, 0.0, np.maximum.reduce(q, axis=1))
 
 
 def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
@@ -229,12 +243,17 @@ def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     return out
 
 
-def sup_distance(q1: np.ndarray, q2: np.ndarray, mdp: TabularMdp) -> float:
-    """Supremum distance over active state-action pairs."""
-    _check_table(q1, mdp)
-    _check_table(q2, mdp)
-    d = q1.take(mdp.pair_flat) - q2.take(mdp.pair_flat)
-    return float(np.abs(d).max()) if d.size else 0.0
+def sup_distance(q1: np.ndarray, q2: np.ndarray, mdp: TabularMdp):
+    """Supremum distance over active state-action pairs.
+
+    Either table may be a stack of tables along a leading axis; the result
+    is then an array with one distance per table, each equal to the
+    distance of that table alone.
+    """
+    d = _check_table(q1, mdp) - _check_table(q2, mdp)
+    # abs is never -0.0, so the initial 0.0 changes only an empty maximum
+    dist = np.maximum.reduce(np.abs(d), axis=-1, initial=0.0)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def value_iteration_oracle(
@@ -263,27 +282,43 @@ def evaluate_greedy(
     mdp: TabularMdp,
     start: int,
     horizon: int,
-) -> float:
+):
     """Deterministic greedy rollout score.
 
     Follows argmax_a Q(s, a) (ties to the lowest action index) for at most
     ``horizon`` steps, stopping early in a terminal state. The score is the
     undiscounted sum of reward means along the path, added in path order.
-    The greedy action of every state comes from one ``argmax`` over the
-    table; the rollout itself walks Python ints through the MDP's pair
-    table.
+
+    ``q`` may be a stack of tables along a leading axis; the result is then
+    an array with one score per table. The rollouts of a stack run side by
+    side on the graph whose node b * num_states + s is state s of table b:
+    one ``argmax`` over the stack gives every node's greedy successor and
+    reward mean, and each step adds every path's next reward mean. A
+    terminal node is its own successor at reward 0.0, which leaves a sum
+    started at 0.0 unchanged, so each score equals that of the table alone,
+    bit for bit. Transitions are deterministic: a path still running after
+    num_states steps is on a cycle and never ends, so one check there
+    stops the walk once every path has ended.
     """
     _check_table(q, mdp)
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     mdp._check_state(start)
-    actions = q.argmax(axis=1).tolist()
-    score = 0.0
-    s = int(start)
-    for _ in range(horizon):
-        p = mdp._pair_table[s][actions[s]]
-        if p < 0:  # terminal
+    n_states = mdp.num_states
+    actions = q.argmax(axis=-1).ravel()
+    node = np.arange(actions.size)
+    state = node % n_states
+    flat = state * mdp.num_actions
+    flat += actions
+    reward = mdp._step_reward.take(flat)
+    successor = mdp._step_next.take(flat)
+    successor += node
+    successor -= state
+    at = np.arange(start, actions.size, n_states)  # each path's node
+    score = np.zeros(at.size)
+    for step in range(horizon):
+        if step == n_states and mdp.terminal_mask.take(state.take(at)).all():
             break
-        score += mdp.pair_reward_mean.item(p)
-        s = mdp.pair_next_state.item(p)
-    return score
+        score += reward.take(at)
+        at = successor.take(at)
+    return float(score[0]) if q.ndim == 2 else score

@@ -131,10 +131,6 @@ class TheoryInverseStepSize:
     def s(self) -> float:
         return 2.0 / self.xi
 
-    def alpha(self, k: int) -> float:
-        s = self.s
-        return s / (k + s)
-
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
         s = self.s
         return s / (np.arange(start, start + count) + s)
@@ -148,9 +144,6 @@ class ConstantStepSize:
         if not 0.0 < self.value <= 1.0:
             raise DomainError("step size must lie in (0, 1]")
 
-    def alpha(self, k: int) -> float:
-        return self.value
-
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
         return np.full(count, self.value)
 
@@ -158,9 +151,6 @@ class ConstantStepSize:
 @dataclass(frozen=True)
 class CustomStepSize:
     fn: Callable[[int], float]
-
-    def alpha(self, k: int) -> float:
-        return float(self.fn(k))
 
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
         return np.array([float(self.fn(k)) for k in range(start, start + count)])

@@ -272,11 +272,11 @@ def test_parse_schedule_specs(grid07):
 
 def test_parse_step_specs(grid07):
     theory = parse_step_spec("theory", grid07)
-    assert theory.alpha(0) == 1.0 and theory.xi == pytest.approx(1 / 52)
+    assert theory.alphas(1, start=0)[0] == 1.0 and theory.xi == pytest.approx(1 / 52)
     explicit = parse_step_spec("theory 0.25", grid07)
     assert explicit.xi == 0.25
     const = parse_step_spec("constant 0.1", grid07)
-    assert const.alpha(9) == 0.1
+    assert const.alphas(1, start=9)[0] == 0.1
     with pytest.raises(DomainError):
         parse_step_spec("constant", grid07)
 

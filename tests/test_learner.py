@@ -12,6 +12,7 @@ from targetq.learner import (
     _RunStepSizes,
     _adaptive_cycle_uniform,
     _checked_alphas,
+    _run_cycles,
     _draw_block,
     _frozen_continuation,
     _sort_hits,
@@ -389,6 +390,33 @@ def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
             tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, **limits)
 
 
+def test_non_finite_oracle_fails_before_any_cycle(grid07, oracle07, theory_steps):
+    oracle = oracle07.copy()
+    oracle[0, 0] = np.nan
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="non-finite"):
+        tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(10), theory_steps, grid07, rng,
+                          n_cycles=3, oracle=oracle)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_cycle", [0, 5, 119, 120, 200])
+def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
+    # a cycle whose table turns non-finite fails the run with the check's
+    # DomainError, wherever the table falls in its stack
+    def cycle(n, q):
+        q_new = q + 0.5
+        if n == bad_cycle:
+            q_new[grid07.start_state, 0] = np.inf
+        return q_new, 1, 1, None
+
+    with pytest.raises(DomainError, match="non-finite"):
+        _run_cycles(tq.new_q_table(grid07), grid07, cycle, 300, None, oracle=oracle07,
+                    eval_horizon=7)
+
+
 @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.7])
 @pytest.mark.parametrize("at", [0, 9])
 def test_step_sizes_out_of_range_rejected(grid07, bad, at):
@@ -505,6 +533,88 @@ def test_adaptive_traces_bit_identical(grid07, oracle07, steps):
                                         record_gap=True)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
     assert digest == _PINNED_ADAPTIVE_TRACES[steps]
+
+
+# Records are computed one stack of _CHUNK // 68 = 120 grid tables at a
+# time. These runs put the record count just below, on and just past one and
+# two stacks, and let a budget cross mid-stack; eval_every = 7 does not
+# divide 120, so the due tables sit at another offset in each stack.
+# The digests were taken before recording was stacked, so a stack boundary
+# that shows fails here. Keys: (runner, limit kind, n_cycles or
+# sample_budget, eval_every); record_gap is on with eval_every = 3.
+_STACK_BOUNDARY_TRACES = {
+    ("periodic", "cycles", 118, 1): "ed6bd20183104b830f280124d35b3a84359adcbd0ec66a8bf2f38b306fee04a7",
+    ("periodic", "cycles", 118, 3): "6bb92197b3af69682ce67acafcf2e46f6c0bcfa1ae320015de4d200402d3d1ec",
+    ("periodic", "cycles", 119, 1): "6762df3683bbe70c51a2e6453c3b93a7838b663588a3be75383949a1c9c18da9",
+    ("periodic", "cycles", 119, 3): "4b10d08ef65d2f33db3c579ff03e5321e2216d7f1b02e61665b2e10a2aed177e",
+    ("periodic", "cycles", 120, 1): "3c4edf18a4106d9f942a7927a865663632ce96bb7924f1243fa4fab4c561e9f6",
+    ("periodic", "cycles", 120, 3): "321d7af713a908bacd647a4d4337785032c2d2a63e2b7e9232d7bf1c44e03d13",
+    ("periodic", "cycles", 121, 1): "4b8e903500fdc278cf79e207fd10b4f56bed64bba64f01772697d38f8276acd5",
+    ("periodic", "cycles", 121, 3): "60d231428ef35c3818a6c4f7f039c53a1fc7da66cb67b98a131d4b8d366d7ea9",
+    ("periodic", "cycles", 240, 1): "efd5c2df03cb71a66db33a62655e179f401d5132a13f4652805b5ad1df90f55f",
+    ("periodic", "cycles", 240, 3): "448fcc07dc8496a3ed2620a462045697c21f4706df786d4ce72bfb648f21861f",
+    ("periodic", "cycles", 241, 1): "4676234f2cc6b38d6e0d01bb6ea5c5bccffd859e0bb1d2c7fc0c7e7e7025c615",
+    ("periodic", "cycles", 241, 3): "3a1219622687252d9b29667eaa1687ba768b37a13dc6be64108452d0cec7eea8",
+    ("adaptive", "cycles", 118, 1): "dcf283b9e6c50318084413998752f54e225f9d036736dddd372ebb981558b993",
+    ("adaptive", "cycles", 118, 3): "ff5f343282d56028556761a1bcede38bd78f2475a622aa84674e66d9a1c3dfac",
+    ("adaptive", "cycles", 119, 1): "edc1c9a355c6c705d4cef8b6a190da13d938dcaa942befabb3540d575a7b3b45",
+    ("adaptive", "cycles", 119, 3): "c0497f56de81db312f9d3650f42cd71566ec7f917822b37f2f6dd3325eeb528d",
+    ("adaptive", "cycles", 120, 1): "1ab3fa6c2fdb5bec5d0670c4f14faebc045e9608ab085f61e344acdfaff859e6",
+    ("adaptive", "cycles", 120, 3): "bb548c18fbee37940e1a389991e3e5096b0e98ffc8e3834e1f747a059ea34af1",
+    ("adaptive", "cycles", 121, 1): "11ed81748bf95dddf2c674405292a874b0d87b50ec848c1167314f4f80c0198b",
+    ("adaptive", "cycles", 121, 3): "7de3ba230a004ae38d39359685d2807fd3f8d40e902734ed49a29fc4b60dd5f2",
+    ("adaptive", "cycles", 240, 1): "31da02bb0a7177f93e11db0b3d57f0493c991606faff8ac4351ce22dad1d9b15",
+    ("adaptive", "cycles", 240, 3): "72cc90b567a4e65a4dcb4e6a690906267dc3c01abf872a4ee5c8afe395fec94f",
+    ("adaptive", "cycles", 241, 1): "c57c77b5011886114339e524b6bc79dfdea0a43cbd50b7828eb57d39439bf849",
+    ("adaptive", "cycles", 241, 3): "51742f6d6b5bf53e85be363437af8ce8d1bb52ea3cf50ce4ff5bb826e9f33b1a",
+    ("periodic", "budget", 1263, 1): "2a780e70592faa00210cb077b8b05310ab5f0dce099794448f8e040c2a8f5cf2",
+    ("adaptive", "budget", 5000, 1): "3dd96ac7d22e7a357bea0e34e8b0e79fadd5aae0c235f25dd76dce043edf0e1a",
+    ("periodic", "budget", 1263, 3): "6f4b50ec38cc6fee2e31f33bfa2aa792534918931b3aa0df47fb75c9b63c8992",
+    ("adaptive", "budget", 5000, 3): "37191098cbccb7bbe58f7486508a3aae5d37364a3cfb5f13dc7a775ff0322173",
+    ("periodic", "cycles", 241, 7): "8503ca91c99d4cb67707c8d1a0cf7f8e6a35e6f49c766f6fa8651c7fcb551af0",
+    ("adaptive", "cycles", 241, 7): "da2f67faed0e6d8d7e306927ecd260db7d608095c0799a95993601c49c043b70",
+    ("periodic", "budget", 1263, 7): "b984110eb255e6f7dbd0d0802a515bfb4c3a2b18ffaee38de7b64e7d8fcae01d",
+    ("adaptive", "budget", 5000, 7): "756667ef7337c603521a4577439db1fe81d8afde4e78d5f4e2ea01f341a9d499",
+}
+
+
+def _stack_boundary_run(grid07, oracle07, runner, limit, n, every):
+    options = dict(oracle=oracle07, eval_horizon=7, eval_every=every, record_gap=every == 3)
+    options["n_cycles" if limit == "cycles" else "sample_budget"] = n
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    rng = np.random.default_rng(23)
+    if runner == "periodic":
+        return tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(7), steps, grid07, rng,
+                                 **options)
+    return tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 5, 40, steps, grid07, rng,
+                                       **options)
+
+
+@pytest.mark.parametrize("case", _STACK_BOUNDARY_TRACES)
+def test_stack_boundaries_leave_traces_unchanged(grid07, oracle07, case):
+    assert _CHUNK // grid07.num_states // grid07.num_actions == 120
+    trace = _stack_boundary_run(grid07, oracle07, *case)
+    digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
+    assert digest == _STACK_BOUNDARY_TRACES[case]
+
+
+@pytest.mark.parametrize("runner", ["periodic", "adaptive"])
+def test_recording_goes_through_the_traced_names(grid07, oracle07, monkeypatch, runner):
+    # the benchmark's per-layer spans wrap these module attributes; a run
+    # that records bias and score must reach both
+    calls = {"sup_distance": 0, "evaluate_greedy": 0}
+    for name in calls:
+        original = getattr(tq.learner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tq.learner, name, counted)
+    for n in (1, 130):
+        calls.update(dict.fromkeys(calls, 0))
+        _stack_boundary_run(grid07, oracle07, runner, "cycles", n, 1)
+        assert calls["sup_distance"] >= 1 and calls["evaluate_greedy"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -380,16 +380,80 @@ def test_evaluate_greedy_matches_per_step_reference(which, ties, horizon, seed):
 
 
 # ---------------------------------------------------------------------------
+# Stacks of tables
+
+
+_STACK_MDPS = (tq.build_gridworld(0.7), make_chain_mdp(0.5), make_selfloop_mdp(0.5, 1.0))
+
+
+def _random_tables(mdp, rng, ties, count):
+    shape = (count, mdp.num_states, mdp.num_actions)
+    return rng.integers(-1, 2, size=shape).astype(float) if ties else rng.normal(size=shape)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    which=st.integers(0, len(_STACK_MDPS) - 1),
+    ties=st.booleans(),
+    count=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_calls_equal_per_table_calls(which, ties, count, seed):
+    # bit for bit, on random and tie-heavy tables (terminal rows random
+    # too), from every start with horizons 0-9 and one past the walk's
+    # check at num_states steps
+    mdp = _STACK_MDPS[which]
+    rng = np.random.default_rng(seed)
+    stack = _random_tables(mdp, rng, ties, count)
+    other = _random_tables(mdp, rng, ties, 1)[0]
+    per_table = [tq.sup_distance(q, other, mdp) for q in stack]
+    assert tq.sup_distance(stack, other, mdp).tolist() == per_table
+    assert tq.sup_distance(other, stack, mdp).tolist() == per_table
+    assert (tq.sup_distance(stack, stack[::-1], mdp).tolist()
+            == [tq.sup_distance(a, b, mdp) for a, b in zip(stack, stack[::-1])])
+    for start in range(mdp.num_states):  # terminal starts included
+        for horizon in [*range(10), 2 * mdp.num_states + 3]:
+            scores = tq.evaluate_greedy(stack, mdp, start, horizon)
+            assert scores.shape == (count,)
+            assert scores.tolist() == [_greedy_rollout_reference(q, mdp, start, horizon)
+                                       for q in stack]
+            assert scores.tolist() == [tq.evaluate_greedy(q, mdp, start, horizon)
+                                       for q in stack]
+
+
+def test_stacked_calls_of_empty_stacks_and_wrong_ranks(grid07, oracle07):
+    empty = np.zeros((0, grid07.num_states, grid07.num_actions))
+    assert tq.sup_distance(empty, oracle07, grid07).shape == (0,)
+    assert tq.evaluate_greedy(empty, grid07, grid07.start_state, 7).shape == (0,)
+    for table in (np.zeros((1, 2, grid07.num_states, grid07.num_actions)), np.float64(0.0)):
+        with pytest.raises(DimensionError):
+            tq.sup_distance(table, oracle07, grid07)
+        with pytest.raises(DimensionError):
+            tq.evaluate_greedy(table, grid07, grid07.start_state, 7)
+
+
+# ---------------------------------------------------------------------------
 # Table checks at every entry point
 
 
 _STEPS = tq.TheoryInverseStepSize(xi=1.0 / 52.0)
+
+
+def _stacked(q, position):
+    # q as table ``position`` of a stack of three; the others are zeros
+    return np.stack([q if i == position else np.zeros_like(q) for i in range(3)])
+
 
 # every public entry point that takes a Q-table, called as (q, mdp, oracle)
 _TABLE_ENTRY_POINTS = {
     "sup_distance first": lambda q, mdp, oracle: tq.sup_distance(q, oracle, mdp),
     "sup_distance second": lambda q, mdp, oracle: tq.sup_distance(oracle, q, mdp),
     "evaluate_greedy": lambda q, mdp, oracle: tq.evaluate_greedy(q, mdp, mdp.start_state, 7),
+    "sup_distance stack first": lambda q, mdp, oracle: tq.sup_distance(_stacked(q, 0), oracle, mdp),
+    "sup_distance stack second": lambda q, mdp, oracle: tq.sup_distance(
+        oracle, _stacked(q, 2), mdp),
+    "evaluate_greedy stack": lambda q, mdp, oracle: tq.evaluate_greedy(
+        _stacked(q, 1), mdp, mdp.start_state, 7),
     "exact_bellman_apply": lambda q, mdp, oracle: tq.exact_bellman_apply(q, mdp),
     "run_inner_loop": lambda q, mdp, oracle: tq.run_inner_loop(
         q, 10, _STEPS, mdp, np.random.default_rng(0)),

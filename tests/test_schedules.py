@@ -77,9 +77,9 @@ def test_theory_inverse_exact_values():
         tq.TheoryInverseStepSize.from_pair_count(52),
         tq.TheoryInverseStepSize(1.0 / 52.0),
     ):
-        assert steps.alpha(0) == 1.0
-        assert steps.alpha(104) == 0.5
-        assert steps.alpha(208) == 1.0 / 3.0
+        assert steps.alphas(1, start=0)[0] == 1.0
+        assert steps.alphas(1, start=104)[0] == 0.5
+        assert steps.alphas(1, start=208)[0] == 1.0 / 3.0
 
 
 def test_theory_inverse_shape():
@@ -91,11 +91,11 @@ def test_theory_inverse_shape():
     assert np.all((alphas > 0) & (alphas <= 1))
     # the published form for 52 pairs
     assert alphas[104] == pytest.approx(1.0 / (1.0 + 104 / 104.0), rel=1e-15)
-    assert steps.alphas(3, start=10).tolist() == [steps.alpha(k) for k in (10, 11, 12)]
+    assert steps.alphas(3, start=10).tolist() == [steps.s / (k + steps.s) for k in (10, 11, 12)]
 
 
 def test_constant_step_size():
-    assert tq.ConstantStepSize(0.25).alpha(99) == 0.25
+    assert tq.ConstantStepSize(0.25).alphas(1, start=99)[0] == 0.25
     with pytest.raises(DomainError):
         tq.ConstantStepSize(0.0)
     with pytest.raises(DomainError):
@@ -104,7 +104,7 @@ def test_constant_step_size():
 
 def test_custom_step_size():
     steps = tq.CustomStepSize(lambda k: 1.0 / (k + 1))
-    assert steps.alpha(3) == 0.25
+    assert steps.alphas(1, start=3)[0] == 0.25
     assert steps.alphas(3).tolist() == [1.0, 0.5, 1.0 / 3.0]
 
 
