@@ -49,7 +49,7 @@ from .mdp import (
     greedy_state_values,
     sup_distance,
 )
-from .schedules import AccuracyTriggered, TufSchedule
+from .schedules import AccuracyTriggered, TufSchedule, _as_int
 
 _CHUNK = 8192
 _CACHED_BLOCKS = 16
@@ -176,62 +176,58 @@ def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
         _apply_block(values, cont, mdp, pairs, rng.random(count), step_sizes.alphas(count, lo))
 
 
-def _sort_hits(pairs, n_pairs):
-    """Stable sort of a block's steps by pair id: the sorting order and
-    each pair's hit count.
-
-    The kernels place each sorted hit in its pair's column of a hit-major
-    ``(rows, n_pairs)`` matrix, at flat index row * n_pairs + pair. Sorting
-    the ids as the smallest unsigned type that holds them lets the stable
-    sort use radix sort; the order equals that of the int64 sort.
-    """
-    order = pairs.astype(np.min_scalar_type(n_pairs - 1)).argsort(kind="stable")
-    return order, np.bincount(pairs, minlength=n_pairs)
-
-
 @functools.lru_cache(maxsize=4)
 def _pair_columns(n_pairs):
-    """The pair ids and the pair ids less one row (n_pairs), read-only.
+    """The pair ids, read-only.
 
-    Only these small arrays are kept across blocks: a per-step array kept
-    for each block length (up to 64 KiB each) would pin heap memory among
-    the block temporaries, 1.7 MB of peak RSS on the long-period benchmark.
+    Only this small array is kept across blocks: a per-step array kept for
+    each block length (up to 64 KiB each) would pin heap memory among the
+    block temporaries, 1.7 MB of peak RSS on the long-period benchmark.
     """
     ids = np.arange(n_pairs)
-    lowered = ids - n_pairs
-    ids.flags.writeable = lowered.flags.writeable = False
-    return ids, lowered
+    ids.flags.writeable = False
+    return ids
+
+
+def _hit_layout(pairs, ids):
+    """Where a block's hits sit in the kernels' hit-major matrix: the stable
+    order sorting the steps by pair id, the per-pair hit counts, ``rows`` =
+    max count + 1 (the last row holds no hit), and each sorted hit's flat
+    index rank * n_pairs + pair, its rank counting the pair's earlier hits.
+
+    Sorting the ids as the smallest unsigned type that holds them lets the
+    stable sort use radix sort; the order equals that of the int64 sort.
+    """
+    n_pairs = ids.size
+    order = pairs.astype(np.min_scalar_type(n_pairs - 1)).argsort(kind="stable")
+    counts = np.bincount(pairs, minlength=n_pairs)
+    # sorted hit i of a pair whose hits start at sorted position s has rank i - s
+    flat = np.arange(0, pairs.size * n_pairs, n_pairs)
+    flat -= ((counts.cumsum() - counts) * n_pairs - ids).repeat(counts)
+    return order, counts, int(np.maximum.reduce(counts)) + 1, flat
 
 
 def _apply_block(values, cont, mdp, pairs, u, alphas):
     """Closed-form update of the per-pair ``values`` over one block of steps.
 
-    Pair p's hits, latest first, fill column p of a hit-major matrix below
-    a leading row of 1.0 and are padded with 1.0, so one cumprod down the
-    columns gives every suffix product prod_{j>i} beta_j (the row above
-    hit i) and the whole product (the last row). Targets are drawn on the
-    sorted steps: step i's reward still comes from its own uniform.
+    Pair p's (1 - alpha) factors fill column p of the hit-major matrix in
+    step order (``_hit_layout``) and are padded with 1.0, so one cumprod up
+    the columns gives every suffix product prod_{j>i} beta_j (the row below
+    hit i) and the whole product (row 0). Targets are drawn on the sorted
+    steps: step i's reward still comes from its own uniform.
     """
     n_pairs = values.size
-    ids, lowered = _pair_columns(n_pairs)
-    order, counts = _sort_hits(pairs, n_pairs)
-    rows = int(np.maximum.reduce(counts)) + 1
-    # sorted hit i of a pair whose hits end before sorted position e sits
-    # at row e - i; ``above`` indexes the row above it
-    above = counts.cumsum()
-    above *= n_pairs
-    above += lowered
-    above = above.repeat(counts)
-    above -= np.arange(0, pairs.size * n_pairs, n_pairs)
+    ids = _pair_columns(n_pairs)
+    order, counts, rows, flat = _hit_layout(pairs, ids)
     als = alphas[order]
     prods = np.empty((rows, n_pairs))
     prods.fill(1.0)
-    prods.ravel()[n_pairs:][above] = 1.0 - als
-    np.multiply.accumulate(prods, axis=0, out=prods)
-    weighted = prods.take(above)
+    prods.ravel()[flat] = 1.0 - als
+    np.multiply.accumulate(prods[::-1], axis=0, out=prods[::-1])
+    weighted = prods.ravel()[n_pairs:].take(flat)
     weighted *= als
     weighted *= mdp.draw_sorted_targets(counts, u[order], cont)
-    values *= prods[-1]
+    values *= prods[0]
     values += np.bincount(ids.repeat(counts), weights=weighted, minlength=n_pairs)
 
 
@@ -247,6 +243,7 @@ def run_inner_loop(
     The step-size index restarts at 0. Returns a new table; ``q_in`` is
     left untouched and keeps serving as the frozen target throughout.
     """
+    n_steps = _as_int(n_steps, "n_steps")
     if n_steps < 1:
         raise DomainError("n_steps must be at least 1")
     q = np.array(q_in, dtype=float)
@@ -419,20 +416,22 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
 
     Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
     contract says, and every step of it is evaluated as if the cycle ran
-    on: each pair's hits sit in one column of a hit-major matrix, and a
-    doubling scan composes their maps x -> (1 - alpha) x + alpha t, so row
-    r holds the pair's value after its first r hits (no division by
-    products, so alpha = 1 and underflow are safe). The TD errors follow
-    from the values before the hits, the running TD-error sums from a
-    cumsum down the columns (sums and counts carry across chunks), and the
-    stopping statistic after every step from a cumsum of its per-step
-    changes in step order. The cycle stops at the first step at or past
-    ``k_min`` whose statistic is at or below ``eps_n``: values, counts and
-    sums roll back to that step and the chunk's later samples are
-    discarded. The returned statistic is recomputed exactly from the sums.
+    on: each pair's hits fill one column of a hit-major matrix in step
+    order, one row below their ``_hit_layout`` index (row 0 holds the start
+    values), and a doubling scan composes their maps x -> (1 - alpha) x +
+    alpha t, so row r holds the pair's value after its first r hits (no
+    division by products, so alpha = 1 and underflow are safe). The TD
+    errors follow from the values before the hits (their layout index), the
+    running TD-error sums from a cumsum down the columns (sums and counts
+    carry across chunks), and the stopping statistic after every step from
+    a cumsum of its per-step changes in step order. The cycle stops at the
+    first step at or past ``k_min`` whose statistic is at or below
+    ``eps_n``: values, counts and sums roll back to that step and the
+    chunk's later samples are discarded. The returned statistic is
+    recomputed exactly from the sums.
     """
     n_pairs = mdp.num_active_pairs
-    columns = np.arange(n_pairs)
+    ids = _pair_columns(n_pairs)
     cont = _frozen_continuation(q_frozen, mdp)
     values = q.take(mdp.pair_flat)
     counts = np.zeros(n_pairs, dtype=np.int64)
@@ -443,12 +442,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
         alphas = _checked_alphas(step_sizes, block, start=steps)
-        order, hits = _sort_hits(pairs, n_pairs)
-        rows = int(hits.max()) + 1
-        # sorted hit i of a pair whose hits start at sorted position s sits
-        # at row i - s + 1
-        flat = (np.arange(n_pairs, (block + 1) * n_pairs, n_pairs)
-                - np.repeat((np.cumsum(hits) - hits) * n_pairs - columns, hits))
+        order, hits, rows, before = _hit_layout(pairs, ids)
         als = alphas[order]
         targets = mdp.draw_sorted_targets(hits, u[order], cont)
         # row 0 is the map x -> x + start value and padding rows are the
@@ -457,30 +451,30 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         scale = np.ones(rows * n_pairs)
         shift = np.zeros(rows * n_pairs)
         shift[:n_pairs] = values
-        scale[flat] = 1.0 - als
-        shift[flat] = als * targets
+        scale[n_pairs:][before] = 1.0 - als
+        shift[n_pairs:][before] = als * targets
         scale, shift = scale.reshape(rows, n_pairs), shift.reshape(rows, n_pairs)
         span = 1
         while span < rows:
             shift[span:] += scale[span:] * shift[:-span]
             scale[span:] *= scale[:-span]
             span *= 2
-        deltas = targets - shift.ravel()[flat - n_pairs]
+        deltas = targets - shift.ravel()[before]
         running = np.zeros((rows, n_pairs))
         running[0] = sums
-        running.ravel()[flat] = deltas
+        running.ravel()[n_pairs:][before] = deltas
         np.cumsum(running, axis=0, out=running)
         means = (running / np.maximum(counts + np.arange(rows)[:, None], 1)).ravel()
         change = np.empty(block)
-        change[order] = (np.abs(means[flat]) - np.abs(means[flat - n_pairs])) / n_pairs
+        change[order] = (np.abs(means[n_pairs:][before]) - np.abs(means[before])) / n_pairs
         change[0] += stat
         stat_after = np.cumsum(change)
         first = max(k_min - steps - 1, 0)
         stops = np.flatnonzero(stat_after[first:] <= eps_n)
         used = first + int(stops[0]) + 1 if stops.size else block
         taken = np.bincount(pairs[:used], minlength=n_pairs)
-        values = shift[taken, columns]
-        sums = running[taken, columns]
+        values = shift[taken, ids]
+        sums = running[taken, ids]
         counts += taken
         stat = stat_after[used - 1]
         steps += used

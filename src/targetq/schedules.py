@@ -11,6 +11,7 @@ predicted sample cost.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -190,6 +191,14 @@ def geometric_period(k0: int, gamma: float, n: int) -> int:
     return _ceil_guarded(x)
 
 
+def _as_int(value, what):
+    """``value`` as a Python int; a numpy integer passes, a float does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_exact_periods(ks) -> None:
     """Refuse periods past the exact-integer limit that geometric and
     designed periods keep to; such a cycle could not run in practice."""
@@ -205,6 +214,7 @@ class FixedPeriod:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _as_int(self.k, "period"))
         if self.k < 1:
             raise DomainError("period must be at least 1")
         _check_exact_periods((self.k,))
@@ -239,6 +249,7 @@ class ExplicitPeriod:
     label: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "ks", tuple(_as_int(k, "period") for k in self.ks))
         if any(k < 1 for k in self.ks):
             raise DomainError("all periods must be at least 1")
         _check_exact_periods(self.ks)
@@ -265,6 +276,8 @@ class AccuracyTriggered:
     accuracy: Callable[[int], float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "k_min", _as_int(self.k_min, "k_min"))
+        object.__setattr__(self, "k_max", _as_int(self.k_max, "k_max"))
         if not 1 <= self.k_min <= self.k_max:
             raise DomainError("need 1 <= k_min <= k_max")
         _check_exact_periods((self.k_min, self.k_max))
@@ -276,8 +289,8 @@ class AccuracyTriggered:
         if self.accuracy is None:
             return 1.0 / (n * n)
         eps = float(self.accuracy(n))
-        if eps < 0.0:
-            raise DomainError("accuracy thresholds must be nonnegative")
+        if not eps >= 0.0:  # NaN fails too
+            raise DomainError(f"accuracy thresholds must be nonnegative, got {eps}")
         return eps
 
 

@@ -15,7 +15,8 @@ from targetq.learner import (
     _run_cycles,
     _draw_block,
     _frozen_continuation,
-    _sort_hits,
+    _hit_layout,
+    _pair_columns,
 )
 
 from conftest import inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
@@ -221,9 +222,29 @@ def test_sorted_targets_equal_gathered_draw(mdp_index, k, at_threshold, seed):
     on = rng.random(k) < at_threshold
     u[on] = mdp.pair_p_first[pairs[on]]
     cont = _frozen_continuation(random_q(mdp, rng), mdp)
-    order, counts = _sort_hits(pairs, mdp.num_active_pairs)
+    order, counts, _, _ = _hit_layout(pairs, _pair_columns(mdp.num_active_pairs))
     expected = (mdp.draw_rewards(pairs, u) + cont[pairs])[order]
     assert np.array_equal(mdp.draw_sorted_targets(counts, u[order], cont), expected)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(use_chain=st.booleans(), k=st.integers(1, _CHUNK), seed=st.integers(0, 2**32 - 1))
+def test_hit_layout_places_hits_in_step_order(use_chain, k, seed):
+    # the grid's 52 pairs and _CHAIN_400's 400 sort on uint8 and uint16 keys
+    n_pairs = 400 if use_chain else 52
+    pairs = np.random.default_rng(seed).integers(0, n_pairs, size=k)
+    order, counts, rows, flat = _hit_layout(pairs, _pair_columns(n_pairs))
+    assert np.array_equal(order, np.argsort(pairs, kind="stable"))
+    assert np.array_equal(counts, np.bincount(pairs, minlength=n_pairs))
+    assert np.array_equal(flat % n_pairs, pairs[order])
+    ranks = np.empty(k, dtype=np.int64)
+    seen = np.zeros(n_pairs, dtype=np.int64)
+    for i, p in enumerate(pairs[order].tolist()):
+        ranks[i] = seen[p]
+        seen[p] += 1
+    assert np.array_equal(flat // n_pairs, ranks)
+    assert np.unique(flat).size == k
+    assert rows == counts.max() + 1 and flat.max() < (rows - 1) * n_pairs
 
 
 def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps):
@@ -267,8 +288,10 @@ def test_inner_loop_rate_bound_small(grid07, oracle07, theory_steps):
 
 
 def test_inner_loop_validation(grid07, theory_steps):
-    with pytest.raises(DomainError):
-        tq.run_inner_loop(tq.new_q_table(grid07), 0, theory_steps, grid07, np.random.default_rng(0))
+    for n_steps in (0, -3, 2.5, np.float64(3.0)):
+        with pytest.raises(DomainError):
+            tq.run_inner_loop(tq.new_q_table(grid07), n_steps, theory_steps, grid07,
+                              np.random.default_rng(0))
     with pytest.raises(DomainError):
         tq.run_inner_loop(
             tq.new_q_table(grid07), 10, tq.CustomStepSize(lambda k: 2.0), grid07,
@@ -773,11 +796,12 @@ def test_adaptive_kernel_matches_per_step_replay_property(use_chain, zero_start,
 
 
 def test_adaptive_validation(grid07, theory_steps):
-    with pytest.raises(DomainError):
-        tq.run_accuracy_triggered_q(
-            tq.new_q_table(grid07), 100, 50, theory_steps, grid07,
-            np.random.default_rng(0), n_cycles=1,
-        )
+    for k_min, k_max in ((100, 50), (1.5, 3), (2, 3.5)):
+        with pytest.raises(DomainError):
+            tq.run_accuracy_triggered_q(
+                tq.new_q_table(grid07), k_min, k_max, theory_steps, grid07,
+                np.random.default_rng(0), n_cycles=1,
+            )
     with pytest.raises(DomainError):
         tq.run_accuracy_triggered_q(
             tq.new_q_table(grid07), 10, 50, theory_steps, grid07,
@@ -790,7 +814,6 @@ def test_adaptive_validation(grid07, theory_steps):
                 tq.new_q_table(grid07), 10, 50, tq.CustomStepSize(lambda k: bad), grid07,
                 np.random.default_rng(0), n_cycles=1,
             )
-
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,20 @@ def test_schedule_validation():
     assert sched.threshold(2) == 0.25
     custom = tq.AccuracyTriggered(10, 100, accuracy=lambda n: 0.0)
     assert custom.threshold(5) == 0.0
+    # a NaN threshold would let every cycle run silently to k_max
+    for eps in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="nonnegative"):
+            tq.AccuracyTriggered(10, 100, accuracy=lambda n: eps).threshold(1)
+    # a period that is not an integer fails here, not mid-run
+    for make in (lambda: tq.FixedPeriod(2.5), lambda: tq.FixedPeriod(np.float64(3.0)),
+                 lambda: tq.ExplicitPeriod((5, 2.5)), lambda: tq.AccuracyTriggered(1.5, 3),
+                 lambda: tq.AccuracyTriggered(2, 3.5)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            make()
+
+
+def test_schedule_periods_accept_numpy_integers():
+    assert type(tq.FixedPeriod(np.int64(3)).period(0)) is int
+    assert tq.ExplicitPeriod([np.int32(2), 3]).ks == (2, 3)
+    sched = tq.AccuracyTriggered(np.int64(2), np.uint16(3))
+    assert (type(sched.k_min), type(sched.k_max)) == (int, int)
