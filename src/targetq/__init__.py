@@ -14,14 +14,8 @@ from .errors import (
     ScheduleOverflowError,
     ValidityRegimeWarning,
 )
-from .gridworld import (
-    GridSpec,
-    build_grid_mdp,
-    build_gridworld,
-    dump_grid_spec,
-    gridworld_spec,
-    load_grid_spec,
-)
+from .gridworld import GridSpec, build_grid_mdp, build_gridworld, gridworld_spec
+from .config import dump_grid_spec, load_grid_spec
 from .harness import (
     AggregateStats,
     Arm,

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    dump_grid_spec,
     dump_schedule_file,
     load_environment,
     parse_run_config,
     parse_sweep_config,
 )
 from .errors import DomainError, IterationLimitError
-from .gridworld import ACTION_NAMES, dump_grid_spec, gridworld_spec
+from .gridworld import ACTION_NAMES, gridworld_spec
 from .harness import aggregate, emit_csv, run_experiment
 from .mdp import value_iteration_oracle
 from .schedules import compute_constants, design_fixed_period, design_growing_period

@@ -1,6 +1,8 @@
 """Parsing of the key-value-section text formats: run configs, sweep
-configs, and designed-schedule files. A run config is read as the
-one-arm, one-seed experiment it describes.
+configs, designed-schedule files and grid specs. All four are read by one
+parser that takes values literally (a ``%`` is text), and every read or
+parse failure surfaces as a ``DomainError`` naming the file or section. A
+run config is read as the one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
 
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 import configparser
 import io
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConfigValidationError, DomainError
-from .gridworld import build_gridworld, load_grid_spec, build_grid_mdp
+from .gridworld import DEFAULT_REWARDS, GridSpec, build_grid_mdp, build_gridworld
 from .harness import Arm, ExperimentConfig
-from .mdp import TabularMdp
+from .mdp import RewardDistribution, TabularMdp
 from .schedules import (
     AccuracyTriggered,
     ConstantStepSize,
@@ -36,6 +39,89 @@ from .schedules import (
 )
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a parse failure inside the block as ``malformed {what}: ...``."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, configparser.Error) as exc:
+        raise DomainError(f"malformed {what}: {exc}") from exc
+
+
+def _new_parser() -> configparser.ConfigParser:
+    # values are taken literally: a '%' is text in every format, not interpolation
+    return configparser.ConfigParser(interpolation=None)
+
+
+def _read(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse(text: str, what: str) -> configparser.ConfigParser:
+    parser = _new_parser()
+    with _malformed(what):
+        parser.read_string(text)
+    return parser
+
+
+def _dump(sections: dict[str, dict]) -> str:
+    parser = _new_parser()
+    parser.read_dict(sections)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def _get_section(parser: configparser.ConfigParser, name: str, what: str = "config"):
+    if name not in parser:
+        raise DomainError(f"{what} needs a [{name}] section")
+    return parser[name]
+
+
+def dump_grid_spec(spec: GridSpec) -> str:
+    """Serialize a GridSpec to the key-value section text format."""
+    sections = {"grid": {"rows": spec.rows, "cols": spec.cols, "gamma": repr(spec.gamma),
+                         "layout": " | ".join(spec.layout)}}
+    for key in DEFAULT_REWARDS:
+        dist = spec.rewards[key]
+        sections[f"reward {key}"] = {
+            "kind": dist.kind,
+            "values": ", ".join(repr(v) for v in dist.values),
+            "probabilities": ", ".join(repr(p) for p in dist.probabilities),
+        }
+    return _dump(sections)
+
+
+def load_grid_spec(text: str, gamma: float | None = None) -> GridSpec:
+    """Parse the text format back into a GridSpec.
+
+    ``gamma`` overrides the discount stored in the document.
+    """
+    parser = _parse(text, "grid spec")
+    grid = _get_section(parser, "grid", "grid spec")
+    with _malformed("[grid] section"):
+        layout = tuple(part.strip() for part in grid["layout"].split("|"))
+        file_gamma = float(grid["gamma"])
+        rows, cols = int(grid["rows"]), int(grid["cols"])
+    if len(layout) != rows or any(len(row) != cols for row in layout):
+        raise DomainError("layout does not match declared rows/cols")
+    rewards: dict[str, RewardDistribution] = {}
+    for key in DEFAULT_REWARDS:
+        entry = _get_section(parser, f"reward {key}", "grid spec")
+        with _malformed(f"[reward {key}]"):
+            values = tuple(float(v) for v in entry["values"].split(","))
+            probs = tuple(float(p) for p in entry["probabilities"].split(","))
+            rewards[key] = RewardDistribution(entry["kind"], values, probs)
+    return GridSpec(
+        layout=layout,
+        gamma=float(gamma) if gamma is not None else file_gamma,
+        rewards=rewards,
+    )
+
+
 def load_environment(ref: str, gamma: float | None) -> TabularMdp:
     """``gridworld`` for the bundled benchmark (gamma required), otherwise
     a path to a grid-spec file (gamma optional override)."""
@@ -43,8 +129,7 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
         if gamma is None:
             raise DomainError("the bundled gridworld needs an explicit gamma")
         return build_gridworld(gamma)
-    text = Path(ref).read_text()
-    return build_grid_mdp(load_grid_spec(text, gamma=gamma))
+    return build_grid_mdp(load_grid_spec(_read(ref, "grid spec"), gamma=gamma))
 
 
 def parse_schedule_spec(spec: str, gamma: float):
@@ -86,48 +171,21 @@ def parse_step_spec(spec: str, mdp: TabularMdp):
     raise DomainError(f"bad step-size spec {spec!r}")
 
 
-def _new_parser() -> configparser.ConfigParser:
-    # values are taken literally: a '%' in a label is text, not interpolation
-    return configparser.ConfigParser(interpolation=None)
-
-
 def dump_schedule_file(periods, meta: dict[str, str]) -> str:
-    parser = _new_parser()
-    section = dict(meta)
-    section["periods"] = " ".join(str(int(k)) for k in periods)
-    parser["schedule"] = section
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    return _dump({"schedule": {**meta, "periods": " ".join(str(int(k)) for k in periods)}})
 
 
 def load_schedule_file(path) -> ExplicitPeriod:
-    parser = _new_parser()
-    try:
-        parser.read_string(Path(path).read_text())
-        periods = tuple(int(k) for k in parser["schedule"]["periods"].split())
-    except (OSError, KeyError, ValueError, configparser.Error) as exc:
-        raise DomainError(f"cannot load schedule file {path}: {exc}") from exc
-    label = parser["schedule"].get("family", "custom")
+    what = f"schedule file {path}"
+    section = _get_section(_parse(_read(path, "schedule file"), what), "schedule", what)
+    with _malformed(what):
+        periods = tuple(int(k) for k in section["periods"].split())
+    label = section.get("family", "custom")
     return ExplicitPeriod(periods, label=f"designed-{label}" if label in ("fixed", "growing") else label)
 
 
-def _get_section(parser: configparser.ConfigParser, name: str):
-    if name not in parser:
-        raise DomainError(f"config needs a [{name}] section")
-    return parser[name]
-
-
 def _read_config(path) -> configparser.ConfigParser:
-    parser = _new_parser()
-    try:
-        text = Path(path).read_text()
-        parser.read_string(text)
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DomainError(f"malformed config {path}: {exc}") from exc
-    return parser
+    return _parse(_read(path, "config"), f"config {path}")
 
 
 def _shared_keys(section) -> dict:
@@ -151,15 +209,11 @@ def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig
     """A run config as the one-arm, one-seed experiment it describes."""
     parser = _read_config(path)
     section = _get_section(parser, "run")
-    try:
+    with _malformed("[run] section"):
         shared = _shared_keys(section)
         arm = _arm(section, section.get("label", "run"), shared["mdp"])
         seed = seed_override if seed_override is not None else section.getint("seed", 0)
         cycles = section.getint("cycles", fallback=None)
-    except (ValueError, KeyError) as exc:
-        raise DomainError(f"malformed [run] section: {exc}") from exc
-    if shared["sample_budget"] is None and cycles is None:
-        raise DomainError("[run] needs budget or cycles")
     cfg = ExperimentConfig(arms=(arm,), seeds=(seed,), n_cycles=cycles, **shared)
     problems = cfg.violations()
     if problems:
@@ -177,11 +231,9 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 def parse_sweep_config(path) -> ExperimentConfig:
     parser = _read_config(path)
     section = _get_section(parser, "sweep")
-    try:
+    with _malformed("[sweep] section"):
         shared = _shared_keys(section)
         seeds = _parse_seeds(section.get("seeds", "range 2"))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DomainError(f"malformed [sweep] section: {exc}") from exc
     if shared["sample_budget"] is None:
         raise DomainError("[sweep] needs a budget")
     if len(seeds) < 2:
@@ -189,10 +241,8 @@ def parse_sweep_config(path) -> ExperimentConfig:
     arms = []
     for name in parser.sections():
         if name.startswith("arm "):
-            try:
+            with _malformed(f"[{name}] section"):
                 arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
-            except (ValueError, KeyError) as exc:
-                raise DomainError(f"malformed [{name}] section: {exc}") from exc
     if not arms:
         raise DomainError("sweep config defines no [arm ...] sections")
     return ExperimentConfig(arms=tuple(arms), seeds=seeds, **shared)

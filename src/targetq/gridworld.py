@@ -16,11 +16,12 @@ every action, including off-grid moves which keep the agent in place
 ("hovering"). The sink is an extra terminal state appended after the grid
 cells, so a rows x cols grid has ``rows * cols + 1`` states and 4 actions
 (up, down, left, right).
+
+This module is only the environment; its text format, the grid spec, is
+read and written by ``config.load_grid_spec`` and ``config.dump_grid_spec``.
 """
 from __future__ import annotations
 
-import configparser
-import io
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -142,65 +143,3 @@ def build_gridworld(gamma: float) -> TabularMdp:
     """The bundled benchmark: 4x4 grid, 52 active state-action pairs."""
     return build_grid_mdp(gridworld_spec(gamma))
 
-
-def dump_grid_spec(spec: GridSpec) -> str:
-    """Serialize a GridSpec to the key-value section text format."""
-    parser = configparser.ConfigParser()
-    parser["grid"] = {
-        "rows": str(spec.rows),
-        "cols": str(spec.cols),
-        "gamma": repr(spec.gamma),
-        "layout": " | ".join(spec.layout),
-    }
-    for key in ("default", "stochastic", "goal", "bomb"):
-        dist = spec.rewards[key]
-        parser[f"reward {key}"] = {
-            "kind": dist.kind,
-            "values": ", ".join(repr(v) for v in dist.values),
-            "probabilities": ", ".join(repr(p) for p in dist.probabilities),
-        }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
-def load_grid_spec(text: str, gamma: float | None = None) -> GridSpec:
-    """Parse the text format back into a GridSpec.
-
-    ``gamma`` overrides the discount stored in the document.
-    """
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise DomainError(f"malformed grid spec: {exc}") from exc
-    if "grid" not in parser:
-        raise DomainError("grid spec needs a [grid] section")
-    grid = parser["grid"]
-    try:
-        layout = tuple(part.strip() for part in grid["layout"].split("|"))
-        file_gamma = float(grid["gamma"])
-        rows, cols = int(grid["rows"]), int(grid["cols"])
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed [grid] section: {exc}") from exc
-    if len(layout) != rows or any(len(row) != cols for row in layout):
-        raise DomainError("layout does not match declared rows/cols")
-
-    rewards: dict[str, RewardDistribution] = {}
-    for key in ("default", "stochastic", "goal", "bomb"):
-        section = f"reward {key}"
-        if section not in parser:
-            raise DomainError(f"grid spec missing [{section}]")
-        entry = parser[section]
-        try:
-            values = tuple(float(v) for v in entry["values"].split(","))
-            probs = tuple(float(p) for p in entry["probabilities"].split(","))
-            rewards[key] = RewardDistribution(entry["kind"], values, probs)
-        except (KeyError, ValueError) as exc:
-            raise DomainError(f"malformed [{section}]: {exc}") from exc
-
-    return GridSpec(
-        layout=layout,
-        gamma=float(gamma) if gamma is not None else file_gamma,
-        rewards=rewards,
-    )

@@ -296,6 +296,11 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     with the same ``DomainError``, from the next cycle's check or, at the
     latest, from its stack's.
     """
+    if limit is not None:
+        limit = _as_int(limit, "cycle count")
+    if eval_horizon is not None:
+        eval_horizon = _as_int(eval_horizon, "evaluation horizon")
+    eval_every = _as_int(eval_every, "evaluation cadence")
     problems = limit_violations(sample_budget, eval_every, eval_horizon)
     if limit is not None and limit < 0:
         problems.append("cycle count must be nonnegative")
@@ -373,7 +378,8 @@ def run_periodic_q(
         k = schedule.period(n)
         return run_inner_loop(q, k, step_sizes, mdp, rng), k, k, None
 
-    limit = min((c for c in (n_cycles, schedule.n_cycles) if c is not None), default=None)
+    limit = min((_as_int(c, "cycle count") for c in (n_cycles, schedule.n_cycles) if c is not None),
+                default=None)
     return _run_cycles(q0, mdp, cycle, limit, sample_budget, **options)
 
 

@@ -44,6 +44,8 @@ class RewardDistribution:
             raise DomainError(
                 f"{self.kind} reward needs exactly {n_expected} value(s)"
             )
+        if not np.isfinite([*self.values, *self.probabilities]).all():
+            raise DomainError("reward values and probabilities must be finite")
         if any(p < 0.0 for p in self.probabilities):
             raise DomainError("probabilities must be nonnegative")
         if abs(sum(self.probabilities) - 1.0) > 1e-12:

@@ -177,6 +177,7 @@ def _ceil_guarded(x: float) -> int:
 
 def geometric_period(k0: int, gamma: float, n: int) -> int:
     """Update period ceil(k0 * gamma^(-2n/3)) of cycle n."""
+    k0 = _as_int(k0, "k0")
     if k0 < 1:
         raise DomainError("k0 must be at least 1")
     if not 0.0 < gamma < 1.0:

@@ -246,6 +246,26 @@ def test_gridworld_emit_and_reload(tmp_path, capsys):
     assert "[grid]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("values = -0.08, 0.05", "values = -0.08%, 0.05"), ("gamma = 0.7", "gamma = 0.7%"),
+     ("kind = two-point", "kind = two-point%")],
+    ids=["value", "gamma", "kind"],
+)
+def test_grid_spec_percent_sign_fails_without_traceback(tmp_path, capsys, old, new):
+    spec = tmp_path / "grid.ini"
+    assert main(["gridworld", "--gamma", "0.7", "--out", str(spec)]) == 0
+    text = spec.read_text()
+    assert old in text
+    spec.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["oracle", "--env", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_version_flag():
     assert main(["--version"]) == 0
 

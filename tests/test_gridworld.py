@@ -3,7 +3,8 @@ import pytest
 
 import targetq as tq
 from targetq.errors import DomainError
-from targetq.gridworld import DEFAULT_LAYOUT, build_grid_mdp, dump_grid_spec, gridworld_spec, load_grid_spec
+from targetq.config import dump_grid_spec, load_grid_spec
+from targetq.gridworld import DEFAULT_LAYOUT, build_grid_mdp, gridworld_spec
 
 # cell indices, row-major on the 4x4 layout
 START, HAZ_TOP, HAZ_MID, HAZ_BOT, GOAL, SINK = 0, 2, 10, 14, 15, 16
@@ -98,6 +99,14 @@ def test_spec_validation_errors():
     good = dump_grid_spec(gridworld_spec(0.7))
     with pytest.raises(DomainError):
         load_grid_spec(good.replace("[reward goal]", "[reward gold]"))
+    # NaN passes the sum-to-one test (abs(nan - 1) > 1e-12 is False)
+    for old, new in (("values = -0.08, 0.05", "values = nan, 0.05"),
+                     ("values = -0.08, 0.05", "values = -0.08, inf"),
+                     ("probabilities = 0.5, 0.5", "probabilities = nan, nan"),
+                     ("probabilities = 1.0", "probabilities = inf")):
+        assert old in good
+        with pytest.raises(DomainError, match="must be finite"):
+            load_grid_spec(good.replace(old, new, 1))
     with pytest.raises(DomainError):
         tq.GridSpec(layout=("..", ".."), gamma=0.5, rewards=gridworld_spec(0.7).rewards)
     with pytest.raises(DomainError):
@@ -105,6 +114,22 @@ def test_spec_validation_errors():
     for gamma in (1.5, 1.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             gridworld_spec(gamma)
+
+
+# no valid spec holds a '%': layouts, kinds and numbers all exclude it
+PERCENT_EDITS = [
+    ("values = -0.08, 0.05", "values = -0.08%, 0.05"),
+    ("gamma = 0.7", "gamma = 0.7%"),
+    ("kind = two-point", "kind = two-point%"),
+]
+
+
+@pytest.mark.parametrize("old, new", PERCENT_EDITS, ids=["value", "gamma", "kind"])
+def test_spec_percent_sign_is_domain_error(old, new):
+    good = dump_grid_spec(gridworld_spec(0.7))
+    assert old in good
+    with pytest.raises(DomainError, match="^malformed "):
+        load_grid_spec(good.replace(old, new, 1))
 
 
 def test_custom_layout_builds():

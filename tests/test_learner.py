@@ -400,17 +400,34 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
 @pytest.mark.parametrize(
     "limits",
     [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5),
-     dict(n_cycles=-3, sample_budget=100)],
-    ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3"],
+     dict(n_cycles=-3, sample_budget=100), dict(n_cycles=2.5),
+     dict(eval_every=1.5, n_cycles=2), dict(eval_horizon=2.5, n_cycles=2)],
+    ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
+         "eval_every=1.5", "eval_horizon=2.5"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
     q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
-    with pytest.raises(DomainError):
-        if adaptive:
+    if adaptive:
+        with pytest.raises(DomainError):
             tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, grid07, rng, **limits)
-        else:
-            tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, **limits)
+        return
+    # a schedule shorter than n_cycles must not hide a bad limit
+    for schedule in (tq.FixedPeriod(10), tq.ExplicitPeriod((10, 10))):
+        with pytest.raises(DomainError):
+            tq.run_periodic_q(q0, schedule, theory_steps, grid07, rng, **limits)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
+def test_runners_accept_numpy_integer_limits(grid07, theory_steps, adaptive):
+    q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
+    limits = dict(n_cycles=np.int64(2), eval_every=np.int32(2), eval_horizon=np.uint8(3))
+    if adaptive:
+        trace = tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, grid07, rng, **limits)
+    else:
+        trace = tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, **limits)
+    assert [r.cycle for r in trace.records] == [0, 1, 2]
+    assert [r.score is None for r in trace.records] == [False, True, False]
 
 
 def test_non_finite_oracle_fails_before_any_cycle(grid07, oracle07, theory_steps):

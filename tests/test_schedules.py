@@ -358,7 +358,7 @@ def test_schedule_validation():
     # a period that is not an integer fails here, not mid-run
     for make in (lambda: tq.FixedPeriod(2.5), lambda: tq.FixedPeriod(np.float64(3.0)),
                  lambda: tq.ExplicitPeriod((5, 2.5)), lambda: tq.AccuracyTriggered(1.5, 3),
-                 lambda: tq.AccuracyTriggered(2, 3.5)):
+                 lambda: tq.AccuracyTriggered(2, 3.5), lambda: tq.GeometricPeriod(2.5, 0.7)):
         with pytest.raises(DomainError, match="must be an integer"):
             make()
 
@@ -366,5 +366,6 @@ def test_schedule_validation():
 def test_schedule_periods_accept_numpy_integers():
     assert type(tq.FixedPeriod(np.int64(3)).period(0)) is int
     assert tq.ExplicitPeriod([np.int32(2), 3]).ks == (2, 3)
+    assert tq.GeometricPeriod(np.int64(3), 0.7).period(0) == 3
     sched = tq.AccuracyTriggered(np.int64(2), np.uint16(3))
     assert (type(sched.k_min), type(sched.k_max)) == (int, int)
