@@ -4,6 +4,8 @@ grid benchmark."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AlignmentError,
     ConfigValidationError,
@@ -61,4 +63,6 @@ from .schedules import (
     unroll_error_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes (``targetq.config``) but not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -62,6 +62,10 @@ class ExperimentConfig:
             problems.append("no seeds configured")
         if len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds must be distinct")
+        # checked here, before any oracle solve, as default_rng would refuse them
+        bad = [s for s in self.seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
+        if bad:
+            problems.append(f"seeds must be nonnegative integers, got {', '.join(map(str, bad))}")
         problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon,
                                      n_cycles=self.n_cycles)
         if self.sample_budget is None and self.n_cycles is None:

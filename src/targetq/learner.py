@@ -176,59 +176,47 @@ def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
         _apply_block(values, cont, mdp, pairs, rng.random(count), step_sizes.alphas(count, lo))
 
 
-@functools.lru_cache(maxsize=4)
-def _pair_columns(n_pairs):
-    """The pair ids, read-only.
-
-    Only this small array is kept across blocks: a per-step array kept for
-    each block length (up to 64 KiB each) would pin heap memory among the
-    block temporaries, 1.7 MB of peak RSS on the long-period benchmark.
-    """
-    ids = np.arange(n_pairs)
-    ids.flags.writeable = False
-    return ids
-
-
-def _hit_layout(pairs, ids):
-    """Where a block's hits sit in the kernels' hit-major matrix: the stable
+def _sorted_block(mdp, pairs, u, alphas, cont):
+    """A block's steps sorted by pair, as both kernels take them: the stable
     order sorting the steps by pair id, the per-pair hit counts, ``rows`` =
-    max count + 1 (the last row holds no hit), and each sorted hit's flat
-    index rank * n_pairs + pair, its rank counting the pair's earlier hits.
+    max count + 1 (the last row holds no hit), each sorted hit's flat index
+    rank * n_pairs + pair in the kernels' hit-major matrix (its rank counts
+    the pair's earlier hits), and the sorted steps' step sizes and targets
+    (reward plus the pair's ``cont``); step i's reward still comes from its
+    own uniform.
 
     Sorting the ids as the smallest unsigned type that holds them lets the
     stable sort use radix sort; the order equals that of the int64 sort.
     """
-    n_pairs = ids.size
+    n_pairs = mdp.num_active_pairs
     order = pairs.astype(np.min_scalar_type(n_pairs - 1)).argsort(kind="stable")
     counts = np.bincount(pairs, minlength=n_pairs)
     # sorted hit i of a pair whose hits start at sorted position s has rank i - s
     flat = np.arange(0, pairs.size * n_pairs, n_pairs)
-    flat -= ((counts.cumsum() - counts) * n_pairs - ids).repeat(counts)
-    return order, counts, int(np.maximum.reduce(counts)) + 1, flat
+    flat -= ((counts.cumsum() - counts) * n_pairs - np.arange(n_pairs)).repeat(counts)
+    return (order, counts, int(np.maximum.reduce(counts)) + 1, flat, alphas[order],
+            mdp.draw_sorted_targets(counts, u[order], cont))
 
 
 def _apply_block(values, cont, mdp, pairs, u, alphas):
     """Closed-form update of the per-pair ``values`` over one block of steps.
 
     Pair p's (1 - alpha) factors fill column p of the hit-major matrix in
-    step order (``_hit_layout``) and are padded with 1.0, so one cumprod up
-    the columns gives every suffix product prod_{j>i} beta_j (the row below
-    hit i) and the whole product (row 0). Targets are drawn on the sorted
-    steps: step i's reward still comes from its own uniform.
+    step order (``_sorted_block``) and are padded with 1.0, so one cumprod
+    up the columns gives every suffix product prod_{j>i} beta_j (the row
+    below hit i) and the whole product (row 0).
     """
     n_pairs = values.size
-    ids = _pair_columns(n_pairs)
-    order, counts, rows, flat = _hit_layout(pairs, ids)
-    als = alphas[order]
+    _, counts, rows, flat, als, targets = _sorted_block(mdp, pairs, u, alphas, cont)
     prods = np.empty((rows, n_pairs))
     prods.fill(1.0)
     prods.ravel()[flat] = 1.0 - als
     np.multiply.accumulate(prods[::-1], axis=0, out=prods[::-1])
     weighted = prods.ravel()[n_pairs:].take(flat)
     weighted *= als
-    weighted *= mdp.draw_sorted_targets(counts, u[order], cont)
+    weighted *= targets
     values *= prods[0]
-    values += np.bincount(ids.repeat(counts), weights=weighted, minlength=n_pairs)
+    values += np.bincount(np.arange(n_pairs).repeat(counts), weights=weighted, minlength=n_pairs)
 
 
 def run_inner_loop(
@@ -423,7 +411,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
     contract says, and every step of it is evaluated as if the cycle ran
     on: each pair's hits fill one column of a hit-major matrix in step
-    order, one row below their ``_hit_layout`` index (row 0 holds the start
+    order, one row below their ``_sorted_block`` index (row 0 holds the start
     values), and a doubling scan composes their maps x -> (1 - alpha) x +
     alpha t, so row r holds the pair's value after its first r hits (no
     division by products, so alpha = 1 and underflow are safe). The TD
@@ -437,7 +425,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     recomputed exactly from the sums.
     """
     n_pairs = mdp.num_active_pairs
-    ids = _pair_columns(n_pairs)
+    ids = np.arange(n_pairs)
     cont = _frozen_continuation(q_frozen, mdp)
     values = q.take(mdp.pair_flat)
     counts = np.zeros(n_pairs, dtype=np.int64)
@@ -448,9 +436,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
         alphas = _checked_alphas(step_sizes, block, start=steps)
-        order, hits, rows, before = _hit_layout(pairs, ids)
-        als = alphas[order]
-        targets = mdp.draw_sorted_targets(hits, u[order], cont)
+        order, _, rows, before, als, targets = _sorted_block(mdp, pairs, u, alphas, cont)
         # row 0 is the map x -> x + start value and padding rows are the
         # identity; after the scan, shift[r] is rows 0..r composed and
         # applied to 0: the value after r hits

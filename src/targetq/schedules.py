@@ -120,8 +120,9 @@ class TheoryInverseStepSize:
     xi: float
 
     def __post_init__(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise DomainError("xi must lie in (0, 1]")
+        # a tiny xi makes s = 2/xi overflow and every step size NaN
+        if not (0.0 < self.xi <= 1.0 and math.isfinite(2.0 / float(self.xi))):
+            raise DomainError(f"xi must lie in (0, 1] with 2/xi finite, got {self.xi}")
 
     @classmethod
     def from_pair_count(cls, n_pairs: int) -> "TheoryInverseStepSize":

@@ -235,6 +235,42 @@ def test_one_seed_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, seed
     assert err == "error: [sweep] needs at least 2 seeds for bands\n"
 
 
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle was solved for a config that cannot run")
+
+
+@pytest.mark.parametrize(
+    "command, old, new, flags, bad",
+    [("run", "seed = 3", "seed = -3", [], "-3"),
+     ("run", "seed = 3", "seed = 3", ["--seed", "-1"], "-1"),
+     ("sweep", "seeds = 0 1 2", "seeds = -1 2", [], "-1")],
+    ids=["run-config", "seed-flag", "sweep-config"],
+)
+def test_negative_seed_fails_before_the_oracle_solve(tmp_path, capsys, monkeypatch, command, old,
+                                                     new, flags, bad):
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    cfg = tmp_path / "cfg.ini"
+    text = RUN_CFG if command == "run" else SWEEP_CFG
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration: seeds must be nonnegative integers, got {bad}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_theory_xi_with_infinite_scale_fails_while_parsing(tmp_path, capsys, monkeypatch):
+    # 2/xi overflows for xi = 5e-324: every step size would be NaN
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RUN_CFG.replace("step_size = theory", "step_size = theory 5e-324"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed [run] section: bad step-size spec 'theory 5e-324': ")
+    assert "2/xi finite" in err
+    assert tq.TheoryInverseStepSize(1e-300).alphas(2).tolist() == [1.0, 1.0]
+
+
 def test_gridworld_emit_and_reload(tmp_path, capsys):
     out = tmp_path / "grid.ini"
     assert main(["gridworld", "--gamma", "0.9", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,20 @@ def test_unbounded_config_fails_before_the_oracle_solve(grid07, monkeypatch):
                               seeds=(0, 1), sample_budget=None)
     with pytest.raises(ConfigValidationError, match="unbounded run needs n_cycles or sample_budget"):
         tq.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("seeds", [(-1, 2), (1.5, 2), (0, "1")], ids=["negative", "float", "str"])
+def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds):
+    def spy(*args, **kwargs):
+        raise AssertionError("the oracle was solved for seeds that cannot run")
+
+    monkeypatch.setattr(tq.harness, "value_iteration_oracle", spy)
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=seeds, sample_budget=100)
+    with pytest.raises(ConfigValidationError, match="seeds must be nonnegative integers, got "):
+        tq.run_experiment(cfg)
+    assert replace(cfg, seeds=(np.int64(0), np.uint8(1))).violations() == []
 
 
 def test_single_run_equals_direct_call(grid07, oracle07, small_cfg):
@@ -133,6 +148,15 @@ def test_benchmark_tracer_still_binds(monkeypatch):
     assert (learner.run_inner_loop, harness.run_accuracy_triggered_q) == originals
     assert "n_steps" in inspect.signature(learner.run_inner_loop).parameters
     assert "k_max" in inspect.signature(harness.run_accuracy_triggered_q).parameters
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from targetq import *", namespace)
+    assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+    assert "run_experiment" in namespace
+    # benchmarks/run.py reaches these as attributes of the package
+    assert callable(tq.config.parse_sweep_config) and callable(tq.harness.run_one)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from targetq.learner import (
     _run_cycles,
     _draw_block,
     _frozen_continuation,
-    _hit_layout,
-    _pair_columns,
+    _sorted_block,
 )
 
 from conftest import inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
@@ -213,8 +212,8 @@ def test_inner_loop_memory_independent_of_period(grid07, theory_steps):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sorted_targets_equal_gathered_draw(mdp_index, k, at_threshold, seed):
-    # the kernels expand per-pair reward data by repeat over sorted steps;
-    # the targets must be bitwise those of the per-step gather
+    # the block front end expands per-pair reward data by repeat over sorted
+    # steps; its targets and step sizes must be bitwise the per-step gathers
     mdp = (tq.build_gridworld(0.7), _CHAIN_400, make_selfloop_mdp(0.9, 1.5))[mdp_index]
     rng = np.random.default_rng(seed)
     pairs, u = _draw_block(mdp, k, rng)
@@ -222,18 +221,22 @@ def test_sorted_targets_equal_gathered_draw(mdp_index, k, at_threshold, seed):
     on = rng.random(k) < at_threshold
     u[on] = mdp.pair_p_first[pairs[on]]
     cont = _frozen_continuation(random_q(mdp, rng), mdp)
-    order, counts, _, _ = _hit_layout(pairs, _pair_columns(mdp.num_active_pairs))
-    expected = (mdp.draw_rewards(pairs, u) + cont[pairs])[order]
-    assert np.array_equal(mdp.draw_sorted_targets(counts, u[order], cont), expected)
+    steps = tq.TheoryInverseStepSize(rng.uniform(0.01, 1.0))
+    alphas = steps.alphas(k, start=int(rng.integers(0, k)))
+    order, _, _, _, als, targets = _sorted_block(mdp, pairs, u, alphas, cont)
+    assert np.array_equal(targets, (mdp.draw_rewards(pairs, u) + cont[pairs])[order])
+    assert np.array_equal(als, alphas[order])
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(use_chain=st.booleans(), k=st.integers(1, _CHUNK), seed=st.integers(0, 2**32 - 1))
 def test_hit_layout_places_hits_in_step_order(use_chain, k, seed):
     # the grid's 52 pairs and _CHAIN_400's 400 sort on uint8 and uint16 keys
-    n_pairs = 400 if use_chain else 52
-    pairs = np.random.default_rng(seed).integers(0, n_pairs, size=k)
-    order, counts, rows, flat = _hit_layout(pairs, _pair_columns(n_pairs))
+    mdp = _CHAIN_400 if use_chain else tq.build_gridworld(0.7)
+    n_pairs = mdp.num_active_pairs
+    rng = np.random.default_rng(seed)
+    pairs, u = _draw_block(mdp, k, rng)
+    order, counts, rows, flat, _, _ = _sorted_block(mdp, pairs, u, rng.random(k), np.zeros(n_pairs))
     assert np.array_equal(order, np.argsort(pairs, kind="stable"))
     assert np.array_equal(counts, np.bincount(pairs, minlength=n_pairs))
     assert np.array_equal(flat % n_pairs, pairs[order])
