@@ -24,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     aggregate,
     emit_csv,
-    read_csv_rows,
     run_experiment,
 )
 from .learner import (

@@ -179,13 +179,28 @@ def load_schedule_file(path) -> ExplicitPeriod:
     what = f"schedule file {path}"
     section = _get_section(_parse(_read(path, "schedule file"), what), "schedule", what)
     with _malformed(what):
-        periods = tuple(int(k) for k in section["periods"].split())
-    label = section.get("family", "custom")
-    return ExplicitPeriod(periods, label=f"designed-{label}" if label in ("fixed", "growing") else label)
+        return ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
 
 
-def _read_config(path) -> configparser.ConfigParser:
-    return _parse(_read(path, "config"), f"config {path}")
+_SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon", "eval_every"}
+_SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed", "cycles"},
+                 "sweep": _SHARED_KEYS | {"seeds"}, "arm NAME": {"schedule", "step_size"}}
+
+
+def _read_config(path, kinds) -> configparser.ConfigParser:
+    """Read a run or sweep config, refusing a section whose kind (its name,
+    or "arm NAME" for any arm) is not in ``kinds`` and a key it does not take."""
+    parser = _parse(_read(path, "config"), f"config {path}")
+    if parser.defaults():
+        raise DomainError(f"config {path}: unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        kind = "arm NAME" if name.startswith("arm ") else name
+        if kind not in kinds:
+            raise DomainError(f"config {path}: unknown section [{name}]")
+        unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
+        if unknown:
+            raise DomainError(f"config {path}: unknown key {unknown[0]!r} in [{name}]")
+    return parser
 
 
 def _shared_keys(section) -> dict:
@@ -207,7 +222,7 @@ def _arm(section, label: str, mdp: TabularMdp) -> Arm:
 
 def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """A run config as the one-arm, one-seed experiment it describes."""
-    parser = _read_config(path)
+    parser = _read_config(path, ("run",))
     section = _get_section(parser, "run")
     with _malformed("[run] section"):
         shared = _shared_keys(section)
@@ -229,7 +244,7 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 
 
 def parse_sweep_config(path) -> ExperimentConfig:
-    parser = _read_config(path)
+    parser = _read_config(path, ("sweep", "arm NAME"))
     section = _get_section(parser, "sweep")
     with _malformed("[sweep] section"):
         shared = _shared_keys(section)

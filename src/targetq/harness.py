@@ -195,9 +195,3 @@ def emit_csv(data, path) -> None:
             rows = _stats_rows(label, item) if isinstance(item, AggregateStats) else _trace_rows(label, item)
             for row in rows:
                 writer.writerow(row)
-
-
-def read_csv_rows(path) -> list[dict[str, str]]:
-    """Parse an emitted CSV back into dict rows (round-trip helper)."""
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))

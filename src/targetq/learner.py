@@ -14,7 +14,7 @@ scaled by the product of its (1 - alpha) factors plus a weighted sum of its
 own sampled targets. ``_apply_cycle`` draws and evaluates this one block of
 ``_CHUNK`` steps at a time and carries the per-pair values from block to
 block, so a cycle of any period runs in O(``_CHUNK``) memory.
-``_adaptive_cycle_uniform`` works chunk by chunk too, speculatively: it
+``_adaptive_cycle`` works chunk by chunk too, speculatively: it
 evaluates each chunk of steps whole, as if the cycle did not stop inside it,
 computes the stopping statistic after every step, and rolls the values back
 to the first step that meets the stopping rule.
@@ -82,7 +82,6 @@ class CycleRecord:
 
 @dataclass
 class RunTrace:
-    gamma: float
     label: str = "run"
     seed: int | None = None
     records: list[CycleRecord] = field(default_factory=list)
@@ -108,18 +107,13 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
     return rng.integers(0, mdp.num_active_pairs, size=count), rng.random(count)
 
 
-def _checked_alphas(step_sizes, count, start=0):
-    alphas = step_sizes.alphas(count, start=start)
+def _read_only_alphas(step_sizes, count, start=0):
+    """``step_sizes.alphas(count, start)``, checked, as a read-only copy: the
+    object's own arrays stay writeable and no caller can change the copy."""
+    alphas = np.array(step_sizes.alphas(count, start=start))
     # a NaN makes min() NaN and fails the test
     if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
         raise DomainError("step sizes must lie in (0, 1]")
-    return alphas
-
-
-def _read_only_alphas(step_sizes, count, start=0):
-    """``_checked_alphas`` as a read-only copy: the step-size object's own
-    arrays stay writeable and no caller can change the copy."""
-    alphas = np.array(_checked_alphas(step_sizes, count, start=start))
     alphas.flags.writeable = False
     return alphas
 
@@ -130,7 +124,7 @@ class _RunStepSizes:
 
     Step sizes restart every cycle and a block's array depends only on its
     start and length, so each cycle asks for the same blocks as the last,
-    apart from a growing period's new tail: a period of up to
+    apart from a longer cycle's new tail: a cycle of up to
     ``_CACHED_BLOCKS`` blocks computes and checks each block once per run.
     """
 
@@ -300,7 +294,7 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     if oracle is not None:
         _check_table(oracle, mdp)
     q = np.array(q0, dtype=float)
-    trace = RunTrace(gamma=mdp.gamma, label=label, seed=seed)
+    trace = RunTrace(label=label, seed=seed)
     stack = np.empty((max(1, _CHUNK // q.size), *q.shape))
     pending = []  # the record fields of the tables in the stack, but bias and score
 
@@ -394,19 +388,21 @@ def run_accuracy_triggered_q(
     ``options`` as for ``run_periodic_q``.
     """
     adaptive = AccuracyTriggered(k_min, k_max, accuracy)
+    step_sizes = _RunStepSizes(step_sizes)
 
     def cycle(n, q):
         eps_n = adaptive.threshold(n + 1)
         q_new = np.array(q, dtype=float)
-        steps, stat = _adaptive_cycle_uniform(q_new, q, mdp, step_sizes, k_min, k_max, eps_n, rng)
+        steps, stat = _adaptive_cycle(q_new, q, mdp, step_sizes, k_min, k_max, eps_n, rng)
         return q_new, None, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
 
 
-def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
+def _adaptive_cycle(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
     """Inner loop with per-step stopping checks under uniform exploration,
-    evaluated one speculative chunk at a time.
+    evaluated one speculative chunk at a time; ``step_sizes`` is a
+    ``_RunStepSizes``, so its blocks come checked.
 
     Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
     contract says, and every step of it is evaluated as if the cycle ran
@@ -435,7 +431,7 @@ def _adaptive_cycle_uniform(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, r
     while steps < k_max:
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
-        alphas = _checked_alphas(step_sizes, block, start=steps)
+        alphas = step_sizes.alphas(block, steps)
         order, _, rows, before, als, targets = _sorted_block(mdp, pairs, u, alphas, cont)
         # row 0 is the map x -> x + start value and padding rows are the
         # identity; after the scan, shift[r] is rows 0..r composed and

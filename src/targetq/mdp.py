@@ -117,8 +117,8 @@ class TabularMdp:
                     raise DomainError(f"transition target {ns} out of range for {(s, a)}")
                 pairs.append((s, a))
 
-        # pair id of each (s, a), -1 for a terminal state's pairs; rows are
-        # Python lists so a rollout walks it without numpy scalars
+        # pair id of each (s, a), -1 for a terminal state's pairs, for
+        # pair_id's scalar lookups
         self._pair_table = [[-1] * num_actions for _ in range(num_states)]
         for i, (s, a) in enumerate(pairs):
             self._pair_table[s][a] = i

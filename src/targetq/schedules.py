@@ -248,7 +248,6 @@ class ExplicitPeriod:
     """A finite list of update periods (custom or designer output)."""
 
     ks: tuple[int, ...]
-    label: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(_as_int(k, "period") for k in self.ks))
@@ -356,13 +355,11 @@ class DesignOutput:
     raw_periods: tuple[float, ...]
     predicted_cost: int
     predicted_error_bound: float
-    mu: float
-    k_min: float
     within_validity: bool
     degenerate: bool
 
     def schedule(self) -> ExplicitPeriod:
-        return ExplicitPeriod(self.periods, label=f"designed-{self.family}")
+        return ExplicitPeriod(self.periods)
 
 
 def _design_cycle_count(eps: float, e0: float, mu: float) -> int:
@@ -402,8 +399,6 @@ def _finalize_design(family, eps, e0, constants, raw, regime=None):
         raw_periods=tuple(raw),
         predicted_cost=schedule_cost(periods),
         predicted_error_bound=bound,
-        mu=constants.mu,
-        k_min=k_min,
         within_validity=regime is None,
         degenerate=not periods,
     )

@@ -1,4 +1,7 @@
+import csv
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +81,6 @@ def test_design_prints_and_emits_schedule(tmp_path, capsys):
     bound = float(out.split("predicted error bound:")[1].split()[0])
     assert bound <= 0.1
     sched = load_schedule_file(out_path)
-    assert sched.label == "designed-growing"
     assert sched.n_cycles == 26
 
 
@@ -94,7 +96,7 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     cfg.write_text(RUN_CFG)
     out_csv = tmp_path / "run.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out_csv)]) == 0
-    rows = tq.read_csv_rows(out_csv)
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert len(rows) == 11  # initial record + 10 cycles of 200 within 2000
     assert rows[0]["bias_median"] == "3"
 
@@ -218,7 +220,7 @@ def test_sweep_csv_byte_identical(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(p1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    rows = tq.read_csv_rows(p1)
+    rows = list(csv.DictReader(p1.read_text().splitlines()))
     assert {r["arm"] for r in rows} == {"fixed-200", "geo-100"}
 
 
@@ -370,6 +372,47 @@ def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, message",
+    [("run", "eval_horizon = 7", "eval_horizn = 7", "unknown key 'eval_horizn' in [run]"),
+     ("sweep", "schedule = geometric 100\nstep_size = theory",
+      "schedule = geometric 100\nstep_sise = constant 0.5",
+      "unknown key 'step_sise' in [arm geo-100]"),
+     ("sweep", "[arm geo-100]", "[arms geo-100]", "unknown section [arms geo-100]"),
+     ("sweep", "[arm geo-100]", "[arm]", "unknown section [arm]"),
+     ("sweep", "seeds = 0 1 2", "seeds = 0 1 2\nseed = 4", "unknown key 'seed' in [sweep]"),
+     ("run", "[run]", "[arm a]\nschedule = fixed 5\n[run]", "unknown section [arm a]"),
+     ("run", "[run]", "[DEFAULT]\neval_horizon = 3\n[run]", "unknown section [DEFAULT]")],
+    ids=["run-key", "arm-key", "arm-section", "unnamed-arm", "sweep-key", "run-extra-section",
+         "default-section"],
+)
+def test_config_typo_fails_before_any_run(tmp_path, capsys, monkeypatch, command, old, new,
+                                          message):
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    text = RUN_CFG if command == "run" else SWEEP_CFG
+    assert old in text
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+
+
+def test_readme_config_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = {block.split("\n", 1)[0]: block
+              for block in re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)}
+    run_path, sweep_path = tmp_path / "run.ini", tmp_path / "sweep.ini"
+    run_path.write_text(blocks["[run]"])
+    sweep_path.write_text(blocks["[sweep]"])
+    run = parse_run_config(run_path)
+    assert (run.mdp.gamma, run.seeds, run.sample_budget) == (0.7, (3,), 2_000_000)
+    assert run.arms[0].schedule == tq.FixedPeriod(1000)
+    assert (run.eval_horizon, run.eval_every, run.record_bias) == (7, 1, True)
+    sweep = parse_sweep_config(sweep_path)
+    assert [arm.label for arm in sweep.arms] == ["fixed-1e3", "geometric-1e3"]
+    assert (sweep.seeds, sweep.eval_every) == ((0, 1, 2), 1)
 
 
 def test_parse_sweep_range_seeds(tmp_path):

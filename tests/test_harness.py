@@ -1,3 +1,4 @@
+import csv
 import importlib
 import inspect
 from dataclasses import replace
@@ -164,7 +165,7 @@ def test_star_import_binds_no_submodule():
 
 
 def _trace(costs, biases, scores=None):
-    t = tq.RunTrace(gamma=0.7, label="x")
+    t = tq.RunTrace(label="x")
     scores = scores or [None] * len(costs)
     for i, (c, b) in enumerate(zip(costs, biases)):
         t.records.append(
@@ -273,7 +274,7 @@ def test_emit_csv_roundtrip_and_row_count(tmp_path, small_results):
     stats = {label: tq.aggregate(traces) for label, traces in small_results.items()}
     path = tmp_path / "stats.csv"
     tq.emit_csv(stats, path)
-    rows = tq.read_csv_rows(path)
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert len(rows) == sum(len(s.costs) for s in stats.values())
     with pytest.raises(AlignmentError):  # bare stats carry no arm label
         tq.emit_csv(stats["fixed-200"], path)
@@ -289,7 +290,7 @@ def test_emit_csv_trace_zero_width(tmp_path, small_results):
     trace = small_results["fixed-200"][0]
     path = tmp_path / "trace.csv"
     tq.emit_csv(trace, path)
-    rows = tq.read_csv_rows(path)
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert len(rows) == len(trace.records)
     assert rows[0]["bias_lo"] == rows[0]["bias_hi"] == rows[0]["bias_median"]
 

@@ -10,8 +10,7 @@ from targetq.errors import DomainError
 from targetq.learner import (
     _CHUNK,
     _RunStepSizes,
-    _adaptive_cycle_uniform,
-    _checked_alphas,
+    _adaptive_cycle,
     _run_cycles,
     _draw_block,
     _frozen_continuation,
@@ -66,8 +65,8 @@ def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, s
     if np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * abs(eps_n)):
         return None
     q = np.array(q_in, dtype=float)
-    steps, stat = _adaptive_cycle_uniform(q, q_in, mdp, step_sizes, k_min, k_max, eps_n,
-                                          np.random.default_rng(seed))
+    steps, stat = _adaptive_cycle(q, q_in, mdp, _RunStepSizes(step_sizes), k_min, k_max, eps_n,
+                                  np.random.default_rng(seed))
     assert steps == len(stats)
     np.testing.assert_allclose(q[mdp.pair_state, mdp.pair_action], values, rtol=0, atol=1e-12)
     assert stat == pytest.approx(stats[-1], rel=0, abs=1e-12)
@@ -465,7 +464,7 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
 def test_step_sizes_out_of_range_rejected(grid07, bad, at):
     steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
     with pytest.raises(DomainError, match="step sizes"):
-        _checked_alphas(steps, 10)
+        _RunStepSizes(steps).alphas(10, 0)
     q0 = tq.new_q_table(grid07)
     with pytest.raises(DomainError, match="step sizes"):
         tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, grid07,
@@ -484,6 +483,10 @@ def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07):
     with pytest.raises(DomainError, match="step sizes"):
         tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, grid07,
                           np.random.default_rng(0))
+    with pytest.raises(DomainError, match="step sizes"):
+        tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 3 * _CHUNK, 3 * _CHUNK, steps,
+                                    grid07, np.random.default_rng(0), accuracy=lambda n: 0.0,
+                                    n_cycles=1)
 
 
 class _TableStepSizes:
@@ -510,6 +513,9 @@ def test_cached_step_sizes_are_read_only_copies(grid07):
     trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK), steps,
                               grid07, np.random.default_rng(0), n_cycles=2)
     assert trace.final.inner_steps == 2 * _CHUNK
+    trace = tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 2 * _CHUNK, 2 * _CHUNK, steps,
+                                        grid07, np.random.default_rng(0), n_cycles=2)
+    assert trace.final.inner_steps == 2 * _CHUNK
     assert steps.table.flags.writeable and np.all(steps.table == 0.25)
 
 
@@ -529,6 +535,15 @@ def test_periodic_step_sizes_computed_once_per_run(grid07):
     calls.clear()
     tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK + 5), steps,
                       grid07, np.random.default_rng(0), n_cycles=3)
+    assert calls == list(range(2 * _CHUNK + 5))
+    # the accuracy-triggered runner takes its chunks from the same cache
+    calls.clear()
+    tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 100, 100, steps, grid07,
+                                np.random.default_rng(0), n_cycles=5)
+    assert calls == list(range(100))
+    calls.clear()
+    tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 2 * _CHUNK + 5, 2 * _CHUNK + 5, steps,
+                                grid07, np.random.default_rng(0), n_cycles=3)
     assert calls == list(range(2 * _CHUNK + 5))
 
 
