@@ -9,12 +9,10 @@ from types import ModuleType as _ModuleType
 from .errors import (
     AlignmentError,
     ConfigValidationError,
-    DegenerateDesignWarning,
     DimensionError,
     DomainError,
     IterationLimitError,
     ScheduleOverflowError,
-    ValidityRegimeWarning,
 )
 from .gridworld import GridSpec, build_grid_mdp, build_gridworld, gridworld_spec
 from .config import dump_grid_spec, load_grid_spec

@@ -114,7 +114,7 @@ def _cmd_design(args) -> int:
     if out.degenerate:
         print("degenerate design: the initial error already meets the target")
     if not out.within_validity:
-        print("note: outside the guaranteed validity regime; periods clamped to k_min")
+        print(f"note: eps={out.target_accuracy} is outside the guaranteed validity regime")
     if args.out is not None:
         meta = {
             "family": out.family,
@@ -138,7 +138,7 @@ def _cmd_run(args) -> int:
     if final.score is not None:
         print(f"final score: {final.score:.6g}")
     if args.out is not None:
-        emit_csv(trace, args.out)
+        emit_csv({trace.label: aggregate([trace])}, args.out)
         print(f"trace written to {args.out}")
     return 0
 

@@ -1,8 +1,10 @@
 """Parsing of the key-value-section text formats: run configs, sweep
 configs, designed-schedule files and grid specs. All four are read by one
 parser that takes values literally (a ``%`` is text), and every read or
-parse failure surfaces as a ``DomainError`` naming the file or section. A
-run config is read as the one-arm, one-seed experiment it describes.
+parse failure surfaces as a ``DomainError`` naming the file or section.
+Run and sweep configs and grid specs refuse any section or key they do not
+take; schedule files do not, as ``design --out`` writes keys nothing reads.
+A run config is read as the one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
 
@@ -56,14 +58,36 @@ def _new_parser() -> configparser.ConfigParser:
 def _read(path, what: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _parse(text: str, what: str) -> configparser.ConfigParser:
+_REWARD_SECTIONS = tuple(f"reward {key}" for key in DEFAULT_REWARDS)
+_SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon", "eval_every"}
+_SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed", "cycles"},
+                 "sweep": _SHARED_KEYS | {"seeds"}, "arm NAME": {"schedule", "step_size"},
+                 "grid": {"rows", "cols", "gamma", "layout"},
+                 **dict.fromkeys(_REWARD_SECTIONS, {"kind", "values", "probabilities"})}
+
+
+def _parse(text: str, what: str, kinds=None) -> configparser.ConfigParser:
+    """Parse ``text``; with ``kinds``, refuse a section whose kind (its
+    name, or "arm NAME" for any arm) is not in ``kinds`` and a key that
+    section does not take."""
     parser = _new_parser()
     with _malformed(what):
         parser.read_string(text)
+    if kinds is None:
+        return parser
+    if parser.defaults():
+        raise DomainError(f"{what}: unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        kind = "arm NAME" if name.startswith("arm ") else name
+        if kind not in kinds:
+            raise DomainError(f"{what}: unknown section [{name}]")
+        unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
+        if unknown:
+            raise DomainError(f"{what}: unknown key {unknown[0]!r} in [{name}]")
     return parser
 
 
@@ -100,7 +124,7 @@ def load_grid_spec(text: str, gamma: float | None = None) -> GridSpec:
 
     ``gamma`` overrides the discount stored in the document.
     """
-    parser = _parse(text, "grid spec")
+    parser = _parse(text, "grid spec", ("grid", *_REWARD_SECTIONS))
     grid = _get_section(parser, "grid", "grid spec")
     with _malformed("[grid] section"):
         layout = tuple(part.strip() for part in grid["layout"].split("|"))
@@ -182,27 +206,6 @@ def load_schedule_file(path) -> ExplicitPeriod:
         return ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
 
 
-_SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon", "eval_every"}
-_SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed", "cycles"},
-                 "sweep": _SHARED_KEYS | {"seeds"}, "arm NAME": {"schedule", "step_size"}}
-
-
-def _read_config(path, kinds) -> configparser.ConfigParser:
-    """Read a run or sweep config, refusing a section whose kind (its name,
-    or "arm NAME" for any arm) is not in ``kinds`` and a key it does not take."""
-    parser = _parse(_read(path, "config"), f"config {path}")
-    if parser.defaults():
-        raise DomainError(f"config {path}: unknown section [{parser.default_section}]")
-    for name in parser.sections():
-        kind = "arm NAME" if name.startswith("arm ") else name
-        if kind not in kinds:
-            raise DomainError(f"config {path}: unknown section [{name}]")
-        unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
-        if unknown:
-            raise DomainError(f"config {path}: unknown key {unknown[0]!r} in [{name}]")
-    return parser
-
-
 def _shared_keys(section) -> dict:
     """The keys [run] and [sweep] share, as ExperimentConfig fields."""
     return dict(
@@ -222,7 +225,7 @@ def _arm(section, label: str, mdp: TabularMdp) -> Arm:
 
 def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """A run config as the one-arm, one-seed experiment it describes."""
-    parser = _read_config(path, ("run",))
+    parser = _parse(_read(path, "config"), f"config {path}", ("run",))
     section = _get_section(parser, "run")
     with _malformed("[run] section"):
         shared = _shared_keys(section)
@@ -244,7 +247,7 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 
 
 def parse_sweep_config(path) -> ExperimentConfig:
-    parser = _read_config(path, ("sweep", "arm NAME"))
+    parser = _parse(_read(path, "config"), f"config {path}", ("sweep", "arm NAME"))
     section = _get_section(parser, "sweep")
     with _malformed("[sweep] section"):
         shared = _shared_keys(section)

@@ -140,11 +140,12 @@ def _locf_bands(traces: Sequence[RunTrace], grid: np.ndarray, getter) -> list[li
 def aggregate(traces: Sequence[RunTrace]) -> AggregateStats:
     """Aggregate one arm's per-seed traces onto the union cost grid.
 
-    Bands are the 2.5/97.5 percentiles across seeds (linear interpolation);
-    at least two seeds are required for bands to mean anything.
+    Bands are the 2.5/97.5 percentiles across seeds (linear interpolation).
+    A single trace gives zero-width bands: every statistic is the run's own
+    value, carried forward like any seed's (``targetq run`` emits this).
     """
-    if len(traces) < 2:
-        raise AlignmentError("aggregation needs at least 2 seeds for bands")
+    if not traces:
+        raise AlignmentError("aggregation needs at least one trace")
     for trace in traces:
         if not trace.records or trace.records[0].cumulative_cost != 0:
             raise AlignmentError("every trace must start with a cost-0 record")
@@ -170,28 +171,17 @@ def _stats_rows(label: str, stats: AggregateStats):
         yield (label, str(cost), str(i), *(_fmt(column[i]) for column in columns))
 
 
-def _trace_rows(label: str, trace: RunTrace):
-    # a single run: every statistic and band is the run's own value
-    for rec in trace.records:
-        yield (label, str(rec.cumulative_cost), str(rec.cycle),
-               *[_fmt(rec.bias)] * 4, *[_fmt(rec.score)] * 3)
+def emit_csv(stats: Mapping[str, AggregateStats], path) -> None:
+    """Write checkpoint rows to ``path``, one arm after another.
 
-
-def emit_csv(data, path) -> None:
-    """Write checkpoint rows to ``path``.
-
-    ``data`` is a mapping of arm label to AggregateStats or RunTrace, or a
-    bare RunTrace (emitted under its own label with zero-width bands).
-    Floats carry 12 significant digits; absent values are empty fields.
+    ``stats`` maps each arm label to its ``AggregateStats`` (a single run
+    is ``{trace.label: aggregate([trace])}``). Floats carry 12 significant
+    digits; absent values are empty fields.
     """
-    if isinstance(data, RunTrace):
-        data = {data.label: data}
-    elif not isinstance(data, Mapping):
-        raise AlignmentError(f"cannot emit {type(data).__name__} as CSV")
+    if not isinstance(stats, Mapping):
+        raise AlignmentError(f"cannot emit {type(stats).__name__} as CSV")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for label, item in data.items():
-            rows = _stats_rows(label, item) if isinstance(item, AggregateStats) else _trace_rows(label, item)
-            for row in rows:
-                writer.writerow(row)
+        for label, item in stats.items():
+            writer.writerows(_stats_rows(label, item))

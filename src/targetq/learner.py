@@ -119,18 +119,32 @@ def _read_only_alphas(step_sizes, count, start=0):
 
 
 class _RunStepSizes:
-    """One run's step sizes, keeping the checked, read-only arrays of the
-    last ``_CACHED_BLOCKS`` blocks ``alphas`` returned (at most 1 MiB).
+    """One run's step sizes, checked and read-only (``_read_only_alphas``).
 
     Step sizes restart every cycle and a block's array depends only on its
-    start and length, so each cycle asks for the same blocks as the last,
-    apart from a longer cycle's new tail: a cycle of up to
-    ``_CACHED_BLOCKS`` blocks computes and checks each block once per run.
+    start and length, so every cycle asks for the same leading blocks. The
+    full ``_CHUNK`` blocks that start below ``_CACHED_BLOCKS * _CHUNK`` are
+    kept for the whole run (at most 1 MiB), so each is computed and checked
+    once per run however long the cycles; an LRU would evict a long cycle's
+    first blocks before the next cycle asks for them again. The two partial
+    blocks (cycle tails) asked for last are kept too, so a fixed period, or
+    periods that alternate, reuse their tails; any other block is computed
+    each time it is asked for.
     """
 
     def __init__(self, step_sizes):
-        self.alphas = functools.lru_cache(maxsize=_CACHED_BLOCKS)(
-            functools.partial(_read_only_alphas, step_sizes))
+        self._compute = functools.partial(_read_only_alphas, step_sizes)
+        self._partial = functools.lru_cache(maxsize=2)(self._compute)
+        self._full = {}
+
+    def alphas(self, count: int, start: int) -> np.ndarray:
+        if count != _CHUNK:
+            return self._partial(count, start)
+        if start >= _CACHED_BLOCKS * _CHUNK:
+            return self._compute(count, start)
+        if start not in self._full:
+            self._full[start] = self._compute(count, start)
+        return self._full[start]
 
 
 def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):

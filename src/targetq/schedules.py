@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignWarning,
-    DomainError,
-    ScheduleOverflowError,
-    ValidityRegimeWarning,
-)
+from .errors import DomainError, ScheduleOverflowError
 from .mdp import TabularMdp, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
@@ -344,7 +338,11 @@ class DesignOutput:
     ``raw_periods`` are the real-valued periods from the closed form,
     before clamping to k_min and ceiling; ``periods`` are the integers a
     run actually uses. ``predicted_error_bound`` is the unrolled recursion
-    on the integer periods and never exceeds the target accuracy.
+    on the integer periods and never exceeds the target accuracy. The two
+    flags are the design's only report of its special cases:
+    ``degenerate`` when the initial error already meets the target (no
+    cycles), and ``within_validity`` False when the target accuracy lies
+    outside the family's guaranteed regime.
     """
 
     family: str
@@ -370,21 +368,12 @@ def _design_cycle_count(eps: float, e0: float, mu: float) -> int:
     return max(math.ceil(x), 0)
 
 
-def _finalize_design(family, eps, e0, constants, raw, regime=None):
-    """Clamp, ceil and cost the raw periods. ``regime`` is the validity
-    bound that eps misses, or None when eps is within it; the warning comes
-    after the overflow check, so a design that is refused warns of nothing."""
+def _finalize_design(family, eps, e0, constants, raw, within_validity=True):
+    """Clamp, ceil and cost the raw periods."""
     k_min = constants.k_min
     if any(not max(k, k_min) < _EXACT_INT_LIMIT for k in raw):
         raise ScheduleOverflowError(
             f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
-        )
-    if regime is not None:
-        warnings.warn(
-            f"eps={eps} is outside the {family}-design validity regime ({regime}); "
-            "periods are clamped to k_min",
-            ValidityRegimeWarning,
-            stacklevel=3,
         )
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
@@ -399,13 +388,14 @@ def _finalize_design(family, eps, e0, constants, raw, regime=None):
         raw_periods=tuple(raw),
         predicted_cost=schedule_cost(periods),
         predicted_error_bound=bound,
-        within_validity=regime is None,
+        within_validity=within_validity,
         degenerate=not periods,
     )
 
 
 def _check_design_inputs(eps: float, e0: float) -> bool:
-    """Returns True when the design degenerates to zero cycles."""
+    """Returns True when the design degenerates to zero cycles: the initial
+    error bound already meets the target."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"target accuracy must be positive and finite, got {eps}")
     if not 0.0 < e0 < math.inf:
@@ -420,15 +410,7 @@ def _check_design_inputs(eps: float, e0: float) -> bool:
             f"initial error {e0} is too large for target accuracy {eps}: "
             "eps / (2 e0) is not representable"
         )
-    if eps >= 2.0 * e0:
-        warnings.warn(
-            f"target accuracy {eps} already met by the initial error bound "
-            f"{e0}; returning an empty design",
-            DegenerateDesignWarning,
-            stacklevel=3,
-        )
-        return True
-    return False
+    return eps >= 2.0 * e0
 
 
 def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -436,8 +418,10 @@ def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> Desi
 
     N = ceil(log(eps / 2 e0) / log(mu)) cycles with uniform period
     K = (4 c2 / eps^2) * ((1 - mu^N) / (1 - mu))^2, clamped to k_min and
-    ceiled. Outside the guaranteed regime eps <= (1 - gamma) sqrt(c2/c1)
-    a warning is emitted (the clamp keeps the contraction argument valid).
+    ceiled. The guaranteed regime is eps <= (1 - gamma) sqrt(c2/c1);
+    outside it ``within_validity`` is False (the clamp to k_min, applied
+    in every regime, keeps the contraction argument valid). With
+    eps >= 2 e0 the design is empty and ``degenerate``.
     """
     if _check_design_inputs(eps, e0):
         return _finalize_design("fixed", eps, e0, constants, ())
@@ -445,8 +429,7 @@ def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> Desi
     limit = (1.0 - constants.gamma) * math.sqrt(c2 / c1)
     n = _design_cycle_count(eps, e0, mu)
     k = (4.0 * c2 / eps**2) * ((1.0 - mu**n) / (1.0 - mu)) ** 2
-    return _finalize_design("fixed", eps, e0, constants, (k,) * n,
-                            None if eps <= limit else f"<= {limit:.6g}")
+    return _finalize_design("fixed", eps, e0, constants, (k,) * n, eps <= limit)
 
 
 def design_growing_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -457,7 +440,8 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     C = (4 c2 / eps^2) * ((1 - mu^(2N/3)) / (1 - mu^(2/3)))^2, so
     consecutive periods grow by mu^(-2/3). The sufficient regime for the
     smallest period to clear k_min is eps < 2 e0 (nu / (2 e0 + nu))^(3/2)
-    with nu = (1 - gamma) / (1 - mu^(2/3)).
+    with nu = (1 - gamma) / (1 - mu^(2/3)); outside it ``within_validity``
+    is False. With eps >= 2 e0 the design is empty and ``degenerate``.
     """
     if _check_design_inputs(eps, e0):
         return _finalize_design("growing", eps, e0, constants, ())
@@ -468,6 +452,4 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     n = _design_cycle_count(eps, e0, mu)
     c_eps = (4.0 * c2 / eps**2) * ((1.0 - rho**n) / (1.0 - rho)) ** 2
     raw = tuple(c_eps * rho ** float(n - 1 - j) for j in range(n))
-    return _finalize_design("growing", eps, e0, constants, raw,
-                            None if eps < limit else f"< {limit:.6g}")
-
+    return _finalize_design("growing", eps, e0, constants, raw, eps < limit)

@@ -85,10 +85,31 @@ def test_design_prints_and_emits_schedule(tmp_path, capsys):
 
 
 def test_design_degenerate_note(capsys):
-    with pytest.warns(Warning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["design", "--gamma", "0.7", "--eps", "50", "--e0", "3"])
     assert rc == 0
-    assert "degenerate design" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "degenerate design" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("schedule", ["fixed", "growing"])
+def test_design_out_of_regime_note_only_on_stdout(capsys, schedule):
+    # eps = 1.5 is outside both families' regimes, yet no raw period falls
+    # below k_min, so the note claims no clamping
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["design", "--gamma", "0.7", "--eps", "1.5", "--schedule", schedule]) == 0
+    captured = capsys.readouterr()
+    assert "note: eps=1.5 is outside the guaranteed validity regime\n" in captured.out
+    assert "clamped" not in captured.out
+    assert captured.err == ""
+    mdp = tq.build_gridworld(0.7)
+    c = tq.compute_constants(mdp, 1.0 / 52.0, tq.value_iteration_oracle(mdp))
+    designer = tq.design_fixed_period if schedule == "fixed" else tq.design_growing_period
+    out = designer(1.5, c.q_star_sup, c)
+    assert not out.within_validity and min(out.raw_periods) >= c.k_min
 
 
 def test_run_subcommand_writes_csv(tmp_path, capsys):
@@ -99,6 +120,20 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert len(rows) == 11  # initial record + 10 cycles of 200 within 2000
     assert rows[0]["bias_median"] == "3"
+
+
+def test_run_csv_carries_score_forward(tmp_path, capsys):
+    # a run CSV follows the sweep CSV's rule: a score recorded every
+    # eval_every cycles is carried forward to the rows in between
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RUN_CFG + "eval_every = 2\n")
+    out_csv = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+    scores = [row["score_median"] for row in rows]
+    assert len(scores) == 11 and all(scores)
+    assert scores[1::2] == scores[0:-1:2]  # each odd cycle repeats the evaluation before it
+    assert all(row["score_lo"] == row["score_hi"] == row["score_median"] for row in rows)
 
 
 @pytest.mark.parametrize("spec", ["adaptive 50 500", "fixed 200"])
@@ -121,7 +156,7 @@ def test_run_matches_direct_call(tmp_path, grid07, oracle07, capsys, spec):
         )
     assert len(direct.records) == 4
     direct_csv = tmp_path / "direct.csv"
-    tq.emit_csv(direct, direct_csv)
+    tq.emit_csv({direct.label: tq.aggregate([direct])}, direct_csv)
     assert via_cli.read_bytes() == direct_csv.read_bytes()
 
 
@@ -433,3 +468,35 @@ def test_schedule_file_roundtrip(tmp_path, grid07, oracle07):
     assert sched.ks == design.periods
     parsed = parse_schedule_spec(f"file {path}", grid07.gamma)
     assert parsed.ks == design.periods
+
+
+@pytest.mark.parametrize("command, what", [("run --config", "config"), ("sweep --config", "config"),
+                                           ("oracle --gamma 0.7 --env", "grid spec")])
+def test_non_utf8_file_named_in_diagnostic(tmp_path, capsys, command, what):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(RUN_CFG.encode() + b"label = caf\xe9\n")
+    assert main([*command.split(), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("[grid]\n", "[grid]\nlayuot = x\n", "unknown key 'layuot' in [grid]"),
+     ("[reward goal]\n", "[reward hazzard]\nkind = deterministic\n\n[reward goal]\n",
+      "unknown section [reward hazzard]"),
+     ("[reward goal]\n", "[reward goal]\nprobabilites = 1.0\n",
+      "unknown key 'probabilites' in [reward goal]"),
+     ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n", "unknown section [DEFAULT]")],
+    ids=["grid-key", "reward-section", "reward-key", "default-section"],
+)
+def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
+    text = tq.dump_grid_spec(tq.gridworld_spec(0.7))
+    assert old in text
+    spec = tmp_path / "grid.ini"
+    spec.write_text(text.replace(old, new, 1))
+    assert main(["oracle", "--env", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: grid spec: {message}\n"
+    spec.write_text(text)  # the unedited spec still loads
+    assert main(["oracle", "--env", str(spec)]) == 0

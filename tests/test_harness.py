@@ -9,7 +9,13 @@ import pytest
 
 import targetq as tq
 from targetq import harness, learner
-from targetq.errors import AlignmentError, ConfigValidationError
+from targetq.errors import (
+    AlignmentError,
+    ConfigValidationError,
+    DimensionError,
+    DomainError,
+    ScheduleOverflowError,
+)
 from targetq.harness import CSV_HEADER
 
 
@@ -160,6 +166,19 @@ def test_star_import_binds_no_submodule():
     assert callable(tq.config.parse_sweep_config) and callable(tq.harness.run_one)
 
 
+@pytest.mark.parametrize(
+    "error, also",
+    [(DimensionError, ValueError), (ConfigValidationError, ValueError),
+     (AlignmentError, ValueError), (ScheduleOverflowError, OverflowError)],
+)
+def test_bad_input_errors_are_domain_errors(error, also):
+    # every bad input is a DomainError; the older base stays for existing handlers
+    assert issubclass(error, DomainError) and issubclass(error, also)
+    exc = error(["x"]) if error is ConfigValidationError else error("x")
+    with pytest.raises(DomainError):
+        raise exc
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 
@@ -237,9 +256,17 @@ def test_aggregate_band_ordering(small_results):
         assert lo <= med <= hi
 
 
+def test_aggregate_single_trace_zero_width():
+    stats = tq.aggregate([_trace([0, 5, 9], [3.0, 2.0, 1.5], [0.5, None, 0.25])])
+    assert stats.costs == [0, 5, 9]
+    assert stats.bias_mean == stats.bias_median == stats.bias_lo == stats.bias_hi == [3.0, 2.0, 1.5]
+    # the score recorded at cost 0 is carried forward to cost 5
+    assert stats.score_median == stats.score_lo == stats.score_hi == [0.5, 0.5, 0.25]
+
+
 def test_aggregate_errors():
     with pytest.raises(AlignmentError):
-        tq.aggregate([_trace([0], [1.0])])
+        tq.aggregate([])
     with pytest.raises(AlignmentError):
         tq.aggregate([_trace([5], [1.0]), _trace([0], [1.0])])
 
@@ -289,10 +316,14 @@ def test_emit_csv_roundtrip_and_row_count(tmp_path, small_results):
 def test_emit_csv_trace_zero_width(tmp_path, small_results):
     trace = small_results["fixed-200"][0]
     path = tmp_path / "trace.csv"
-    tq.emit_csv(trace, path)
+    tq.emit_csv({trace.label: tq.aggregate([trace])}, path)
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert len(rows) == len(trace.records)
-    assert rows[0]["bias_lo"] == rows[0]["bias_hi"] == rows[0]["bias_median"]
+    for row, rec in zip(rows, trace.records):
+        assert (row["cumulative_cost"], row["cycle"]) == (str(rec.cumulative_cost), str(rec.cycle))
+        assert row["bias_mean"] == row["bias_lo"] == row["bias_hi"] == row["bias_median"]
+        assert float(row["bias_median"]) == pytest.approx(rec.bias, rel=1e-11)
+        assert row["score_lo"] == row["score_hi"] == row["score_median"]
 
 
 def test_emit_csv_deterministic_bytes(tmp_path, small_results):

@@ -547,6 +547,16 @@ def test_periodic_step_sizes_computed_once_per_run(grid07):
     assert calls == list(range(2 * _CHUNK + 5))
 
 
+def test_long_cycles_compute_leading_step_size_blocks_once(grid07):
+    # a period of 20 blocks: the 16 leading full blocks are kept for the
+    # whole run, the 4 past them are computed in every cycle
+    calls = []
+    steps = tq.CustomStepSize(lambda k: calls.append(k) or 1.0 / (k + 1))
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(20 * _CHUNK), steps, grid07,
+                      np.random.default_rng(0), n_cycles=3)
+    assert calls == list(range(20 * _CHUNK)) + 2 * list(range(16 * _CHUNK, 20 * _CHUNK))
+
+
 # SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with
 # oracle bias, record_gap and a 7-step evaluation. Same config and seed give
 # the same trace, so a speed-up that changes a trace fails here; update a

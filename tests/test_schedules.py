@@ -1,17 +1,11 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import targetq as tq
-from targetq.errors import (
-    DegenerateDesignWarning,
-    DomainError,
-    ScheduleOverflowError,
-    ValidityRegimeWarning,
-)
+from targetq.errors import DomainError, ScheduleOverflowError
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +166,12 @@ def test_unroll_error_bound_edges(constants07):
 # Designers
 
 
+@pytest.mark.filterwarnings("error")
 def test_design_fixed_single_contraction(constants07):
     e0 = 3.0
     eps = 2.0 * e0 * constants07.mu
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityRegimeWarning)
-        out = tq.design_fixed_period(eps, e0, constants07)
+    out = tq.design_fixed_period(eps, e0, constants07)
+    assert not out.within_validity
     assert out.n_cycles == 1
     assert len(out.periods) == 1
 
@@ -192,22 +186,23 @@ def test_design_fixed_bound_and_cost(constants07):
     assert out.within_validity
 
 
+@pytest.mark.filterwarnings("error")
 def test_design_degenerate_reported(constants07):
-    with pytest.warns(DegenerateDesignWarning):
-        out = tq.design_fixed_period(10.0, 3.0, constants07)
-    assert out.degenerate and out.n_cycles == 0
-    assert out.periods == ()
-    assert out.predicted_error_bound == 3.0
-    with pytest.warns(DegenerateDesignWarning):
-        tq.design_growing_period(10.0, 3.0, constants07)
+    # the flags are the only report: no warning is raised
+    for designer in (tq.design_fixed_period, tq.design_growing_period):
+        out = designer(10.0, 3.0, constants07)
+        assert out.degenerate and out.n_cycles == 0
+        assert out.periods == ()
+        assert out.predicted_error_bound == 3.0
+        assert out.within_validity
 
 
-def test_design_validity_warning():
+@pytest.mark.filterwarnings("error")
+def test_design_validity_flag():
     mdp = tq.build_gridworld(0.9)
     c = tq.compute_constants(mdp, 1.0 / 52.0, tq.value_iteration_oracle(mdp))
-    with pytest.warns(ValidityRegimeWarning):
-        out = tq.design_fixed_period(0.5, 3.0, c)
-    assert not out.within_validity
+    out = tq.design_fixed_period(0.5, 3.0, c)
+    assert not out.within_validity and not out.degenerate
     # sufficient condition violated, yet the design still clears k_min here
     assert min(out.periods) >= c.k_min
 
@@ -239,13 +234,12 @@ def test_design_growing_cheaper_and_feasible(constants07):
             assert min(out.periods) >= constants07.k_min
 
 
+@pytest.mark.filterwarnings("error")
 def test_design_clamps_to_k_min():
     # zero-noise constants make the raw periods collapse to zero
     c = tq.RateConstants(xi=0.5, sigma_sq=0.0, q_star_sup=0.0, gamma=0.5, n_pairs=4)
     assert c.c2 == 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = tq.design_growing_period(0.1, 1.0, c)
+    out = tq.design_growing_period(0.1, 1.0, c)
     assert out.n_cycles >= 1
     assert all(k >= c.k_min for k in out.periods)
     assert all(k >= 1 for k in out.periods)
