@@ -119,23 +119,24 @@ def dump_grid_spec(spec: GridSpec) -> str:
     return _dump(sections)
 
 
-def load_grid_spec(text: str, gamma: float | None = None) -> GridSpec:
+def load_grid_spec(text: str, gamma: float | None = None, path=None) -> GridSpec:
     """Parse the text format back into a GridSpec.
 
-    ``gamma`` overrides the discount stored in the document.
+    ``gamma`` overrides the document's discount; diagnostics name ``path``.
     """
-    parser = _parse(text, "grid spec", ("grid", *_REWARD_SECTIONS))
-    grid = _get_section(parser, "grid", "grid spec")
-    with _malformed("[grid] section"):
+    what, of = ("grid spec", "") if path is None else (f"grid spec {path}", f" of {path}")
+    parser = _parse(text, what, ("grid", *_REWARD_SECTIONS))
+    grid = _get_section(parser, "grid", what)
+    with _malformed(f"[grid] section{of}"):
         layout = tuple(part.strip() for part in grid["layout"].split("|"))
         file_gamma = float(grid["gamma"])
         rows, cols = int(grid["rows"]), int(grid["cols"])
     if len(layout) != rows or any(len(row) != cols for row in layout):
-        raise DomainError("layout does not match declared rows/cols")
+        raise DomainError(f"layout{of} does not match declared rows/cols")
     rewards: dict[str, RewardDistribution] = {}
     for key in DEFAULT_REWARDS:
-        entry = _get_section(parser, f"reward {key}", "grid spec")
-        with _malformed(f"[reward {key}]"):
+        entry = _get_section(parser, f"reward {key}", what)
+        with _malformed(f"[reward {key}]{of}"):
             values = tuple(float(v) for v in entry["values"].split(","))
             probs = tuple(float(p) for p in entry["probabilities"].split(","))
             rewards[key] = RewardDistribution(entry["kind"], values, probs)
@@ -153,7 +154,7 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
         if gamma is None:
             raise DomainError("the bundled gridworld needs an explicit gamma")
         return build_gridworld(gamma)
-    return build_grid_mdp(load_grid_spec(_read(ref, "grid spec"), gamma=gamma))
+    return build_grid_mdp(load_grid_spec(_read(ref, "grid spec"), gamma=gamma, path=ref))
 
 
 def parse_schedule_spec(spec: str, gamma: float):

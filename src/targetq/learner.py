@@ -34,7 +34,6 @@ blocks would.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,13 +42,14 @@ import numpy as np
 from .errors import DomainError
 from .mdp import (
     TabularMdp,
+    _as_int,
     _check_table,
     evaluate_greedy,
     exact_bellman_apply,
     greedy_state_values,
     sup_distance,
 )
-from .schedules import AccuracyTriggered, TufSchedule, _as_int
+from .schedules import AccuracyTriggered, TufSchedule
 
 _CHUNK = 8192
 _CACHED_BLOCKS = 16
@@ -107,44 +107,42 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
     return rng.integers(0, mdp.num_active_pairs, size=count), rng.random(count)
 
 
-def _read_only_alphas(step_sizes, count, start=0):
-    """``step_sizes.alphas(count, start)``, checked, as a read-only copy: the
-    object's own arrays stay writeable and no caller can change the copy."""
-    alphas = np.array(step_sizes.alphas(count, start=start))
+def _check_alphas(alphas):
     # a NaN makes min() NaN and fails the test
     if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
         raise DomainError("step sizes must lie in (0, 1]")
-    alphas.flags.writeable = False
-    return alphas
 
 
 class _RunStepSizes:
-    """One run's step sizes, checked and read-only (``_read_only_alphas``).
+    """One run's step sizes, checked (each in (0, 1]) and read-only.
 
-    Step sizes restart every cycle and a block's array depends only on its
-    start and length, so every cycle asks for the same leading blocks. The
-    full ``_CHUNK`` blocks that start below ``_CACHED_BLOCKS * _CHUNK`` are
-    kept for the whole run (at most 1 MiB), so each is computed and checked
-    once per run however long the cycles; an LRU would evict a long cycle's
-    first blocks before the next cycle asks for them again. The two partial
-    blocks (cycle tails) asked for last are kept too, so a fixed period, or
-    periods that alternate, reuse their tails; any other block is computed
-    each time it is asked for.
+    Every cycle restarts at alpha(0), so one buffer per run holds the prefix
+    alpha(0) .. alpha(``_CACHED_BLOCKS * _CHUNK`` - 1) (1 MiB), filled in
+    place and checked only as far as cycles have reached: each of those step
+    sizes is computed once per run, and a block inside the filled part is a
+    read-only view. A block past the buffer is computed, checked and made
+    read-only each time. Both copy what the step-size object returns.
     """
 
     def __init__(self, step_sizes):
-        self._compute = functools.partial(_read_only_alphas, step_sizes)
-        self._partial = functools.lru_cache(maxsize=2)(self._compute)
-        self._full = {}
+        self._step_sizes = step_sizes
+        self._prefix = np.empty(_CACHED_BLOCKS * _CHUNK)
+        self._filled = 0
 
     def alphas(self, count: int, start: int) -> np.ndarray:
-        if count != _CHUNK:
-            return self._partial(count, start)
-        if start >= _CACHED_BLOCKS * _CHUNK:
-            return self._compute(count, start)
-        if start not in self._full:
-            self._full[start] = self._compute(count, start)
-        return self._full[start]
+        end = start + count
+        if end > self._prefix.size:
+            block = np.array(self._step_sizes.alphas(count, start=start))
+            _check_alphas(block)
+        else:
+            if end > self._filled:
+                fresh = self._prefix[self._filled:end]
+                fresh[:] = self._step_sizes.alphas(fresh.size, start=self._filled)
+                _check_alphas(fresh)
+                self._filled = end
+            block = self._prefix[start:end]
+        block.flags.writeable = False
+        return block
 
 
 def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
@@ -244,7 +242,7 @@ def run_inner_loop(
         raise DomainError("n_steps must be at least 1")
     q = np.array(q_in, dtype=float)
     values = _check_table(q, mdp)
-    if not isinstance(step_sizes, _RunStepSizes):  # a cache for this cycle alone
+    if not isinstance(step_sizes, _RunStepSizes):  # a prefix for this cycle alone
         step_sizes = _RunStepSizes(step_sizes)
     _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
     q.put(mdp.pair_flat, values)
@@ -258,7 +256,9 @@ def run_inner_loop(
 def limit_violations(sample_budget, eval_every, eval_horizon, n_cycles=None) -> list[str]:
     """Run limits shared by runs and configs; ``None`` means unset."""
     problems = []
-    if sample_budget is not None and sample_budget < 1:
+    if sample_budget is not None and not sample_budget < np.inf:  # NaN fails too
+        problems.append(f"sample budget must be finite, got {sample_budget}")
+    elif sample_budget is not None and sample_budget < 1:
         problems.append("sample budget must be at least 1")
     if n_cycles is not None and n_cycles < 1:
         problems.append("cycle count must be at least 1")

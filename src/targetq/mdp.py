@@ -16,12 +16,21 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, IterationLimitError
+
+
+def _as_int(value, what):
+    """``value`` as a Python int; a numpy integer passes, a float does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ def value_iteration_oracle(
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     q = new_q_table(mdp)
-    for _ in range(max_iter):
+    for _ in range(_as_int(max_iter, "max_iter")):
         nxt = exact_bellman_apply(q, mdp)
         if sup_distance(nxt, q, mdp) <= tol:
             return nxt
@@ -303,9 +312,9 @@ def evaluate_greedy(
     stops the walk once every path has ended.
     """
     _check_table(q, mdp)
-    if horizon < 0:
+    if _as_int(horizon, "horizon") < 0:
         raise DomainError("horizon must be nonnegative")
-    mdp._check_state(start)
+    mdp._check_state(_as_int(start, "start state"))
     n_states = mdp.num_states
     actions = q.argmax(axis=-1).ravel()
     node = np.arange(actions.size)

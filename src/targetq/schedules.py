@@ -11,14 +11,13 @@ predicted sample cost.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _check_table
+from .mdp import TabularMdp, _as_int, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -60,6 +59,7 @@ class RateConstants:
             raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
+        object.__setattr__(self, "n_pairs", _as_int(self.n_pairs, "n_pairs"))
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be positive")
         xi, gamma = self.xi, self.gamma
@@ -100,7 +100,9 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
 
 
 # ---------------------------------------------------------------------------
-# Step-size schedules
+# Step-size schedules: any object whose ``alphas(count, start)`` returns
+# alpha(start), ..., alpha(start + count - 1). Runs ask for the sequence in
+# any split, so each value is computed from its own index alone.
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,6 @@ def geometric_period(k0: int, gamma: float, n: int) -> int:
     return _ceil_guarded(x)
 
 
-def _as_int(value, what):
-    """``value`` as a Python int; a numpy integer passes, a float does not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _check_exact_periods(ks) -> None:
     """Refuse periods past the exact-integer limit that geometric and
     designed periods keep to; such a cycle could not run in practice."""
@@ -277,8 +271,6 @@ class AccuracyTriggered:
             raise DomainError("need 1 <= k_min <= k_max")
         _check_exact_periods((self.k_min, self.k_max))
 
-    n_cycles: int | None = field(default=None, init=False)
-
     def threshold(self, n: int) -> float:
         """Threshold for 1-based cycle index n."""
         if self.accuracy is None:
@@ -355,9 +347,6 @@ class DesignOutput:
     predicted_error_bound: float
     within_validity: bool
     degenerate: bool
-
-    def schedule(self) -> ExplicitPeriod:
-        return ExplicitPeriod(self.periods)
 
 
 def _design_cycle_count(eps: float, e0: float, mu: float) -> int:

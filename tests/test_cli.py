@@ -483,13 +483,16 @@ def test_non_utf8_file_named_in_diagnostic(tmp_path, capsys, command, what):
 
 @pytest.mark.parametrize(
     "old, new, message",
-    [("[grid]\n", "[grid]\nlayuot = x\n", "unknown key 'layuot' in [grid]"),
+    [("[grid]\n", "[grid]\nlayuot = x\n", "grid spec {}: unknown key 'layuot' in [grid]"),
      ("[reward goal]\n", "[reward hazzard]\nkind = deterministic\n\n[reward goal]\n",
-      "unknown section [reward hazzard]"),
+      "grid spec {}: unknown section [reward hazzard]"),
      ("[reward goal]\n", "[reward goal]\nprobabilites = 1.0\n",
-      "unknown key 'probabilites' in [reward goal]"),
-     ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n", "unknown section [DEFAULT]")],
-    ids=["grid-key", "reward-section", "reward-key", "default-section"],
+      "grid spec {}: unknown key 'probabilites' in [reward goal]"),
+     ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n",
+      "grid spec {}: unknown section [DEFAULT]"),
+     ("rows = 4\n", "rows = four\n",
+      "malformed [grid] section of {}: invalid literal for int() with base 10: 'four'")],
+    ids=["grid-key", "reward-section", "reward-key", "default-section", "grid-value"],
 )
 def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
     text = tq.dump_grid_spec(tq.gridworld_spec(0.7))
@@ -497,6 +500,6 @@ def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
     spec = tmp_path / "grid.ini"
     spec.write_text(text.replace(old, new, 1))
     assert main(["oracle", "--env", str(spec)]) == 1
-    assert capsys.readouterr().err == f"error: grid spec: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(spec)}\n"
     spec.write_text(text)  # the unedited spec still loads
     assert main(["oracle", "--env", str(spec)]) == 0

@@ -82,6 +82,15 @@ def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds):
     assert replace(cfg, seeds=(np.int64(0), np.uint8(1))).violations() == []
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_non_finite_budget_is_a_violation(grid07, budget):
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=(0, 1), sample_budget=budget)
+    assert cfg.violations() == [f"sample budget must be finite, got {budget}"]
+    assert replace(cfg, sample_budget=2e6).violations() == []
+
+
 def test_single_run_equals_direct_call(grid07, oracle07, small_cfg):
     traces = tq.run_experiment(
         tq.ExperimentConfig(

@@ -403,9 +403,10 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
     "limits",
     [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5),
      dict(n_cycles=-3, sample_budget=100), dict(n_cycles=2.5),
-     dict(eval_every=1.5, n_cycles=2), dict(eval_horizon=2.5, n_cycles=2)],
+     dict(eval_every=1.5, n_cycles=2), dict(eval_horizon=2.5, n_cycles=2),
+     dict(sample_budget=np.nan, n_cycles=2), dict(sample_budget=np.inf, n_cycles=2)],
     ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
-         "eval_every=1.5", "eval_horizon=2.5"],
+         "eval_every=1.5", "eval_horizon=2.5", "budget=nan", "budget=inf"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
@@ -490,12 +491,15 @@ def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07):
 
 
 class _TableStepSizes:
-    """Step sizes served as slices of one array the object owns."""
+    """Step sizes served as slices of one array the object owns; counts the
+    calls."""
 
     def __init__(self, n):
         self.table = np.full(n, 0.5)
+        self.calls = 0
 
     def alphas(self, count, start=0):
+        self.calls += 1
         return self.table[start:start + count]
 
 
@@ -503,7 +507,11 @@ def test_cached_step_sizes_are_read_only_copies(grid07):
     steps = _TableStepSizes(2 * _CHUNK)
     cache = _RunStepSizes(steps)
     cached = cache.alphas(_CHUNK, _CHUNK)
-    assert cache.alphas(_CHUNK, _CHUNK) is cached
+    calls = steps.calls
+    again = cache.alphas(_CHUNK, _CHUNK)
+    assert steps.calls == calls  # a repeated request computes nothing
+    assert np.array_equal(again, cached) and not again.flags.writeable
+    assert not np.shares_memory(again, steps.table)
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0] = 1.0
@@ -530,7 +538,7 @@ def test_periodic_step_sizes_computed_once_per_run(grid07):
     calls.clear()
     tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((30, 40, 30)), steps,
                       grid07, np.random.default_rng(0))
-    assert calls == list(range(30)) + list(range(40))  # the third cycle reuses the first's
+    assert calls == list(range(40))  # each step size once per run
     # a multi-block period: each block once per run
     calls.clear()
     tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(2 * _CHUNK + 5), steps,
@@ -555,6 +563,17 @@ def test_long_cycles_compute_leading_step_size_blocks_once(grid07):
     tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(20 * _CHUNK), steps, grid07,
                       np.random.default_rng(0), n_cycles=3)
     assert calls == list(range(20 * _CHUNK)) + 2 * list(range(16 * _CHUNK, 20 * _CHUNK))
+
+
+def test_step_sizes_below_the_prefix_computed_once_per_run(grid07):
+    # cycle tails and the leading 16 blocks of a long cycle come from one
+    # prefix; the long cycle's 4 blocks past it are computed once, as it
+    # runs once
+    calls = []
+    steps = tq.CustomStepSize(lambda k: calls.append(k) or 1.0 / (k + 1))
+    tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((1000, 1500, 20 * _CHUNK, 1200)),
+                      steps, grid07, np.random.default_rng(0))
+    assert calls == list(range(20 * _CHUNK))
 
 
 # SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with

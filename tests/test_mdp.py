@@ -199,6 +199,24 @@ def test_value_iteration_iteration_limit(grid07):
         tq.value_iteration_oracle(grid07, tol=float("nan"))
 
 
+_INTEGER_ARGS = {
+    "start": (lambda mdp, q, v: tq.evaluate_greedy(q, mdp, v, 7), 0.5, np.int64(0)),
+    "horizon": (lambda mdp, q, v: tq.evaluate_greedy(q, mdp, 0, v), 2.5, np.int32(7)),
+    "max_iter": (lambda mdp, q, v: tq.value_iteration_oracle(mdp, max_iter=v), 2.5,
+                 np.int64(10**6)),
+    "n_pairs": (lambda mdp, q, v: tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0,
+                                                   gamma=0.9, n_pairs=v), 2.5, np.uint8(4)),
+}
+
+
+@pytest.mark.parametrize("arg", list(_INTEGER_ARGS))
+def test_integer_arguments_refuse_non_integers(grid07, oracle07, arg):
+    call, bad, good = _INTEGER_ARGS[arg]
+    with pytest.raises(DomainError, match=f"must be an integer, got {bad}"):
+        call(grid07, oracle07, bad)
+    call(grid07, oracle07, good)  # a numpy integer passes
+
+
 # ---------------------------------------------------------------------------
 # sup_distance
 

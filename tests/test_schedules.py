@@ -258,14 +258,6 @@ def test_design_input_validation(constants07):
                 designer(eps, 3.0, constants07)
 
 
-def test_design_schedule_handle(constants07):
-    out = tq.design_growing_period(0.1, 3.0, constants07)
-    sched = out.schedule()
-    assert isinstance(sched, tq.ExplicitPeriod)
-    assert sched.n_cycles == out.n_cycles
-    assert [sched.period(n) for n in range(3)] == list(out.periods[:3])
-
-
 # ---------------------------------------------------------------------------
 # Summability: the unrolled bound vanishes only when sum_n 1/sqrt(K_n) converges
 
