@@ -228,7 +228,7 @@ def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig
     """A run config as the one-arm, one-seed experiment it describes."""
     parser = _parse(_read(path, "config"), f"config {path}", ("run",))
     section = _get_section(parser, "run")
-    with _malformed("[run] section"):
+    with _malformed(f"[run] section of {path}"):
         shared = _shared_keys(section)
         arm = _arm(section, section.get("label", "run"), shared["mdp"])
         seed = seed_override if seed_override is not None else section.getint("seed", 0)
@@ -250,7 +250,7 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 def parse_sweep_config(path) -> ExperimentConfig:
     parser = _parse(_read(path, "config"), f"config {path}", ("sweep", "arm NAME"))
     section = _get_section(parser, "sweep")
-    with _malformed("[sweep] section"):
+    with _malformed(f"[sweep] section of {path}"):
         shared = _shared_keys(section)
         seeds = _parse_seeds(section.get("seeds", "range 2"))
     if shared["sample_budget"] is None:
@@ -260,7 +260,7 @@ def parse_sweep_config(path) -> ExperimentConfig:
     arms = []
     for name in parser.sections():
         if name.startswith("arm "):
-            with _malformed(f"[{name}] section"):
+            with _malformed(f"[{name}] section of {path}"):
                 arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
     if not arms:
         raise DomainError("sweep config defines no [arm ...] sections")

@@ -13,7 +13,8 @@ pair's value at the end of any stretch of steps is its value at the start
 scaled by the product of its (1 - alpha) factors plus a weighted sum of its
 own sampled targets. ``_apply_cycle`` draws and evaluates this one block of
 ``_CHUNK`` steps at a time and carries the per-pair values from block to
-block, so a cycle of any period runs in O(``_CHUNK``) memory.
+block, so a cycle of any period runs in O(``_CHUNK``) temporaries beside
+the run's two 1 MiB buffers (``_RunBuffers``).
 ``_adaptive_cycle`` works chunk by chunk too, speculatively: it
 evaluates each chunk of steps whole, as if the cycle did not stop inside it,
 computes the stopping statistic after every step, and rolls the values back
@@ -24,9 +25,12 @@ Sample-stream contract (what makes traces reproducible): each run owns one
 the active pairs. A periodic cycle's stream is that of drawing all its pair
 indices, then all its reward uniforms; each step consumes exactly one pair
 index and one uniform. The draws themselves are made per block: numpy gives
-the same values drawn in pieces as in one call, so the cycle replays its
-later pair indices from a copy of the generator state while the run's
-generator skips past them to the uniforms (see ``_apply_cycle``). The
+the same values drawn in pieces as in one call, so a long cycle draws its
+pair indices block by block and keeps them, one byte each on up to 256
+pairs, in the run's 1 MiB pair-id buffer before its first uniform. Past
+the buffer it replays its remaining pair indices from a copy of the
+generator state while the run's generator skips past them to the
+uniforms, so only those are drawn twice (see ``_apply_cycle``). The
 accuracy-triggered runner draws blocks of at most ``_CHUNK`` steps and
 discards any drawn but unused samples when a cycle stops early, so
 speculation and roll-back draw exactly what a per-step loop over the same
@@ -52,7 +56,7 @@ from .mdp import (
 from .schedules import AccuracyTriggered, TufSchedule
 
 _CHUNK = 8192
-_CACHED_BLOCKS = 16
+_RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +117,25 @@ def _check_alphas(alphas):
         raise DomainError("step sizes must lie in (0, 1]")
 
 
-class _RunStepSizes:
-    """One run's step sizes, checked (each in (0, 1]) and read-only.
+class _RunBuffers:
+    """One run's buffers: its checked, read-only step sizes and the pair ids
+    of its current long cycle, each at most ``_RUN_BUFFER_BYTES`` (1 MiB).
 
-    Every cycle restarts at alpha(0), so one buffer per run holds the prefix
-    alpha(0) .. alpha(``_CACHED_BLOCKS * _CHUNK`` - 1) (1 MiB), filled in
-    place and checked only as far as cycles have reached: each of those step
-    sizes is computed once per run, and a block inside the filled part is a
-    read-only view. A block past the buffer is computed, checked and made
-    read-only each time. Both copy what the step-size object returns.
+    Every cycle restarts at alpha(0), so one buffer holds the prefix
+    alpha(0) .. alpha(``_RUN_BUFFER_BYTES`` // 8 - 1), filled in place and
+    checked (each in (0, 1]) only as far as cycles have reached: each of
+    those step sizes is computed once per run, and a block inside the filled
+    part is a read-only view. A block past the prefix is computed, checked
+    and made read-only each time. Both copy what the step-size object
+    returns. The pair-id buffer is made on the run's first multi-block cycle
+    (``_apply_cycle``); runs whose cycles fit in one block never make it.
     """
 
     def __init__(self, step_sizes):
         self._step_sizes = step_sizes
-        self._prefix = np.empty(_CACHED_BLOCKS * _CHUNK)
+        self._prefix = np.empty(_RUN_BUFFER_BYTES // 8)
         self._filled = 0
+        self._pair_ids = None
 
     def alphas(self, count: int, start: int) -> np.ndarray:
         end = start + count
@@ -144,8 +152,17 @@ class _RunStepSizes:
         block.flags.writeable = False
         return block
 
+    def pair_ids(self, n_pairs: int) -> np.ndarray:
+        """A buffer for pair ids below ``n_pairs``, in the smallest unsigned
+        type that holds them: 2**20 ids at up to 256 pairs, 2**19 at up to
+        65536, always a whole number of ``_CHUNK`` blocks."""
+        dtype = np.min_scalar_type(n_pairs - 1)
+        if self._pair_ids is None or self._pair_ids.dtype != dtype:
+            self._pair_ids = np.empty(_RUN_BUFFER_BYTES // dtype.itemsize, dtype)
+        return self._pair_ids
 
-def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
+
+def _apply_cycle(values, cont, mdp, buffers, n_steps, rng):
     """Draw and apply one cycle of ``n_steps`` asynchronous updates to the
     per-pair ``values`` in place, one block of at most ``_CHUNK`` steps at a
     time.
@@ -158,28 +175,38 @@ def _apply_cycle(values, cont, mdp, step_sizes, n_steps, rng):
     at its end, so each block carries the per-pair values into the next.
 
     The samples are those of one whole-cycle draw: all pair ids, then all
-    uniforms. The first block's pair ids are drawn directly. If more blocks
-    follow, a replay generator takes a copy of the run's generator state,
-    the run's generator skips past the remaining pair ids, and each later
-    block takes its pair ids from the replay and its uniforms from the run's
-    generator. So nothing period-sized is ever held: the temporaries are
-    O(_CHUNK + n_pairs * max hits per block) whatever the period, at the
-    price of drawing every later pair id twice. ``step_sizes`` is a
-    ``_RunStepSizes``, so its blocks come checked.
+    uniforms. A one-block cycle draws its pair ids directly. A longer cycle
+    draws its pair ids block by block into the run's pair-id buffer
+    (``buffers.pair_ids``), so each is drawn once, and each block then takes
+    its uniforms from the run's generator. Past the buffer's 1 MiB (2**20
+    steps at up to 256 pairs), a replay generator takes a copy of the run's
+    generator state, the run's generator skips past the remaining pair ids,
+    and each later block draws its pair ids again from the replay. So
+    nothing period-sized is ever held: the temporaries are O(_CHUNK +
+    n_pairs * max hits per block) beside the run's two 1 MiB buffers,
+    whatever the period. ``buffers`` is a ``_RunBuffers``, so its step-size
+    blocks come checked.
     """
     n_pairs = mdp.num_active_pairs
-    pairs = rng.integers(0, n_pairs, size=min(n_steps, _CHUNK))
-    if n_steps > _CHUNK:
+    if n_steps <= _CHUNK:
+        pairs = rng.integers(0, n_pairs, size=n_steps)
+        _apply_block(values, cont, mdp, pairs, rng.random(n_steps), buffers.alphas(n_steps, 0))
+        return
+    ids = buffers.pair_ids(n_pairs)
+    kept = min(n_steps, ids.size)  # a whole number of blocks if the cycle is longer
+    for lo in range(0, kept, _CHUNK):
+        count = min(_CHUNK, kept - lo)
+        ids[lo:lo + count] = rng.integers(0, n_pairs, size=count)
+    if n_steps > kept:
         # a fresh bit generator is cheaper to make than a deep copy
         replay = np.random.Generator(type(rng.bit_generator)(0))
         replay.bit_generator.state = rng.bit_generator.state
-        for lo in range(_CHUNK, n_steps, _CHUNK):
+        for lo in range(kept, n_steps, _CHUNK):
             rng.integers(0, n_pairs, size=min(_CHUNK, n_steps - lo))
     for lo in range(0, n_steps, _CHUNK):
         count = min(_CHUNK, n_steps - lo)
-        if lo:
-            pairs = replay.integers(0, n_pairs, size=count)
-        _apply_block(values, cont, mdp, pairs, rng.random(count), step_sizes.alphas(count, lo))
+        pairs = ids[lo:lo + count] if lo < kept else replay.integers(0, n_pairs, size=count)
+        _apply_block(values, cont, mdp, pairs, rng.random(count), buffers.alphas(count, lo))
 
 
 def _sorted_block(mdp, pairs, u, alphas, cont):
@@ -193,9 +220,11 @@ def _sorted_block(mdp, pairs, u, alphas, cont):
 
     Sorting the ids as the smallest unsigned type that holds them lets the
     stable sort use radix sort; the order equals that of the int64 sort.
+    A long cycle's kept ids (``_RunBuffers.pair_ids``) come in that type
+    already, so they are sorted without a copy.
     """
     n_pairs = mdp.num_active_pairs
-    order = pairs.astype(np.min_scalar_type(n_pairs - 1)).argsort(kind="stable")
+    order = pairs.astype(np.min_scalar_type(n_pairs - 1), copy=False).argsort(kind="stable")
     counts = np.bincount(pairs, minlength=n_pairs)
     # sorted hit i of a pair whose hits start at sorted position s has rank i - s
     flat = np.arange(0, pairs.size * n_pairs, n_pairs)
@@ -242,9 +271,9 @@ def run_inner_loop(
         raise DomainError("n_steps must be at least 1")
     q = np.array(q_in, dtype=float)
     values = _check_table(q, mdp)
-    if not isinstance(step_sizes, _RunStepSizes):  # a prefix for this cycle alone
-        step_sizes = _RunStepSizes(step_sizes)
-    _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, step_sizes, n_steps, rng)
+    # a run passes its own buffers; a lone cycle gets buffers of its own
+    buffers = step_sizes if isinstance(step_sizes, _RunBuffers) else _RunBuffers(step_sizes)
+    _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, buffers, n_steps, rng)
     q.put(mdp.pair_flat, values)
     return q
 
@@ -368,11 +397,11 @@ def run_periodic_q(
     """
     if isinstance(schedule, AccuracyTriggered):
         raise DomainError("adaptive schedules are run by run_accuracy_triggered_q")
-    step_sizes = _RunStepSizes(step_sizes)
+    buffers = _RunBuffers(step_sizes)
 
     def cycle(n, q):
         k = schedule.period(n)
-        return run_inner_loop(q, k, step_sizes, mdp, rng), k, k, None
+        return run_inner_loop(q, k, buffers, mdp, rng), k, k, None
 
     limit = min((_as_int(c, "cycle count") for c in (n_cycles, schedule.n_cycles) if c is not None),
                 default=None)
@@ -402,21 +431,21 @@ def run_accuracy_triggered_q(
     ``options`` as for ``run_periodic_q``.
     """
     adaptive = AccuracyTriggered(k_min, k_max, accuracy)
-    step_sizes = _RunStepSizes(step_sizes)
+    buffers = _RunBuffers(step_sizes)
 
     def cycle(n, q):
         eps_n = adaptive.threshold(n + 1)
         q_new = np.array(q, dtype=float)
-        steps, stat = _adaptive_cycle(q_new, q, mdp, step_sizes, k_min, k_max, eps_n, rng)
+        steps, stat = _adaptive_cycle(q_new, q, mdp, buffers, k_min, k_max, eps_n, rng)
         return q_new, None, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
 
 
-def _adaptive_cycle(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
+def _adaptive_cycle(q, q_frozen, mdp, buffers, k_min, k_max, eps_n, rng):
     """Inner loop with per-step stopping checks under uniform exploration,
-    evaluated one speculative chunk at a time; ``step_sizes`` is a
-    ``_RunStepSizes``, so its blocks come checked.
+    evaluated one speculative chunk at a time; ``buffers`` is a
+    ``_RunBuffers``, so its step-size blocks come checked.
 
     Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
     contract says, and every step of it is evaluated as if the cycle ran
@@ -445,7 +474,7 @@ def _adaptive_cycle(q, q_frozen, mdp, step_sizes, k_min, k_max, eps_n, rng):
     while steps < k_max:
         block = min(_CHUNK, k_max - steps)
         pairs, u = _draw_block(mdp, block, rng)
-        alphas = step_sizes.alphas(block, steps)
+        alphas = buffers.alphas(block, steps)
         order, _, rows, before, als, targets = _sorted_block(mdp, pairs, u, alphas, cont)
         # row 0 is the map x -> x + start value and padding rows are the
         # identity; after the scan, shift[r] is rows 0..r composed and

@@ -97,12 +97,15 @@ class TabularMdp:
         terminal_rewards: Mapping[int, RewardDistribution] | None = None,
         start_state: int = 0,
     ):
+        num_states = _as_int(num_states, "num_states")
+        num_actions = _as_int(num_actions, "num_actions")
+        start_state = _as_int(start_state, "start state")
         if num_states < 1 or num_actions < 1:
             raise DomainError("num_states and num_actions must be positive")
         if not 0.0 <= gamma < 1.0:
             raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-        self.num_states = int(num_states)
-        self.num_actions = int(num_actions)
+        self.num_states = num_states
+        self.num_actions = num_actions
         self.gamma = float(gamma)
         self.terminal = frozenset(int(s) for s in terminal)
         for s in self.terminal:
@@ -110,7 +113,7 @@ class TabularMdp:
                 raise DomainError(f"terminal state {s} out of range")
         if not 0 <= start_state < num_states:
             raise DomainError(f"start state {start_state} out of range")
-        self.start_state = int(start_state)
+        self.start_state = start_state
 
         pairs: list[tuple[int, int]] = []
         for s in range(num_states):

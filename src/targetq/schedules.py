@@ -122,7 +122,10 @@ class TheoryInverseStepSize:
 
     @classmethod
     def from_pair_count(cls, n_pairs: int) -> "TheoryInverseStepSize":
-        """Step sizes for uniform exploration over ``n_pairs`` pairs."""
+        """Step sizes for uniform exploration over ``n_pairs`` >= 1 pairs."""
+        n_pairs = _as_int(n_pairs, "n_pairs")
+        if n_pairs < 1:
+            raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
         return cls(xi=1.0 / n_pairs)
 
     @property

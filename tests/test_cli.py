@@ -169,6 +169,24 @@ def test_run_seed_override_changes_trace(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, old, new, section",
+    [("run", "budget = 2000", "budget = abc", "[run]"),
+     ("sweep", "budget = 2500", "budget = abc", "[sweep]"),
+     ("sweep", "schedule = geometric 100", "schedule = geometric x", "[arm geo-100]")],
+    ids=["run", "sweep", "arm"],
+)
+def test_malformed_config_value_names_the_file(tmp_path, capsys, command, old, new, section):
+    cfg = tmp_path / "bad.ini"
+    text = RUN_CFG if command == "run" else SWEEP_CFG
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {section} section of {cfg}: ")
+    assert err.count("\n") == 1
+
+
 def test_run_malformed_config_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nenv = gridworld\n")  # no gamma, budget, schedule
@@ -303,7 +321,8 @@ def test_theory_xi_with_infinite_scale_fails_while_parsing(tmp_path, capsys, mon
     cfg.write_text(RUN_CFG.replace("step_size = theory", "step_size = theory 5e-324"))
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed [run] section: bad step-size spec 'theory 5e-324': ")
+    assert err.startswith(f"error: malformed [run] section of {cfg}: bad step-size spec "
+                          "'theory 5e-324': ")
     assert "2/xi finite" in err
     assert tq.TheoryInverseStepSize(1e-300).alphas(2).tolist() == [1.0, 1.0]
 
@@ -405,7 +424,7 @@ def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
     cfg.write_text(f"{head}[arm geo-100]{geo}\n{line}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert message in err
+    assert message.replace(" section:", f" section of {cfg}:") in err
     assert "Traceback" not in err
 
 

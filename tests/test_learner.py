@@ -9,8 +9,10 @@ import targetq as tq
 from targetq.errors import DomainError
 from targetq.learner import (
     _CHUNK,
-    _RunStepSizes,
+    _RUN_BUFFER_BYTES,
+    _RunBuffers,
     _adaptive_cycle,
+    _apply_block,
     _run_cycles,
     _draw_block,
     _frozen_continuation,
@@ -65,7 +67,7 @@ def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, s
     if np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * abs(eps_n)):
         return None
     q = np.array(q_in, dtype=float)
-    steps, stat = _adaptive_cycle(q, q_in, mdp, _RunStepSizes(step_sizes), k_min, k_max, eps_n,
+    steps, stat = _adaptive_cycle(q, q_in, mdp, _RunBuffers(step_sizes), k_min, k_max, eps_n,
                                   np.random.default_rng(seed))
     assert steps == len(stats)
     np.testing.assert_allclose(q[mdp.pair_state, mdp.pair_action], values, rtol=0, atol=1e-12)
@@ -181,13 +183,51 @@ def test_chunked_draws_equal_one_shot_draws(n):
         assert rng.bit_generator.state == whole.bit_generator.state
 
 
-@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_inner_loop_consumes_one_whole_cycle_draw(grid07, theory_steps, k):
-    rng = np.random.default_rng(12)
-    tq.run_inner_loop(tq.new_q_table(grid07), k, theory_steps, grid07, rng)
-    reference = np.random.default_rng(12)
-    _draw_block(grid07, k, reference)
-    assert rng.bit_generator.state == reference.bit_generator.state
+# A run keeps 1 MiB of a long cycle's pair ids, in the smallest unsigned type
+# that holds them: 2**20 on the grid's 52 pairs, 2**19 on _CHAIN_400's 400.
+# Blocks past those caps replay their pair ids from a copy of the generator.
+_GRID_CAP, _CHAIN_CAP = _RUN_BUFFER_BYTES, _RUN_BUFFER_BYTES // 2
+_CAP_EDGES = [cap + d for cap in (_CHAIN_CAP, _GRID_CAP) for d in (0, 1, _CHUNK + 5)]
+
+
+def test_pair_id_buffer_holds_one_mib(theory_steps):
+    buffers = _RunBuffers(theory_steps)
+    ids = buffers.pair_ids(52)
+    assert buffers.pair_ids(52) is ids  # one buffer per run
+    wide = _RunBuffers(theory_steps).pair_ids(400)
+    assert (ids.dtype, ids.size, wide.dtype, wide.size) == (np.uint8, _GRID_CAP, np.uint16, _CHAIN_CAP)
+    assert ids.nbytes == wide.nbytes == 2**20 and _CHAIN_CAP % _CHUNK == 0
+
+
+@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, *_CAP_EDGES])
+def test_inner_loop_consumes_one_whole_cycle_draw(theory_steps, k):
+    for mdp in (tq.build_gridworld(0.7), _CHAIN_400):
+        rng = np.random.default_rng(12)
+        tq.run_inner_loop(tq.new_q_table(mdp), k, theory_steps, mdp, rng)
+        reference = np.random.default_rng(12)
+        _draw_block(mdp, k, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("use_chain", [False, True], ids=["grid", "chain-400"])
+@pytest.mark.parametrize("past_cap", [-_CHUNK - 3, 0, 1, _CHUNK + 5])
+def test_inner_loop_equals_blocks_of_one_whole_cycle_draw(use_chain, past_cap):
+    # kept and replayed pair ids give bitwise the table of applying one
+    # whole-cycle draw block by block
+    mdp = _CHAIN_400 if use_chain else tq.build_gridworld(0.7)
+    k = (_CHAIN_CAP if use_chain else _GRID_CAP) + past_cap
+    steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
+    q_in = random_q(mdp, np.random.default_rng(5))
+    fast = tq.run_inner_loop(q_in, k, steps, mdp, np.random.default_rng(9))
+    pairs, u = _draw_block(mdp, k, np.random.default_rng(9))
+    alphas, cont = steps.alphas(k), _frozen_continuation(q_in, mdp)
+    values = q_in.take(mdp.pair_flat)
+    for lo in range(0, k, _CHUNK):
+        block = slice(lo, lo + _CHUNK)
+        _apply_block(values, cont, mdp, pairs[block], u[block], alphas[block])
+    slow = q_in.copy()
+    slow.put(mdp.pair_flat, values)
+    assert np.array_equal(fast, slow)
 
 
 def test_inner_loop_memory_independent_of_period(grid07, theory_steps):
@@ -465,7 +505,7 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
 def test_step_sizes_out_of_range_rejected(grid07, bad, at):
     steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
     with pytest.raises(DomainError, match="step sizes"):
-        _RunStepSizes(steps).alphas(10, 0)
+        _RunBuffers(steps).alphas(10, 0)
     q0 = tq.new_q_table(grid07)
     with pytest.raises(DomainError, match="step sizes"):
         tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, grid07,
@@ -505,7 +545,7 @@ class _TableStepSizes:
 
 def test_cached_step_sizes_are_read_only_copies(grid07):
     steps = _TableStepSizes(2 * _CHUNK)
-    cache = _RunStepSizes(steps)
+    cache = _RunBuffers(steps)
     cached = cache.alphas(_CHUNK, _CHUNK)
     calls = steps.calls
     again = cache.alphas(_CHUNK, _CHUNK)

@@ -199,7 +199,19 @@ def test_value_iteration_iteration_limit(grid07):
         tq.value_iteration_oracle(grid07, tol=float("nan"))
 
 
+def _two_state_mdp(num_states=2, num_actions=1, start_state=0):
+    # state 0 steps into the terminal state 1
+    dist = tq.RewardDistribution.deterministic(1.0)
+    return tq.TabularMdp(num_states, num_actions, {(0, a): 1 for a in range(int(num_actions))},
+                         {(0, a): dist for a in range(int(num_actions))}, terminal=(1,),
+                         gamma=0.5, start_state=start_state)
+
+
 _INTEGER_ARGS = {
+    # int() would truncate 0.5 to state 0; range() would fail on 2.5 with a TypeError
+    "num_states": (lambda mdp, q, v: _two_state_mdp(num_states=v), 2.5, np.int64(2)),
+    "num_actions": (lambda mdp, q, v: _two_state_mdp(num_actions=v), 2.5, np.uint8(2)),
+    "start_state": (lambda mdp, q, v: _two_state_mdp(start_state=v), 0.5, np.int64(1)),
     "start": (lambda mdp, q, v: tq.evaluate_greedy(q, mdp, v, 7), 0.5, np.int64(0)),
     "horizon": (lambda mdp, q, v: tq.evaluate_greedy(q, mdp, 0, v), 2.5, np.int32(7)),
     "max_iter": (lambda mdp, q, v: tq.value_iteration_oracle(mdp, max_iter=v), 2.5,

@@ -76,6 +76,14 @@ def test_theory_inverse_exact_values():
         assert steps.alphas(1, start=208)[0] == 1.0 / 3.0
 
 
+def test_theory_from_pair_count_refuses_bad_counts():
+    for bad, message in ((0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+                         (2.5, "must be an integer, got 2.5")):
+        with pytest.raises(DomainError, match=message):
+            tq.TheoryInverseStepSize.from_pair_count(bad)
+    assert tq.TheoryInverseStepSize.from_pair_count(np.int64(1)).xi == 1.0
+
+
 def test_theory_inverse_shape():
     steps = tq.TheoryInverseStepSize.from_pair_count(52)
     ks = np.arange(0, 500)
