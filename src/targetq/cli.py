@@ -148,12 +148,9 @@ def _cmd_sweep(args) -> int:
     results = run_experiment(cfg)
     stats = {label: aggregate(traces) for label, traces in results.items()}
     for label, traces in results.items():
-        finals = [t.final.bias for t in traces]
-        if all(b is not None for b in finals):
-            med = float(np.median(np.array(finals, dtype=float)))
-            print(f"arm {label}: median final bias {med:.6g} over {len(traces)} seeds")
-        else:
-            print(f"arm {label}: {len(traces)} seeds")
+        med = stats[label].bias_median[-1]  # each seed's final bias, carried to the last cost
+        shown = f"median final bias {med:.6g} over " if med is not None else ""
+        print(f"arm {label}: {shown}{len(traces)} seeds")
     if args.out is not None:
         emit_csv(stats, args.out)
         print(f"aggregate written to {args.out}")

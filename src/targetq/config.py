@@ -204,7 +204,10 @@ def load_schedule_file(path) -> ExplicitPeriod:
     what = f"schedule file {path}"
     section = _get_section(_parse(_read(path, "schedule file"), what), "schedule", what)
     with _malformed(what):
-        return ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
+        schedule = ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
+    if not schedule.ks:  # as a degenerate design writes; ExplicitPeriod(()) itself is valid
+        raise DomainError(f"{what} has no periods")
+    return schedule
 
 
 def _shared_keys(section) -> dict:

@@ -66,10 +66,11 @@ class ExperimentConfig:
         bad = [s for s in self.seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
         if bad:
             problems.append(f"seeds must be nonnegative integers, got {', '.join(map(str, bad))}")
-        problems += limit_violations(self.sample_budget, self.eval_every, self.eval_horizon,
-                                     n_cycles=self.n_cycles)
-        if self.sample_budget is None and self.n_cycles is None:
-            problems.append("an unbounded run needs n_cycles or sample_budget")
+        problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_every,
+                                     self.eval_horizon)
+        # a library run of no cycles returns its initial record; a configured run must run one
+        if isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles == 0:
+            problems.append("cycle count must be at least 1")
         return problems
 
 

@@ -189,8 +189,7 @@ def _apply_cycle(values, cont, mdp, buffers, n_steps, rng):
     """
     n_pairs = mdp.num_active_pairs
     if n_steps <= _CHUNK:
-        pairs = rng.integers(0, n_pairs, size=n_steps)
-        _apply_block(values, cont, mdp, pairs, rng.random(n_steps), buffers.alphas(n_steps, 0))
+        _apply_block(values, cont, mdp, *_draw_block(mdp, n_steps, rng), buffers.alphas(n_steps, 0))
         return
     ids = buffers.pair_ids(n_pairs)
     kept = min(n_steps, ids.size)  # a whole number of blocks if the cycle is longer
@@ -282,19 +281,26 @@ def run_inner_loop(
 # Outer loop
 
 
-def limit_violations(sample_budget, eval_every, eval_horizon, n_cycles=None) -> list[str]:
-    """Run limits shared by runs and configs; ``None`` means unset."""
+def limit_violations(sample_budget, n_cycles, eval_every, eval_horizon) -> list[str]:
+    """Every run-limit rule, for the runners and ``ExperimentConfig`` alike.
+    ``None`` leaves the budget, cycle count or horizon unset; the cadence is
+    always set."""
     problems = []
     if sample_budget is not None and not sample_budget < np.inf:  # NaN fails too
         problems.append(f"sample budget must be finite, got {sample_budget}")
     elif sample_budget is not None and sample_budget < 1:
         problems.append("sample budget must be at least 1")
-    if n_cycles is not None and n_cycles < 1:
-        problems.append("cycle count must be at least 1")
-    if eval_horizon is not None and eval_horizon < 0:
-        problems.append("evaluation horizon must be nonnegative")
-    if eval_every < 1:
-        problems.append("evaluation cadence must be at least 1")
+    for what, value, low in (("cycle count", n_cycles, 0), ("evaluation horizon", eval_horizon, 0),
+                             ("evaluation cadence", eval_every, 1)):
+        if value is None and what != "evaluation cadence":
+            continue
+        try:
+            if _as_int(value, what) < low:
+                problems.append(f"{what} must be " + ("at least 1" if low else "nonnegative"))
+        except DomainError as exc:
+            problems.append(str(exc))
+    if n_cycles is None and sample_budget is None:
+        problems.append("an unbounded run needs n_cycles or sample_budget")
     return problems
 
 
@@ -321,18 +327,10 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     with the same ``DomainError``, from the next cycle's check or, at the
     latest, from its stack's.
     """
-    if limit is not None:
-        limit = _as_int(limit, "cycle count")
-    if eval_horizon is not None:
-        eval_horizon = _as_int(eval_horizon, "evaluation horizon")
-    eval_every = _as_int(eval_every, "evaluation cadence")
-    problems = limit_violations(sample_budget, eval_every, eval_horizon)
-    if limit is not None and limit < 0:
-        problems.append("cycle count must be nonnegative")
+    problems = limit_violations(sample_budget, limit, eval_every, eval_horizon)
     if problems:
         raise DomainError("; ".join(problems))
-    if limit is None and sample_budget is None:
-        raise DomainError("an unbounded run needs n_cycles or sample_budget")
+    eval_every = int(eval_every)  # -n % eval_every overflows a numpy unsigned cadence
     _check_table(q0, mdp)
     if oracle is not None:
         _check_table(oracle, mdp)

@@ -94,6 +94,27 @@ def test_design_degenerate_note(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command, old", [("run", "schedule = fixed 200"),
+                                          ("sweep", "schedule = geometric 100")], ids=["run", "sweep"])
+def test_degenerate_schedule_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command, old):
+    # a degenerate design writes an empty period list; running it would be an empty run
+    deg = tmp_path / "deg.ini"
+    assert main(["design", "--gamma", "0.7", "--eps", "10", "--out", str(deg)]) == 0
+    assert "degenerate design" in capsys.readouterr().out
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    cfg = tmp_path / "cfg.ini"
+    text = RUN_CFG if command == "run" else SWEEP_CFG
+    assert old in text
+    cfg.write_text(text.replace(old, f"schedule = file {deg}"))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"schedule file {deg} has no periods" in captured.err
+    assert "Traceback" not in captured.err
+    assert tq.ExplicitPeriod(()).n_cycles == 0  # the library still takes an empty list
+
+
 @pytest.mark.parametrize("schedule", ["fixed", "growing"])
 def test_design_out_of_regime_note_only_on_stdout(capsys, schedule):
     # eps = 1.5 is outside both families' regimes, yet no raw period falls

@@ -68,6 +68,25 @@ def test_unbounded_config_fails_before_the_oracle_solve(grid07, monkeypatch):
         tq.run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value, what",
+    [("n_cycles", 2.5, "cycle count"), ("n_cycles", 0.0, "cycle count"),
+     ("eval_every", 1.5, "evaluation cadence"), ("eval_horizon", 2.5, "evaluation horizon")],
+    ids=["n_cycles=2.5", "n_cycles=0.0", "eval_every=1.5", "eval_horizon=2.5"],
+)
+def test_non_integer_limit_fails_before_the_oracle_solve(grid07, monkeypatch, field, value, what):
+    def spy(*args, **kwargs):
+        raise AssertionError("the oracle was solved for a config that cannot run")
+
+    monkeypatch.setattr(tq.harness, "value_iteration_oracle", spy)
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=(0, 1), sample_budget=100, **{field: value})
+    with pytest.raises(ConfigValidationError) as err:
+        tq.run_experiment(cfg)
+    assert err.value.violations == [f"{what} must be an integer, got {value}"]
+
+
 @pytest.mark.parametrize("seeds", [(-1, 2), (1.5, 2), (0, "1")], ids=["negative", "float", "str"])
 def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds):
     def spy(*args, **kwargs):

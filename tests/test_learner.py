@@ -473,6 +473,14 @@ def test_runners_accept_numpy_integer_limits(grid07, theory_steps, adaptive):
     assert [r.score is None for r in trace.records] == [False, True, False]
 
 
+def test_unsigned_cadence_spans_record_stacks(grid07, theory_steps):
+    # the grid's record stack holds 128 tables, so cycle 128 starts a second one
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(1), theory_steps, grid07,
+                              np.random.default_rng(0), n_cycles=200, eval_every=np.uint8(3),
+                              eval_horizon=1)
+    assert [r.cycle for r in trace.records if r.score is not None] == list(range(0, 201, 3))
+
+
 def test_non_finite_oracle_fails_before_any_cycle(grid07, oracle07, theory_steps):
     oracle = oracle07.copy()
     oracle[0, 0] = np.nan
