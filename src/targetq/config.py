@@ -1,10 +1,12 @@
 """Parsing of the key-value-section text formats: run configs, sweep
 configs, designed-schedule files and grid specs. All four are read by one
-parser that takes values literally (a ``%`` is text), and every read or
-parse failure surfaces as a ``DomainError`` naming the file or section.
-Run and sweep configs and grid specs refuse any section or key they do not
-take; schedule files do not, as ``design --out`` writes keys nothing reads.
-A run config is read as the one-arm, one-seed experiment it describes.
+parser that takes values literally (a ``%`` is text), each inside one error
+boundary: any failure reads ``PATH [SECTION]: REASON`` (``PATH: REASON`` for
+the whole file) on one line and names only the file at fault, which may be
+a grid spec or schedule file a config names. Run and sweep configs and grid
+specs refuse any section or key they do not take; schedule files do not, as
+``design --out`` writes keys nothing reads. A run config is read as the
+one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
 
@@ -25,9 +27,10 @@ from __future__ import annotations
 import configparser
 import io
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigValidationError, DomainError
+from .errors import DomainError
 from .gridworld import DEFAULT_REWARDS, GridSpec, build_grid_mdp, build_gridworld
 from .harness import Arm, ExperimentConfig
 from .mdp import RewardDistribution, TabularMdp
@@ -41,25 +44,38 @@ from .schedules import (
 )
 
 
+class _Located(DomainError):
+    """A DomainError whose message already names the file at fault."""
+
+
+def _reason(exc: Exception) -> str:
+    """``exc``'s message on one line, with configparser's framing replaced."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    if isinstance(exc, OSError) and exc.strerror:
+        return exc.strerror
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no [section] header before {exc.line.strip()!r}"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(f"line {n}: expected 'key = value'" for n, _ in exc.errors)
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: duplicate key {exc.option!r} in [{exc.section}]"
+    return " ".join(str(exc).split())
+
+
 @contextmanager
-def _malformed(what: str):
-    """Report a parse failure inside the block as ``malformed {what}: ...``."""
+def _errors_in(where, located: bool = True):
+    """Raise any failure inside the block as one ``WHERE: REASON`` line. An
+    error an inner block located in a file passes unchanged; a spec's block
+    is not ``located`` and leaves naming the file to the block around it."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, configparser.Error) as exc:
-        raise DomainError(f"malformed {what}: {exc}") from exc
-
-
-def _new_parser() -> configparser.ConfigParser:
-    # values are taken literally: a '%' is text in every format, not interpolation
-    return configparser.ConfigParser(interpolation=None)
-
-
-def _read(path, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+    except _Located:
+        raise
+    except (ValueError, KeyError, TypeError, OverflowError, OSError, configparser.Error) as exc:
+        raise (_Located if located else DomainError)(f"{where}: {_reason(exc)}") from exc
 
 
 _REWARD_SECTIONS = tuple(f"reward {key}" for key in DEFAULT_REWARDS)
@@ -70,39 +86,35 @@ _SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed"
                  **dict.fromkeys(_REWARD_SECTIONS, {"kind", "values", "probabilities"})}
 
 
-def _parse(text: str, what: str, kinds=None) -> configparser.ConfigParser:
-    """Parse ``text``; with ``kinds``, refuse a section whose kind (its
-    name, or "arm NAME" for any arm) is not in ``kinds`` and a key that
-    section does not take."""
-    parser = _new_parser()
-    with _malformed(what):
-        parser.read_string(text)
-    if kinds is None:
-        return parser
-    if parser.defaults():
-        raise DomainError(f"{what}: unknown section [{parser.default_section}]")
-    for name in parser.sections():
-        kind = "arm NAME" if name.startswith("arm ") else name
-        if kind not in kinds:
-            raise DomainError(f"{what}: unknown section [{name}]")
-        unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
-        if unknown:
-            raise DomainError(f"{what}: unknown key {unknown[0]!r} in [{name}]")
+def _parse(text: str, kinds: tuple[str, ...], strict: bool = True) -> configparser.ConfigParser:
+    """Parse ``text`` and require a section of each kind but "arm NAME".
+    If ``strict``, refuse a section whose kind (its name, or "arm NAME" for
+    any arm) is not in ``kinds`` and a key that section does not take."""
+    # values are taken literally: a '%' is text in every format, not interpolation
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    if strict:
+        if parser.defaults():
+            raise DomainError(f"unknown section [{parser.default_section}]")
+        for name in parser.sections():
+            kind = "arm NAME" if name.startswith("arm ") else name
+            if kind not in kinds:
+                raise DomainError(f"unknown section [{name}]")
+            unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
+            if unknown:
+                raise DomainError(f"unknown key {unknown[0]!r} in [{name}]")
+    missing = [kind for kind in kinds if kind != "arm NAME" and kind not in parser]
+    if missing:
+        raise DomainError(f"needs a [{missing[0]}] section")
     return parser
 
 
 def _dump(sections: dict[str, dict]) -> str:
-    parser = _new_parser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def _get_section(parser: configparser.ConfigParser, name: str, what: str = "config"):
-    if name not in parser:
-        raise DomainError(f"{what} needs a [{name}] section")
-    return parser[name]
 
 
 def dump_grid_spec(spec: GridSpec) -> str:
@@ -120,31 +132,27 @@ def dump_grid_spec(spec: GridSpec) -> str:
 
 
 def load_grid_spec(text: str, gamma: float | None = None, path=None) -> GridSpec:
-    """Parse the text format back into a GridSpec.
-
-    ``gamma`` overrides the document's discount; diagnostics name ``path``.
-    """
-    what, of = ("grid spec", "") if path is None else (f"grid spec {path}", f" of {path}")
-    parser = _parse(text, what, ("grid", *_REWARD_SECTIONS))
-    grid = _get_section(parser, "grid", what)
-    with _malformed(f"[grid] section{of}"):
-        layout = tuple(part.strip() for part in grid["layout"].split("|"))
-        file_gamma = float(grid["gamma"])
-        rows, cols = int(grid["rows"]), int(grid["cols"])
-    if len(layout) != rows or any(len(row) != cols for row in layout):
-        raise DomainError(f"layout{of} does not match declared rows/cols")
-    rewards: dict[str, RewardDistribution] = {}
-    for key in DEFAULT_REWARDS:
-        entry = _get_section(parser, f"reward {key}", what)
-        with _malformed(f"[reward {key}]{of}"):
-            values = tuple(float(v) for v in entry["values"].split(","))
-            probs = tuple(float(p) for p in entry["probabilities"].split(","))
-            rewards[key] = RewardDistribution(entry["kind"], values, probs)
-    return GridSpec(
-        layout=layout,
-        gamma=float(gamma) if gamma is not None else file_gamma,
-        rewards=rewards,
-    )
+    """Parse the text format back into a GridSpec; diagnostics name ``path``.
+    ``gamma`` overrides the discount after the document is checked, so a bad
+    override is the caller's error, not the file's."""
+    name = "grid spec" if path is None else path
+    with _errors_in(name):
+        parser = _parse(text, ("grid", *_REWARD_SECTIONS))
+        grid = parser["grid"]
+        rewards: dict[str, RewardDistribution] = {}
+        for key in DEFAULT_REWARDS:
+            entry = parser[f"reward {key}"]
+            with _errors_in(f"{name} [reward {key}]"):
+                values = tuple(float(v) for v in entry["values"].split(","))
+                probs = tuple(float(p) for p in entry["probabilities"].split(","))
+                rewards[key] = RewardDistribution(entry["kind"], values, probs)
+        with _errors_in(f"{name} [grid]"):
+            layout = tuple(part.strip() for part in grid["layout"].split("|"))
+            rows, cols = int(grid["rows"]), int(grid["cols"])
+            if len(layout) != rows or any(len(row) != cols for row in layout):
+                raise DomainError("layout does not match declared rows/cols")
+            spec = GridSpec(layout=layout, gamma=float(grid["gamma"]), rewards=rewards)
+    return spec if gamma is None else replace(spec, gamma=float(gamma))
 
 
 def load_environment(ref: str, gamma: float | None) -> TabularMdp:
@@ -154,46 +162,41 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
         if gamma is None:
             raise DomainError("the bundled gridworld needs an explicit gamma")
         return build_gridworld(gamma)
-    return build_grid_mdp(load_grid_spec(_read(ref, "grid spec"), gamma=gamma, path=ref))
+    with _errors_in(ref):
+        text = Path(ref).read_text()
+    return build_grid_mdp(load_grid_spec(text, gamma, path=ref))
 
 
 def parse_schedule_spec(spec: str, gamma: float):
     """Schedule from its spec; ``geometric K0`` takes the discount ``gamma``."""
-    parts = spec.split()
-    if not parts:
-        raise DomainError("empty schedule spec")
-    kind, args = parts[0], parts[1:]
-    try:
-        if kind == "fixed" and len(args) == 1:
-            return FixedPeriod(int(args[0]))
-        if kind == "geometric" and len(args) in (1, 2):
-            return GeometricPeriod(int(args[0]), float(args[1]) if len(args) == 2 else gamma)
-        if kind == "custom" and args:
-            return ExplicitPeriod(tuple(int(a) for a in args))
-        if kind == "file" and len(args) == 1:
-            return load_schedule_file(args[0])
-        if kind == "adaptive" and len(args) == 2:
-            return AccuracyTriggered(int(args[0]), int(args[1]))
-    except ValueError as exc:
-        raise DomainError(f"bad schedule spec {spec!r}: {exc}") from exc
-    raise DomainError(f"bad schedule spec {spec!r}")
+    with _errors_in(f"schedule spec {spec!r}", located=False):
+        match spec.split():
+            case ["fixed", k]:
+                return FixedPeriod(int(k))
+            case ["geometric", k0]:
+                return GeometricPeriod(int(k0), gamma)
+            case ["geometric", k0, g]:
+                return GeometricPeriod(int(k0), float(g))
+            case ["custom", *ks] if ks:
+                return ExplicitPeriod(tuple(int(k) for k in ks))
+            case ["file", path]:
+                return load_schedule_file(path)
+            case ["adaptive", k_min, k_max]:
+                return AccuracyTriggered(int(k_min), int(k_max))
+        raise DomainError("not fixed K, geometric K0, custom K..., file PATH or adaptive KMIN KMAX")
 
 
 def parse_step_spec(spec: str, mdp: TabularMdp):
-    parts = spec.split()
-    if not parts:
-        raise DomainError("empty step-size spec")
-    try:
-        if parts[0] == "theory":
-            if len(parts) == 1:
+    """Step sizes from their spec; bare ``theory`` takes xi = 1/active pairs."""
+    with _errors_in(f"step-size spec {spec!r}", located=False):
+        match spec.split():
+            case ["theory"]:
                 return TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
-            if len(parts) == 2:
-                return TheoryInverseStepSize(float(parts[1]))
-        if parts[0] == "constant" and len(parts) == 2:
-            return ConstantStepSize(float(parts[1]))
-    except ValueError as exc:
-        raise DomainError(f"bad step-size spec {spec!r}: {exc}") from exc
-    raise DomainError(f"bad step-size spec {spec!r}")
+            case ["theory", xi]:
+                return TheoryInverseStepSize(float(xi))
+            case ["constant", alpha]:
+                return ConstantStepSize(float(alpha))
+        raise DomainError("not theory, theory XI or constant A")
 
 
 def dump_schedule_file(periods, meta: dict[str, str]) -> str:
@@ -201,12 +204,12 @@ def dump_schedule_file(periods, meta: dict[str, str]) -> str:
 
 
 def load_schedule_file(path) -> ExplicitPeriod:
-    what = f"schedule file {path}"
-    section = _get_section(_parse(_read(path, "schedule file"), what), "schedule", what)
-    with _malformed(what):
-        schedule = ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
-    if not schedule.ks:  # as a degenerate design writes; ExplicitPeriod(()) itself is valid
-        raise DomainError(f"{what} has no periods")
+    with _errors_in(path):
+        section = _parse(Path(path).read_text(), ("schedule",), strict=False)["schedule"]
+        with _errors_in(f"{path} [schedule]"):
+            schedule = ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
+            if not schedule.ks:  # as a degenerate design writes; ExplicitPeriod(()) itself is valid
+                raise DomainError("no periods")
     return schedule
 
 
@@ -229,42 +232,36 @@ def _arm(section, label: str, mdp: TabularMdp) -> Arm:
 
 def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """A run config as the one-arm, one-seed experiment it describes."""
-    parser = _parse(_read(path, "config"), f"config {path}", ("run",))
-    section = _get_section(parser, "run")
-    with _malformed(f"[run] section of {path}"):
-        shared = _shared_keys(section)
-        arm = _arm(section, section.get("label", "run"), shared["mdp"])
-        seed = seed_override if seed_override is not None else section.getint("seed", 0)
-        cycles = section.getint("cycles", fallback=None)
-    cfg = ExperimentConfig(arms=(arm,), seeds=(seed,), n_cycles=cycles, **shared)
-    problems = cfg.violations()
-    if problems:
-        raise ConfigValidationError(problems)
-    return cfg
-
-
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    parts = raw.split()
-    if len(parts) == 2 and parts[0] == "range":
-        return tuple(range(int(parts[1])))
-    return tuple(int(p) for p in parts)
+    with _errors_in(path):
+        section = _parse(Path(path).read_text(), ("run",))["run"]
+        with _errors_in(f"{path} [run]"):
+            shared = _shared_keys(section)
+            arm = _arm(section, section.get("label", "run"), shared["mdp"])
+            seed = seed_override if seed_override is not None else section.getint("seed", 0)
+            cycles = section.getint("cycles", fallback=None)
+    return ExperimentConfig(arms=(arm,), seeds=(seed,), n_cycles=cycles, **shared)
 
 
 def parse_sweep_config(path) -> ExperimentConfig:
-    parser = _parse(_read(path, "config"), f"config {path}", ("sweep", "arm NAME"))
-    section = _get_section(parser, "sweep")
-    with _malformed(f"[sweep] section of {path}"):
-        shared = _shared_keys(section)
-        seeds = _parse_seeds(section.get("seeds", "range 2"))
-    if shared["sample_budget"] is None:
-        raise DomainError("[sweep] needs a budget")
-    if len(seeds) < 2:
-        raise DomainError("[sweep] needs at least 2 seeds for bands")
-    arms = []
-    for name in parser.sections():
-        if name.startswith("arm "):
-            with _malformed(f"[{name}] section of {path}"):
-                arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
-    if not arms:
-        raise DomainError("sweep config defines no [arm ...] sections")
+    with _errors_in(path):
+        parser = _parse(Path(path).read_text(), ("sweep", "arm NAME"))
+        section = parser["sweep"]
+        with _errors_in(f"{path} [sweep]"):
+            shared = _shared_keys(section)
+            match section.get("seeds", "range 2").split():
+                case ["range", n]:
+                    seeds = tuple(range(int(n)))
+                case parts:
+                    seeds = tuple(int(p) for p in parts)
+            if shared["sample_budget"] is None:
+                raise DomainError("needs a budget")
+            if len(seeds) < 2:
+                raise DomainError("needs at least 2 seeds for bands")
+        arms = []
+        for name in parser.sections():
+            if name.startswith("arm "):
+                with _errors_in(f"{path} [{name}]"):
+                    arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
+        if not arms:
+            raise DomainError("defines no [arm ...] sections")
     return ExperimentConfig(arms=tuple(arms), seeds=seeds, **shared)

@@ -58,6 +58,8 @@ class ExperimentConfig:
         labels = [arm.label for arm in self.arms]
         if len(set(labels)) != len(labels):
             problems.append("arm labels must be unique")
+        if not all(label.strip() for label in labels):
+            problems.append("arm labels must be non-empty")
         if not self.seeds:
             problems.append("no seeds configured")
         if len(set(self.seeds)) != len(self.seeds):

@@ -109,8 +109,7 @@ def test_degenerate_schedule_file_fails_before_any_run(tmp_path, capsys, monkeyp
     assert main([command, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"schedule file {deg} has no periods" in captured.err
+    assert captured.err == f"error: {deg} [schedule]: no periods\n"
     assert "Traceback" not in captured.err
     assert tq.ExplicitPeriod(()).n_cycles == 0  # the library still takes an empty list
 
@@ -191,21 +190,24 @@ def test_run_seed_override_changes_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, old, new, section",
-    [("run", "budget = 2000", "budget = abc", "[run]"),
-     ("sweep", "budget = 2500", "budget = abc", "[sweep]"),
-     ("sweep", "schedule = geometric 100", "schedule = geometric x", "[arm geo-100]")],
+    "command, old, new, section, reason",
+    [("run", "budget = 2000", "budget = abc", "[run]",
+      "invalid literal for int() with base 10: 'abc'"),
+     ("sweep", "budget = 2500", "budget = abc", "[sweep]",
+      "invalid literal for int() with base 10: 'abc'"),
+     ("sweep", "schedule = geometric 100", "schedule = geometric x", "[arm geo-100]",
+      "schedule spec 'geometric x': invalid literal for int() with base 10: 'x'")],
     ids=["run", "sweep", "arm"],
 )
-def test_malformed_config_value_names_the_file(tmp_path, capsys, command, old, new, section):
+def test_malformed_config_value_names_the_file(tmp_path, capsys, command, old, new, section,
+                                               reason):
     cfg = tmp_path / "bad.ini"
     text = RUN_CFG if command == "run" else SWEEP_CFG
     assert old in text
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: malformed {section} section of {cfg}: ")
-    assert err.count("\n") == 1
+    assert err == f"error: {cfg} {section}: {reason}\n"
 
 
 def test_run_malformed_config_fails(tmp_path, capsys):
@@ -269,14 +271,16 @@ def test_bad_numeric_inputs_fail_without_traceback(capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
-def test_run_config_lists_every_limit_violation(tmp_path):
+def test_run_config_lists_every_limit_violation(tmp_path, monkeypatch):
+    # the parser leaves limits to run_experiment, which checks them before the oracle solve
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(
         "[run]\ngamma = 0.7\nschedule = fixed 10\nbudget = 0\ncycles = 0\n"
         "eval_every = 0\neval_horizon = -2\n"
     )
     with pytest.raises(ConfigValidationError) as err:
-        parse_run_config(cfg)
+        tq.run_experiment(parse_run_config(cfg))
     assert len(err.value.violations) == 4
 
 
@@ -308,7 +312,7 @@ def test_one_seed_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, seed
     cfg.write_text(SWEEP_CFG.replace("seeds = 0 1 2", f"seeds = {seeds}"))
     assert main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: [sweep] needs at least 2 seeds for bands\n"
+    assert err == f"error: {cfg} [sweep]: needs at least 2 seeds for bands\n"
 
 
 def _no_oracle(*args, **kwargs):
@@ -342,9 +346,8 @@ def test_theory_xi_with_infinite_scale_fails_while_parsing(tmp_path, capsys, mon
     cfg.write_text(RUN_CFG.replace("step_size = theory", "step_size = theory 5e-324"))
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: malformed [run] section of {cfg}: bad step-size spec "
-                          "'theory 5e-324': ")
-    assert "2/xi finite" in err
+    assert err == (f"error: {cfg} [run]: step-size spec 'theory 5e-324': "
+                   "xi must lie in (0, 1] with 2/xi finite, got 5e-324\n")
     assert tq.TheoryInverseStepSize(1e-300).alphas(2).tolist() == [1.0, 1.0]
 
 
@@ -360,12 +363,15 @@ def test_gridworld_emit_and_reload(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [("values = -0.08, 0.05", "values = -0.08%, 0.05"), ("gamma = 0.7", "gamma = 0.7%"),
-     ("kind = two-point", "kind = two-point%")],
+    "old, new, message",
+    [("values = -0.08, 0.05", "values = -0.08%, 0.05",
+      "[reward default]: could not convert string to float: '-0.08%'"),
+     ("gamma = 0.7", "gamma = 0.7%", "[grid]: could not convert string to float: '0.7%'"),
+     ("kind = two-point", "kind = two-point%",
+      "[reward default]: unknown reward kind 'two-point%'")],
     ids=["value", "gamma", "kind"],
 )
-def test_grid_spec_percent_sign_fails_without_traceback(tmp_path, capsys, old, new):
+def test_grid_spec_percent_sign_fails_without_traceback(tmp_path, capsys, old, new, message):
     spec = tmp_path / "grid.ini"
     assert main(["gridworld", "--gamma", "0.7", "--out", str(spec)]) == 0
     text = spec.read_text()
@@ -375,8 +381,7 @@ def test_grid_spec_percent_sign_fails_without_traceback(tmp_path, capsys, old, n
     assert main(["oracle", "--env", str(spec)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: malformed ") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert captured.err == f"error: {spec} {message}\n"
 
 
 def test_version_flag():
@@ -433,9 +438,11 @@ def test_parse_run_and_sweep_configs(tmp_path):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("schedule = mystery 3", "malformed [arm geo-100] section: bad schedule spec 'mystery 3'"),
-     ("step_size = constant 2", "malformed [arm geo-100] section: bad step-size spec 'constant 2'"),
-     ("step_size = theory x", "malformed [arm geo-100] section: bad step-size spec 'theory x'")],
+    [("schedule = mystery 3", "schedule spec 'mystery 3': not fixed K, geometric K0, custom K..., "
+                              "file PATH or adaptive KMIN KMAX"),
+     ("step_size = constant 2", "step-size spec 'constant 2': step size must lie in (0, 1]"),
+     ("step_size = theory x", "step-size spec 'theory x': could not convert string to float: 'x'")],
+    ids=["unknown-schedule", "constant-out-of-range", "theory-not-a-number"],
 )
 def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
     key = line.split()[0]
@@ -445,8 +452,7 @@ def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
     cfg.write_text(f"{head}[arm geo-100]{geo}\n{line}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert message.replace(" section:", f" section of {cfg}:") in err
-    assert "Traceback" not in err
+    assert err == f"error: {cfg} [arm geo-100]: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -471,7 +477,7 @@ def test_config_typo_fails_before_any_run(tmp_path, capsys, monkeypatch, command
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 def test_readme_config_examples_parse(tmp_path):
@@ -510,28 +516,28 @@ def test_schedule_file_roundtrip(tmp_path, grid07, oracle07):
     assert parsed.ks == design.periods
 
 
-@pytest.mark.parametrize("command, what", [("run --config", "config"), ("sweep --config", "config"),
-                                           ("oracle --gamma 0.7 --env", "grid spec")])
-def test_non_utf8_file_named_in_diagnostic(tmp_path, capsys, command, what):
+@pytest.mark.parametrize("command", ["run --config", "sweep --config", "oracle --gamma 0.7 --env"],
+                         ids=["run --config-config", "sweep --config-config",
+                              "oracle --gamma 0.7 --env-grid spec"])
+def test_non_utf8_file_named_in_diagnostic(tmp_path, capsys, command):
     path = tmp_path / "latin1.ini"
     path.write_bytes(RUN_CFG.encode() + b"label = caf\xe9\n")
     assert main([*command.split(), str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {what} {path}: 'utf-8' codec can't decode")
-    assert err.count("\n") == 1
+    position = len(RUN_CFG.encode()) + len("label = caf")
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+                   "invalid continuation byte\n")
 
 
 @pytest.mark.parametrize(
     "old, new, message",
-    [("[grid]\n", "[grid]\nlayuot = x\n", "grid spec {}: unknown key 'layuot' in [grid]"),
+    [("[grid]\n", "[grid]\nlayuot = x\n", "{}: unknown key 'layuot' in [grid]"),
      ("[reward goal]\n", "[reward hazzard]\nkind = deterministic\n\n[reward goal]\n",
-      "grid spec {}: unknown section [reward hazzard]"),
+      "{}: unknown section [reward hazzard]"),
      ("[reward goal]\n", "[reward goal]\nprobabilites = 1.0\n",
-      "grid spec {}: unknown key 'probabilites' in [reward goal]"),
-     ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n",
-      "grid spec {}: unknown section [DEFAULT]"),
-     ("rows = 4\n", "rows = four\n",
-      "malformed [grid] section of {}: invalid literal for int() with base 10: 'four'")],
+      "{}: unknown key 'probabilites' in [reward goal]"),
+     ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n", "{}: unknown section [DEFAULT]"),
+     ("rows = 4\n", "rows = four\n", "{} [grid]: invalid literal for int() with base 10: 'four'")],
     ids=["grid-key", "reward-section", "reward-key", "default-section", "grid-value"],
 )
 def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
@@ -543,3 +549,210 @@ def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"error: {message.format(spec)}\n"
     spec.write_text(text)  # the unedited spec still loads
     assert main(["oracle", "--env", str(spec)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# One diagnostic per bad input file: `error: PATH [SECTION]: REASON` on one
+# line, naming only the file at fault. A config's limits (budget, cadence,
+# seeds, labels) are checked when it is run and read `invalid configuration`.
+
+GRID_SPEC = tq.dump_grid_spec(tq.gridworld_spec(0.7))
+GRID_RUN_CFG = RUN_CFG.replace("env = gridworld", "env = grid.ini")
+EMPTY_SCHEDULE = "[schedule]\nfamily = growing\nperiods = \n"
+ZERO_PERIOD = "[schedule]\nperiods = 0 5\n"
+NOT_UTF8 = RUN_CFG.encode() + b"label = caf\xe9\n"
+NOT_UTF8_REASON = (f": 'utf-8' codec can't decode byte 0xe9 in position "
+                   f"{len(RUN_CFG) + len('label = caf')}: invalid continuation byte")
+OVERFLOW = "exceeds the exact-integer range (2**53)"
+INT_X = "invalid literal for int() with base 10:"
+
+
+def _cfg(base, old, new, **other):
+    """Files for one case: ``cfg.ini`` is ``base`` with one edit; ``other``
+    maps a file stem to its text (``zero="..."`` writes ``zero.ini``)."""
+    assert old in base
+    return {"cfg.ini": base.replace(old, new, 1), **{f"{k}.ini": v for k, v in other.items()}}
+
+
+def _grid(old, new):
+    assert old in GRID_SPEC
+    return {"grid.ini": GRID_SPEC.replace(old, new, 1)}
+
+
+BAD_INPUT_FILES = [
+    # (command, files, culprit, rest of the diagnostic after the culprit)
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file zero.ini", zero=ZERO_PERIOD), "zero.ini",
+                 " [schedule]: all periods must be at least 1", id="schedule-file-period-0"),
+    pytest.param("run", {"cfg.ini": GRID_RUN_CFG, **_grid("rows = 4", "rows = four")}, "grid.ini",
+                 f" [grid]: {INT_X} 'four'", id="grid-rows-four"),
+    pytest.param("run", {"cfg.ini": "x = 1\n"}, "cfg.ini",
+                 ": line 1: no [section] header before 'x = 1'", id="no-section-header"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = range 99999999999999999999"),
+                 "cfg.ini", " [sweep]: Python int too large to convert to C ssize_t",
+                 id="seed-range-overflow"),
+    pytest.param("sweep", {"cfg.ini": SWEEP_CFG + "\n[arm a]\nstep_size = theory\n"}, "cfg.ini",
+                 " [arm a]: missing key 'schedule'", id="arm-without-schedule"),
+    pytest.param("oracle", _grid("gamma = 0.7", "gamma = 1.5"), "grid.ini",
+                 " [grid]: gamma must lie in [0, 1), got 1.5", id="grid-gamma"),
+    pytest.param("oracle", _grid("S.B.", "X.B."), "grid.ini",
+                 " [grid]: unknown layout characters: ['X']", id="grid-layout"),
+    pytest.param("oracle", _grid("kind = two-point", "kind = three"), "grid.ini",
+                 " [reward default]: unknown reward kind 'three'", id="grid-reward-kind"),
+    pytest.param("run", {"cfg.ini": ""}, "cfg.ini", ": needs a [run] section",
+                 id="empty-run-config"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "budget = 2500\n", ""), "cfg.ini",
+                 " [sweep]: needs a budget", id="sweep-no-budget"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = 5"), "cfg.ini",
+                 " [sweep]: needs at least 2 seeds for bands", id="sweep-one-seed"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = range 1"), "cfg.ini",
+                 " [sweep]: needs at least 2 seeds for bands", id="sweep-range-1"),
+    pytest.param("sweep", {"cfg.ini": SWEEP_CFG.split("[arm")[0]}, "cfg.ini",
+                 ": defines no [arm ...] sections", id="sweep-no-arms"),
+    pytest.param("run", {"cfg.ini": RUN_CFG + "[run]\n"}, "cfg.ini",
+                 ": line 11: duplicate section [run]", id="duplicate-section"),
+    pytest.param("run", {"cfg.ini": RUN_CFG + "gamma = 0.9\n"}, "cfg.ini",
+                 ": line 11: duplicate key 'gamma' in [run]", id="duplicate-key"),
+    pytest.param("run", {"cfg.ini": RUN_CFG + "foo\n"}, "cfg.ini",
+                 ": line 11: expected 'key = value'", id="not-key-value"),
+    pytest.param("run", _cfg(GRID_RUN_CFG, "gamma = 0.7", "gamma = 1.5", grid=GRID_SPEC), "cfg.ini",
+                 " [run]: gamma must lie in [0, 1), got 1.5", id="run-gamma-over-grid"),
+    pytest.param("run", {}, "cfg.ini", ": No such file or directory", id="missing-config"),
+    pytest.param("run", {"cfg.ini": GRID_RUN_CFG}, "grid.ini", ": No such file or directory",
+                 id="missing-grid-spec"),
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file none.ini"), "none.ini",
+                 ": No such file or directory", id="missing-schedule-file"),
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "fixed 0"), "cfg.ini",
+                 " [run]: schedule spec 'fixed 0': period must be at least 1", id="fixed-0"),
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file deg.ini", deg=EMPTY_SCHEDULE), "deg.ini",
+                 " [schedule]: no periods", id="run-degenerate-schedule-file"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "file deg.ini", deg=EMPTY_SCHEDULE),
+                 "deg.ini", " [schedule]: no periods", id="sweep-degenerate-schedule-file"),
+    pytest.param("run", _cfg(RUN_CFG, "budget = 2000", "budget = abc"), "cfg.ini",
+                 f" [run]: {INT_X} 'abc'", id="run-budget-abc"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "budget = 2500", "budget = abc"), "cfg.ini",
+                 f" [sweep]: {INT_X} 'abc'", id="sweep-budget-abc"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "geometric x"), "cfg.ini",
+                 f" [arm geo-100]: schedule spec 'geometric x': {INT_X} 'x'", id="arm-geometric-x"),
+    pytest.param("run", {"cfg.ini": "[run]\nenv = gridworld\n"}, "cfg.ini",
+                 " [run]: the bundled gridworld needs an explicit gamma",
+                 id="gridworld-without-gamma"),
+    *[pytest.param("run", _cfg(RUN_CFG, "fixed 200", spec), "cfg.ini",
+                   f" [run]: schedule spec '{spec}': period {period} {OVERFLOW}", id=spec)
+      for spec, period in [("fixed 99999999999999999999999", 99999999999999999999999),
+                           ("fixed 9223372036854775807", 9223372036854775807),
+                           ("custom 200 9223372036854775807", 9223372036854775807),
+                           ("adaptive 99999999999999999999999 99999999999999999999999",
+                            99999999999999999999999),
+                           ("adaptive 10 9223372036854775808", 9223372036854775808)]],
+    pytest.param("run", _cfg(RUN_CFG, "step_size = theory", "step_size = theory 5e-324"), "cfg.ini",
+                 " [run]: step-size spec 'theory 5e-324': xi must lie in (0, 1] with 2/xi finite, "
+                 "got 5e-324", id="theory-5e-324"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "mystery 3"), "cfg.ini",
+                 " [arm geo-100]: schedule spec 'mystery 3': not fixed K, geometric K0, "
+                 "custom K..., file PATH or adaptive KMIN KMAX", id="arm-unknown-schedule"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size = theory",
+                               "geometric 100\nstep_size = constant 2"), "cfg.ini",
+                 " [arm geo-100]: step-size spec 'constant 2': step size must lie in (0, 1]",
+                 id="arm-constant-2"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size = theory",
+                               "geometric 100\nstep_size = theory x"), "cfg.ini",
+                 " [arm geo-100]: step-size spec 'theory x': "
+                 "could not convert string to float: 'x'",
+                 id="arm-theory-x"),
+    pytest.param("run", _cfg(RUN_CFG, "eval_horizon = 7", "eval_horizn = 7"), "cfg.ini",
+                 ": unknown key 'eval_horizn' in [run]", id="run-key-typo"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size", "geometric 100\nstep_sise"),
+                 "cfg.ini", ": unknown key 'step_sise' in [arm geo-100]", id="arm-key-typo"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "[arm geo-100]", "[arms geo-100]"), "cfg.ini",
+                 ": unknown section [arms geo-100]", id="arm-section-typo"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "[arm geo-100]", "[arm]"), "cfg.ini",
+                 ": unknown section [arm]", id="unnamed-arm"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = 0 1 2\nseed = 4"), "cfg.ini",
+                 ": unknown key 'seed' in [sweep]", id="sweep-key-typo"),
+    pytest.param("run", _cfg(RUN_CFG, "[run]", "[arm a]\nschedule = fixed 5\n[run]"), "cfg.ini",
+                 ": unknown section [arm a]", id="run-extra-section"),
+    pytest.param("run", _cfg(RUN_CFG, "[run]", "[DEFAULT]\neval_horizon = 3\n[run]"), "cfg.ini",
+                 ": unknown section [DEFAULT]", id="default-section"),
+    pytest.param("run", {"cfg.ini": NOT_UTF8}, "cfg.ini", NOT_UTF8_REASON, id="run-not-utf8"),
+    pytest.param("sweep", {"cfg.ini": NOT_UTF8}, "cfg.ini", NOT_UTF8_REASON, id="sweep-not-utf8"),
+    pytest.param("oracle", {"grid.ini": NOT_UTF8}, "grid.ini", NOT_UTF8_REASON, id="grid-not-utf8"),
+    pytest.param("oracle", _grid("[grid]\n", "[grid]\nlayuot = x\n"), "grid.ini",
+                 ": unknown key 'layuot' in [grid]", id="grid-key-typo"),
+    pytest.param("oracle", _grid("[reward goal]\n", "[reward hazzard]\nkind = deterministic\n\n"
+                                 "[reward goal]\n"), "grid.ini",
+                 ": unknown section [reward hazzard]", id="reward-section-typo"),
+    pytest.param("oracle", _grid("[reward goal]\n", "[reward goal]\nprobabilites = 1.0\n"),
+                 "grid.ini", ": unknown key 'probabilites' in [reward goal]", id="reward-key-typo"),
+    pytest.param("oracle", _grid("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n"), "grid.ini",
+                 ": unknown section [DEFAULT]", id="grid-default-section"),
+    pytest.param("oracle", _grid("values = -0.08, 0.05", "values = -0.08%, 0.05"), "grid.ini",
+                 " [reward default]: could not convert string to float: '-0.08%'",
+                 id="grid-value-%"),
+    pytest.param("oracle", _grid("gamma = 0.7", "gamma = 0.7%"), "grid.ini",
+                 " [grid]: could not convert string to float: '0.7%'", id="grid-gamma-%"),
+    pytest.param("oracle", _grid("kind = two-point", "kind = two-point%"), "grid.ini",
+                 " [reward default]: unknown reward kind 'two-point%'", id="grid-kind-%"),
+]
+
+
+@pytest.mark.parametrize("command, files, culprit, rest", BAD_INPUT_FILES)
+def test_bad_input_file_gives_one_diagnostic_naming_it(tmp_path, capsys, monkeypatch, command,
+                                                       files, culprit, rest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    monkeypatch.setattr("targetq.cli.value_iteration_oracle", _no_oracle)
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
+    flag, path = ("--env", "grid.ini") if command == "oracle" else ("--config", "cfg.ini")
+    assert main([command, flag, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {culprit}{rest}\n"
+    assert captured.err.count("\n") == 1 and captured.err.count(culprit) == 1
+    for text in ("malformed", "'<string>'", "Traceback"):
+        assert text not in captured.err
+
+
+@pytest.mark.parametrize("command, old, new", [("run", "bias = true", "bias = true\nlabel ="),
+                                               ("sweep", "[arm geo-100]", "[arm  ]")],
+                         ids=["run-label", "sweep-arm-section"])
+def test_empty_arm_label_fails_before_the_oracle_solve(tmp_path, capsys, monkeypatch, command, old,
+                                                       new):
+    monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
+    cfg = tmp_path / "cfg.ini"
+    text = RUN_CFG if command == "run" else SWEEP_CFG
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid configuration: arm labels must be non-empty\n"
+
+
+def test_spec_and_file_readers_raise_domain_error(tmp_path, grid07):
+    def refused(read, *args):
+        with pytest.raises(DomainError) as err:
+            read(*args)
+        assert "\n" not in str(err.value)
+
+    for spec in ("", "fixed", "fixed x", "fixed 0", "fixed 1 2", "geometric x", "geometric 5 x",
+                 "geometric 5 1.5", "custom", "custom 1 x", "file", f"file {tmp_path / 'none'}",
+                 "adaptive 5", "adaptive x 5", "adaptive 10 5", "mystery 3"):
+        refused(parse_schedule_spec, spec, 0.7)
+    for spec in ("", "theory 0", "theory x", "theory 1 2", "constant", "constant x", "constant 2",
+                 "sgd 0.1"):
+        refused(parse_step_spec, spec, grid07)
+    for old, new in (("", "x = 1\n"), ("[grid]", "[grid]\n[grid]"), ("rows = 4", "rows = four"),
+                     ("gamma = 0.7", "gamma = 1.5"), ("S.B.", "X.B."), ("S.B.", "S.B"),
+                     ("kind = two-point", "kind = three"), ("[reward goal]", "[reward gold]"),
+                     ("probabilities = 1.0", "probabilities = 0.5, 0.5")):
+        refused(tq.load_grid_spec, GRID_SPEC.replace(old, new, 1))
+    for name, text in (("none", None), ("header", "periods = 5\n"), ("empty", EMPTY_SCHEDULE),
+                       ("zero", ZERO_PERIOD), ("x", "[schedule]\nperiods = x\n"),
+                       ("keyless", "[schedule]\nfamily = fixed\n")):
+        path = tmp_path / f"{name}.ini"
+        if text is not None:
+            path.write_text(text)
+        refused(load_schedule_file, path)
+    refused(load_schedule_file, tmp_path)  # a directory

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,17 +120,19 @@ def test_spec_validation_errors():
 
 # no valid spec holds a '%': layouts, kinds and numbers all exclude it
 PERCENT_EDITS = [
-    ("values = -0.08, 0.05", "values = -0.08%, 0.05"),
-    ("gamma = 0.7", "gamma = 0.7%"),
-    ("kind = two-point", "kind = two-point%"),
+    ("values = -0.08, 0.05", "values = -0.08%, 0.05",
+     "grid spec [reward default]: could not convert string to float: '-0.08%'"),
+    ("gamma = 0.7", "gamma = 0.7%", "grid spec [grid]: could not convert string to float: '0.7%'"),
+    ("kind = two-point", "kind = two-point%",
+     "grid spec [reward default]: unknown reward kind 'two-point%'"),
 ]
 
 
-@pytest.mark.parametrize("old, new", PERCENT_EDITS, ids=["value", "gamma", "kind"])
-def test_spec_percent_sign_is_domain_error(old, new):
+@pytest.mark.parametrize("old, new, message", PERCENT_EDITS, ids=["value", "gamma", "kind"])
+def test_spec_percent_sign_is_domain_error(old, new, message):
     good = dump_grid_spec(gridworld_spec(0.7))
     assert old in good
-    with pytest.raises(DomainError, match="^malformed "):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         load_grid_spec(good.replace(old, new, 1))
 
 
