@@ -55,8 +55,6 @@ from .schedules import (
     compute_constants,
     design_fixed_period,
     design_growing_period,
-    geometric_period,
-    schedule_cost,
     unroll_error_bound,
 )
 

@@ -10,11 +10,12 @@ one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
 
-* ``fixed K``            constant update period K
-* ``geometric K0``       period ceil(K0 * gamma^(-2n/3)) at cycle n
-* ``custom K1 K2 ...``   explicit period list
-* ``file PATH``          explicit list loaded from a schedule file
-* ``adaptive KMIN KMAX`` accuracy-triggered stopping with thresholds n^-2
+* ``fixed K``              constant update period K
+* ``geometric K0 [GAMMA]`` period ceil(K0 * GAMMA^(-2n/3)) at cycle n (GAMMA
+                           defaults to the environment's discount)
+* ``custom K1 K2 ...``     explicit period list
+* ``file PATH``            explicit list loaded from a schedule file
+* ``adaptive KMIN KMAX``   accuracy-triggered stopping with thresholds n^-2
 
 Step-size specs:
 
@@ -168,7 +169,7 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
 
 
 def parse_schedule_spec(spec: str, gamma: float):
-    """Schedule from its spec; ``geometric K0`` takes the discount ``gamma``."""
+    """Schedule from its spec; ``geometric K0 [GAMMA]`` takes ``gamma`` unless given GAMMA."""
     with _errors_in(f"schedule spec {spec!r}", located=False):
         match spec.split():
             case ["fixed", k]:
@@ -250,7 +251,7 @@ def parse_sweep_config(path) -> ExperimentConfig:
             shared = _shared_keys(section)
             match section.get("seeds", "range 2").split():
                 case ["range", n]:
-                    seeds = tuple(range(int(n)))
+                    seeds = range(int(n))
                 case parts:
                     seeds = tuple(int(p) for p in parts)
             if shared["sample_budget"] is None:

@@ -44,7 +44,7 @@ class Arm:
 class ExperimentConfig:
     mdp: TabularMdp
     arms: tuple[Arm, ...]
-    seeds: tuple[int, ...]
+    seeds: Sequence[int]  # a tuple, or a range as ``seeds = range N`` gives
     sample_budget: int | None
     eval_horizon: int | None = None
     eval_every: int = 1
@@ -60,12 +60,15 @@ class ExperimentConfig:
             problems.append("arm labels must be unique")
         if not all(label.strip() for label in labels):
             problems.append("arm labels must be non-empty")
-        if not self.seeds:
+        seeds = self.seeds
+        if isinstance(seeds, range):  # distinct integers, so only its ends can be negative
+            seeds = sorted({*seeds[:1], *seeds[-1:]})
+        if not seeds:
             problems.append("no seeds configured")
-        if len(set(self.seeds)) != len(self.seeds):
+        if len(set(seeds)) != len(seeds):
             problems.append("seeds must be distinct")
         # checked here, before any oracle solve, as default_rng would refuse them
-        bad = [s for s in self.seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
+        bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
         if bad:
             problems.append(f"seeds must be nonnegative integers, got {', '.join(map(str, bad))}")
         problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_every,

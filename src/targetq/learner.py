@@ -53,7 +53,7 @@ from .mdp import (
     greedy_state_values,
     sup_distance,
 )
-from .schedules import AccuracyTriggered, TufSchedule
+from .schedules import AccuracyTriggered, TufSchedule, _period
 
 _CHUNK = 8192
 _RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
@@ -265,9 +265,7 @@ def run_inner_loop(
     The step-size index restarts at 0. Returns a new table; ``q_in`` is
     left untouched and keeps serving as the frozen target throughout.
     """
-    n_steps = _as_int(n_steps, "n_steps")
-    if n_steps < 1:
-        raise DomainError("n_steps must be at least 1")
+    n_steps = _period(n_steps)
     q = np.array(q_in, dtype=float)
     values = _check_table(q, mdp)
     # a run passes its own buffers; a lone cycle gets buffers of its own

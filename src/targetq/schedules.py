@@ -175,29 +175,15 @@ def _ceil_guarded(x: float) -> int:
     return math.ceil(x)
 
 
-def geometric_period(k0: int, gamma: float, n: int) -> int:
-    """Update period ceil(k0 * gamma^(-2n/3)) of cycle n."""
-    k0 = _as_int(k0, "k0")
-    if k0 < 1:
-        raise DomainError("k0 must be at least 1")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
-    if n < 0:
-        raise DomainError("cycle index must be nonnegative")
-    x = k0 * gamma ** (-(2.0 * n) / 3.0)
-    if not math.isfinite(x) or x >= _EXACT_INT_LIMIT:
-        raise ScheduleOverflowError(
-            f"period k0={k0}, gamma={gamma}, n={n} exceeds the exact-integer range"
-        )
-    return _ceil_guarded(x)
-
-
-def _check_exact_periods(ks) -> None:
-    """Refuse periods past the exact-integer limit that geometric and
-    designed periods keep to; such a cycle could not run in practice."""
-    for k in ks:
-        if not k < _EXACT_INT_LIMIT:
-            raise ScheduleOverflowError(f"period {k} exceeds the exact-integer range (2**53)")
+def _period(k) -> int:
+    """``k`` as a period a run can take: an integer from 1 up to the
+    exact-integer limit that geometric and designed periods keep to."""
+    k = _as_int(k, "period")
+    if k < 1:
+        raise DomainError("period must be at least 1")
+    if k >= _EXACT_INT_LIMIT:
+        raise ScheduleOverflowError(f"period {k} exceeds the exact-integer range (2**53)")
+    return k
 
 
 @dataclass(frozen=True)
@@ -207,10 +193,7 @@ class FixedPeriod:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _as_int(self.k, "period"))
-        if self.k < 1:
-            raise DomainError("period must be at least 1")
-        _check_exact_periods((self.k,))
+        object.__setattr__(self, "k", _period(self.k))
 
     n_cycles: int | None = field(default=None, init=False)
 
@@ -226,12 +209,21 @@ class GeometricPeriod:
     gamma: float
 
     def __post_init__(self):
-        geometric_period(self.k0, self.gamma, 0)
+        object.__setattr__(self, "k0", _period(self.k0))
+        if not 0.0 < self.gamma < 1.0:
+            raise DomainError("gamma must lie in (0, 1)")
 
     n_cycles: int | None = field(default=None, init=False)
 
     def period(self, n: int) -> int:
-        return geometric_period(self.k0, self.gamma, n)
+        if n < 0:
+            raise DomainError("cycle index must be nonnegative")
+        x = self.k0 * self.gamma ** (-(2.0 * n) / 3.0)
+        if not math.isfinite(x) or x >= _EXACT_INT_LIMIT:
+            raise ScheduleOverflowError(
+                f"period k0={self.k0}, gamma={self.gamma}, n={n} exceeds the exact-integer range"
+            )
+        return _ceil_guarded(x)
 
 
 @dataclass(frozen=True)
@@ -241,10 +233,7 @@ class ExplicitPeriod:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(_as_int(k, "period") for k in self.ks))
-        if any(k < 1 for k in self.ks):
-            raise DomainError("all periods must be at least 1")
-        _check_exact_periods(self.ks)
+        object.__setattr__(self, "ks", tuple(_period(k) for k in self.ks))
 
     @property
     def n_cycles(self) -> int:
@@ -268,11 +257,10 @@ class AccuracyTriggered:
     accuracy: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k_min", _as_int(self.k_min, "k_min"))
-        object.__setattr__(self, "k_max", _as_int(self.k_max, "k_max"))
-        if not 1 <= self.k_min <= self.k_max:
-            raise DomainError("need 1 <= k_min <= k_max")
-        _check_exact_periods((self.k_min, self.k_max))
+        object.__setattr__(self, "k_min", _period(self.k_min))
+        object.__setattr__(self, "k_max", _period(self.k_max))
+        if self.k_min > self.k_max:
+            raise DomainError("need k_min <= k_max")
 
     def threshold(self, n: int) -> float:
         """Threshold for 1-based cycle index n."""
@@ -285,16 +273,6 @@ class AccuracyTriggered:
 
 
 TufSchedule = FixedPeriod | GeometricPeriod | ExplicitPeriod | AccuracyTriggered
-
-
-def schedule_cost(periods: Sequence[int]) -> int:
-    """Total sample cost of a finite schedule (exact integer sum)."""
-    total = 0
-    for k in periods:
-        if int(k) != k:
-            raise DomainError("periods must be integers")
-        total += int(k)
-    return total
 
 
 @dataclass(frozen=True)
@@ -352,16 +330,19 @@ class DesignOutput:
     degenerate: bool
 
 
-def _design_cycle_count(eps: float, e0: float, mu: float) -> int:
-    x = math.log(eps / (2.0 * e0)) / math.log(mu)
-    r = round(x)
-    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
-        return max(int(r), 0)
-    return max(math.ceil(x), 0)
-
-
-def _finalize_design(family, eps, e0, constants, raw, within_validity=True):
-    """Clamp, ceil and cost the raw periods."""
+def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput:
+    """Both designs: N cycles (a log ratio within 1e-9 of an integer counts as
+    it) of raw periods C * rho^(N-1-j), C = (4 c2 / eps^2) ((1 - q^N) / (1 - q))^2,
+    clamped to k_min and ceiled; none, within validity, when eps >= 2 e0."""
+    raw = ()
+    if eps >= 2.0 * e0:
+        within_validity = True
+    else:
+        x = math.log(eps / (2.0 * e0)) / math.log(constants.mu)
+        r = round(x)
+        n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
+        c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
+        raw = tuple(c * rho ** float(n - 1 - j) for j in range(n))
     k_min = constants.k_min
     if any(not max(k, k_min) < _EXACT_INT_LIMIT for k in raw):
         raise ScheduleOverflowError(
@@ -370,24 +351,21 @@ def _finalize_design(family, eps, e0, constants, raw, within_validity=True):
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
     periods = tuple(max(math.ceil(max(k, k_min)), 1) for k in raw)
-    bound = unroll_error_bound(e0, periods, constants).bound if periods else e0
     return DesignOutput(
         family=family,
         target_accuracy=eps,
         initial_error=e0,
         n_cycles=len(periods),
         periods=periods,
-        raw_periods=tuple(raw),
-        predicted_cost=schedule_cost(periods),
-        predicted_error_bound=bound,
+        raw_periods=raw,
+        predicted_cost=sum(periods),
+        predicted_error_bound=unroll_error_bound(e0, periods, constants).bound if periods else e0,
         within_validity=within_validity,
         degenerate=not periods,
     )
 
 
-def _check_design_inputs(eps: float, e0: float) -> bool:
-    """Returns True when the design degenerates to zero cycles: the initial
-    error bound already meets the target."""
+def _check_design_inputs(eps: float, e0: float) -> None:
     if not 0.0 < eps < math.inf:
         raise DomainError(f"target accuracy must be positive and finite, got {eps}")
     if not 0.0 < e0 < math.inf:
@@ -402,7 +380,6 @@ def _check_design_inputs(eps: float, e0: float) -> bool:
             f"initial error {e0} is too large for target accuracy {eps}: "
             "eps / (2 e0) is not representable"
         )
-    return eps >= 2.0 * e0
 
 
 def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -415,13 +392,9 @@ def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> Desi
     in every regime, keeps the contraction argument valid). With
     eps >= 2 e0 the design is empty and ``degenerate``.
     """
-    if _check_design_inputs(eps, e0):
-        return _finalize_design("fixed", eps, e0, constants, ())
-    mu, c1, c2 = constants.mu, constants.c1, constants.c2
-    limit = (1.0 - constants.gamma) * math.sqrt(c2 / c1)
-    n = _design_cycle_count(eps, e0, mu)
-    k = (4.0 * c2 / eps**2) * ((1.0 - mu**n) / (1.0 - mu)) ** 2
-    return _finalize_design("fixed", eps, e0, constants, (k,) * n, eps <= limit)
+    _check_design_inputs(eps, e0)
+    limit = (1.0 - constants.gamma) * math.sqrt(constants.c2 / constants.c1)
+    return _design("fixed", eps, e0, constants, constants.mu, 1.0, eps <= limit)
 
 
 def design_growing_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -435,13 +408,9 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     with nu = (1 - gamma) / (1 - mu^(2/3)); outside it ``within_validity``
     is False. With eps >= 2 e0 the design is empty and ``degenerate``.
     """
-    if _check_design_inputs(eps, e0):
-        return _finalize_design("growing", eps, e0, constants, ())
-    mu, c2 = constants.mu, constants.c2
-    rho = mu ** (2.0 / 3.0)
-    nu = (1.0 - constants.gamma) / (1.0 - rho)
+    _check_design_inputs(eps, e0)
+    rho = constants.mu ** (2.0 / 3.0)
+    # rho is 1 only where mu rounds to 1, at the largest gamma below 1
+    nu = (1.0 - constants.gamma) / (1.0 - rho) if rho < 1.0 else math.inf
     limit = 2.0 * e0 * (nu / (2.0 * e0 + nu)) ** 1.5
-    n = _design_cycle_count(eps, e0, mu)
-    c_eps = (4.0 * c2 / eps**2) * ((1.0 - rho**n) / (1.0 - rho)) ** 2
-    raw = tuple(c_eps * rho ** float(n - 1 - j) for j in range(n))
-    return _finalize_design("growing", eps, e0, constants, raw, eps < limit)
+    return _design("growing", eps, e0, constants, rho, rho, eps < limit)

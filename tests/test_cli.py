@@ -500,7 +500,16 @@ def test_parse_sweep_range_seeds(tmp_path):
     text = SWEEP_CFG.replace("seeds = 0 1 2", "seeds = range 5")
     path = tmp_path / "sweep.ini"
     path.write_text(text)
-    assert parse_sweep_config(path).seeds == (0, 1, 2, 3, 4)
+    assert parse_sweep_config(path).seeds == range(5)
+
+
+def test_long_seed_range_is_checked_by_its_bounds(tmp_path):
+    # the seeds stay a range, so parsing and checking cost nothing per seed
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP_CFG.replace("seeds = 0 1 2", "seeds = range 3000000"))
+    cfg = parse_sweep_config(path)
+    assert isinstance(cfg.seeds, range) and cfg.seeds == range(3_000_000)
+    assert cfg.violations() == []
 
 
 def test_schedule_file_roundtrip(tmp_path, grid07, oracle07):
@@ -582,7 +591,7 @@ def _grid(old, new):
 BAD_INPUT_FILES = [
     # (command, files, culprit, rest of the diagnostic after the culprit)
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file zero.ini", zero=ZERO_PERIOD), "zero.ini",
-                 " [schedule]: all periods must be at least 1", id="schedule-file-period-0"),
+                 " [schedule]: period must be at least 1", id="schedule-file-period-0"),
     pytest.param("run", {"cfg.ini": GRID_RUN_CFG, **_grid("rows = 4", "rows = four")}, "grid.ini",
                  f" [grid]: {INT_X} 'four'", id="grid-rows-four"),
     pytest.param("run", {"cfg.ini": "x = 1\n"}, "cfg.ini",

@@ -101,6 +101,19 @@ def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds):
     assert replace(cfg, seeds=(np.int64(0), np.uint8(1))).violations() == []
 
 
+@pytest.mark.parametrize("seeds, problem", [
+    (range(-2, 3), "seeds must be nonnegative integers, got -2"),
+    (range(5, -3, -1), "seeds must be nonnegative integers, got -2"),
+    (range(4, 4), "no seeds configured"),
+])
+def test_seed_range_is_checked_by_its_ends(grid07, seeds, problem):
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=seeds, sample_budget=100)
+    assert cfg.violations() == [problem]
+    assert replace(cfg, seeds=range(3, 10**30, 7)).violations() == []
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
 def test_non_finite_budget_is_a_violation(grid07, budget):
     steps = tq.TheoryInverseStepSize.from_pair_count(52)

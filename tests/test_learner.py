@@ -330,10 +330,7 @@ def test_inner_loop_rate_bound_small(grid07, oracle07, theory_steps):
 
 
 def test_inner_loop_validation(grid07, theory_steps):
-    for n_steps in (0, -3, 2.5, np.float64(3.0)):
-        with pytest.raises(DomainError):
-            tq.run_inner_loop(tq.new_q_table(grid07), n_steps, theory_steps, grid07,
-                              np.random.default_rng(0))
+    # n_steps is checked by test_schedules.py::test_period_rule_is_the_same_everywhere
     with pytest.raises(DomainError):
         tq.run_inner_loop(
             tq.new_q_table(grid07), 10, tq.CustomStepSize(lambda k: 2.0), grid07,
@@ -762,7 +759,7 @@ def test_geometric_runner_periods_match_schedule(grid07, theory_steps):
         grid07, np.random.default_rng(3), n_cycles=8,
     )
     planned = [rec.planned_period for rec in trace.records[1:]]
-    assert planned == [tq.geometric_period(100, 0.7, n) for n in range(8)]
+    assert planned == [tq.GeometricPeriod(100, 0.7).period(n) for n in range(8)]
     assert [rec.inner_steps for rec in trace.records[1:]] == planned
 
 
