@@ -164,17 +164,14 @@ def aggregate(traces: Sequence[RunTrace]) -> AggregateStats:
                           score_median, score_lo, score_hi)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
-
-
 def _stats_rows(label: str, stats: AggregateStats):
+    """An arm's CSV rows, formatted one column at a time."""
     columns = (stats.bias_mean, stats.bias_median, stats.bias_lo, stats.bias_hi,
                stats.score_median, stats.score_lo, stats.score_hi)
-    for i, cost in enumerate(stats.costs):
-        yield (label, str(cost), str(i), *(_fmt(column[i]) for column in columns))
+    n = len(stats.costs)
+    return zip([label] * n, map(str, stats.costs), map(str, range(n)),
+               *(["" if x is None else format(float(x), ".12g") for x in column]
+                 for column in columns), strict=True)
 
 
 def emit_csv(stats: Mapping[str, AggregateStats], path) -> None:

@@ -39,7 +39,7 @@ blocks would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,9 +63,8 @@ _RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
 # Run traces
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """State of a run at one cycle boundary.
+class CycleRecord(NamedTuple):
+    """State of a run at one cycle boundary, an immutable named tuple.
 
     Record 0 describes the initial table (zero cost); record n >= 1 is
     taken right after cycle n overwrote the target. ``bellman_gap`` is the
@@ -152,11 +151,10 @@ class _RunBuffers:
         block.flags.writeable = False
         return block
 
-    def pair_ids(self, n_pairs: int) -> np.ndarray:
-        """A buffer for pair ids below ``n_pairs``, in the smallest unsigned
-        type that holds them: 2**20 ids at up to 256 pairs, 2**19 at up to
-        65536, always a whole number of ``_CHUNK`` blocks."""
-        dtype = np.min_scalar_type(n_pairs - 1)
+    def pair_ids(self, dtype: np.dtype) -> np.ndarray:
+        """A buffer for pair ids of an MDP's ``pair_id_dtype``, the smallest
+        unsigned type that holds them: 2**20 ids at up to 256 pairs, 2**19 at
+        up to 65536, always a whole number of ``_CHUNK`` blocks."""
         if self._pair_ids is None or self._pair_ids.dtype != dtype:
             self._pair_ids = np.empty(_RUN_BUFFER_BYTES // dtype.itemsize, dtype)
         return self._pair_ids
@@ -191,7 +189,7 @@ def _apply_cycle(values, cont, mdp, buffers, n_steps, rng):
     if n_steps <= _CHUNK:
         _apply_block(values, cont, mdp, *_draw_block(mdp, n_steps, rng), buffers.alphas(n_steps, 0))
         return
-    ids = buffers.pair_ids(n_pairs)
+    ids = buffers.pair_ids(mdp.pair_id_dtype)
     kept = min(n_steps, ids.size)  # a whole number of blocks if the cycle is longer
     for lo in range(0, kept, _CHUNK):
         count = min(_CHUNK, kept - lo)
@@ -223,11 +221,11 @@ def _sorted_block(mdp, pairs, u, alphas, cont):
     already, so they are sorted without a copy.
     """
     n_pairs = mdp.num_active_pairs
-    order = pairs.astype(np.min_scalar_type(n_pairs - 1), copy=False).argsort(kind="stable")
+    order = pairs.astype(mdp.pair_id_dtype, copy=False).argsort(kind="stable")
     counts = np.bincount(pairs, minlength=n_pairs)
     # sorted hit i of a pair whose hits start at sorted position s has rank i - s
     flat = np.arange(0, pairs.size * n_pairs, n_pairs)
-    flat -= ((counts.cumsum() - counts) * n_pairs - np.arange(n_pairs)).repeat(counts)
+    flat -= ((counts.cumsum() - counts) * n_pairs - mdp.pair_range).repeat(counts)
     return (order, counts, int(np.maximum.reduce(counts)) + 1, flat, alphas[order],
             mdp.draw_sorted_targets(counts, u[order], cont))
 
@@ -250,7 +248,7 @@ def _apply_block(values, cont, mdp, pairs, u, alphas):
     weighted *= als
     weighted *= targets
     values *= prods[0]
-    values += np.bincount(np.arange(n_pairs).repeat(counts), weights=weighted, minlength=n_pairs)
+    values += np.bincount(mdp.pair_range.repeat(counts), weights=weighted, minlength=n_pairs)
 
 
 def run_inner_loop(
@@ -335,26 +333,28 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     q = np.array(q0, dtype=float)
     trace = RunTrace(label=label, seed=seed)
     stack = np.empty((max(1, _CHUNK // q.size), *q.shape))
-    pending = []  # the record fields of the tables in the stack, but bias and score
+    # the record fields of the tables in the stack, but bias and score: (cycle,
+    # planned_period, inner_steps, cumulative_cost, bellman_gap, stop_stat)
+    pending = []
 
     def record_stack():
         count = len(pending)
         tables = stack[:count]
         biases = sup_distance(tables, oracle, mdp).tolist() if oracle is not None else [None] * count
         scores = [None] * count
-        due = slice(-pending[0]["cycle"] % eval_every, count, eval_every)
+        due = slice(-pending[0][0] % eval_every, count, eval_every)
         if eval_horizon is not None and due.start < count:
             scores[due] = evaluate_greedy(tables[due], mdp, mdp.start_state, eval_horizon).tolist()
-        trace.records.extend(CycleRecord(**fields, bias=bias, score=score)
-                             for fields, bias, score in zip(pending, biases, scores))
+        trace.records.extend(CycleRecord(n, planned, steps, cost, bias, gap, score, stat)
+                             for (n, planned, steps, cost, gap, stat), bias, score
+                             in zip(pending, biases, scores))
         pending.clear()
 
     n = cost = steps = 0
     planned = gap = stat = None
     while True:
         stack[len(pending)] = q
-        pending.append(dict(cycle=n, planned_period=planned, inner_steps=steps,
-                            cumulative_cost=cost, bellman_gap=gap, stop_stat=stat))
+        pending.append((n, planned, steps, cost, gap, stat))
         over_budget = sample_budget is not None and cost >= sample_budget
         if over_budget or (limit is not None and n >= limit):
             record_stack()
@@ -460,7 +460,7 @@ def _adaptive_cycle(q, q_frozen, mdp, buffers, k_min, k_max, eps_n, rng):
     recomputed exactly from the sums.
     """
     n_pairs = mdp.num_active_pairs
-    ids = np.arange(n_pairs)
+    ids = mdp.pair_range
     cont = _frozen_continuation(q_frozen, mdp)
     values = q.take(mdp.pair_flat)
     counts = np.zeros(n_pairs, dtype=np.int64)

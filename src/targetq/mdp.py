@@ -153,6 +153,12 @@ class TabularMdp:
 
         self.terminal_mask = np.zeros(num_states, dtype=bool)
         self.terminal_mask[list(self.terminal)] = True
+        # per-MDP constants the per-cycle and per-block code reads: the
+        # terminal states in order, the pair ids in order, and the smallest
+        # type that holds every pair id (unsigned when there are pairs)
+        self.terminal_states = _read_only(np.flatnonzero(self.terminal_mask))
+        self.pair_range = _read_only(np.arange(n))
+        self.pair_id_dtype = np.min_scalar_type(n - 1)
         # a greedy rollout's step from flat index s * num_actions + a: the
         # pair's reward mean and next state, terminal states absorbing at
         # reward 0
@@ -210,6 +216,11 @@ class TabularMdp:
             raise DomainError(f"state {s} out of range")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _reward_rule(u, p_first, first, second):
     """The reward draw from a uniform ``u``: the law's first value where
     ``u`` is below its probability, else its last (a deterministic law's
@@ -243,7 +254,9 @@ def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
 
 def greedy_state_values(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     """V(s) = max_a Q(s, a) for non-terminal s, 0 for terminal s."""
-    return np.where(mdp.terminal_mask, 0.0, np.maximum.reduce(q, axis=1))
+    v = np.maximum.reduce(q, axis=1)
+    v[mdp.terminal_states] = 0.0
+    return v
 
 
 def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:

@@ -218,7 +218,10 @@ class GeometricPeriod:
     def period(self, n: int) -> int:
         if n < 0:
             raise DomainError("cycle index must be nonnegative")
-        x = self.k0 * self.gamma ** (-(2.0 * n) / 3.0)
+        try:
+            x = self.k0 * self.gamma ** (-(2.0 * n) / 3.0)
+        except OverflowError:  # a float ** that overflows raises
+            x = math.inf
         if not math.isfinite(x) or x >= _EXACT_INT_LIMIT:
             raise ScheduleOverflowError(
                 f"period k0={self.k0}, gamma={self.gamma}, n={n} exceeds the exact-integer range"
@@ -333,21 +336,26 @@ class DesignOutput:
 def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput:
     """Both designs: N cycles (a log ratio within 1e-9 of an integer counts as
     it) of raw periods C * rho^(N-1-j), C = (4 c2 / eps^2) ((1 - q^N) / (1 - q))^2,
-    clamped to k_min and ceiled; none, within validity, when eps >= 2 e0."""
+    clamped to k_min and ceiled; none, within validity, when eps >= 2 e0.
+    A design whose periods would pass 2^53 fails before any is built."""
     raw = ()
+    k_min = constants.k_min
     if eps >= 2.0 * e0:
         within_validity = True
     else:
-        x = math.log(eps / (2.0 * e0)) / math.log(constants.mu)
-        r = round(x)
-        n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
-        c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
+        # mu rounds to 1 only at gamma = 1 - 2**-53, where N and C are unbounded
+        n = c = math.inf
+        if constants.mu < 1.0:
+            x = math.log(eps / (2.0 * e0)) / math.log(constants.mu)
+            r = round(x)
+            n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
+            c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
+        # rho <= 1, so the last raw period, C itself, is the largest
+        if n and not max(c, k_min) < _EXACT_INT_LIMIT:
+            raise ScheduleOverflowError(
+                f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
+            )
         raw = tuple(c * rho ** float(n - 1 - j) for j in range(n))
-    k_min = constants.k_min
-    if any(not max(k, k_min) < _EXACT_INT_LIMIT for k in raw):
-        raise ScheduleOverflowError(
-            f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
-        )
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
     periods = tuple(max(math.ceil(max(k, k_min)), 1) for k in raw)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 import warnings
 from pathlib import Path
@@ -300,6 +301,33 @@ def test_sweep_csv_byte_identical(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
     rows = list(csv.DictReader(p1.read_text().splitlines()))
     assert {r["arm"] for r in rows} == {"fixed-200", "geo-100"}
+
+
+# SHA-256 of `targetq sweep` CSVs over fixed, geometric and adaptive arms, an
+# arm label csv.writer must quote and a score every third cycle; without bias
+# every bias field is empty. Update these only with a stated change to the
+# CSV or to the traces behind it
+_PINNED_SWEEP_CSVS = {
+    "true": "9e2e3998a87cd8e88af14f4cde319cb9e7bc3095c0d88571413753ac47f641fa",
+    "false": "5b587ffe87c5cd98c4eb590157c585635866d1c6f691b972e168583553430d8e",
+}
+
+
+@pytest.mark.parametrize("bias", sorted(_PINNED_SWEEP_CSVS))
+def test_sweep_csv_bytes_pinned(tmp_path, capsys, bias):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        "[sweep]\nenv = gridworld\ngamma = 0.7\nseeds = 0 1 2\nbudget = 2500\n"
+        f"bias = {bias}\neval_horizon = 7\neval_every = 3\n\n"
+        "[arm fixed,200]\nschedule = fixed 200\n\n"
+        "[arm geo-100]\nschedule = geometric 100\n\n"
+        "[arm adaptive-50-2000]\nschedule = adaptive 50 2000\n"
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '\n"fixed,200",' in text
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SWEEP_CSVS[bias]
 
 
 @pytest.mark.parametrize("seeds", ["5", "range 1"])

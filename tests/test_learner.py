@@ -191,10 +191,11 @@ _CAP_EDGES = [cap + d for cap in (_CHAIN_CAP, _GRID_CAP) for d in (0, 1, _CHUNK 
 
 
 def test_pair_id_buffer_holds_one_mib(theory_steps):
+    grid = tq.build_gridworld(0.7)
     buffers = _RunBuffers(theory_steps)
-    ids = buffers.pair_ids(52)
-    assert buffers.pair_ids(52) is ids  # one buffer per run
-    wide = _RunBuffers(theory_steps).pair_ids(400)
+    ids = buffers.pair_ids(grid.pair_id_dtype)
+    assert buffers.pair_ids(grid.pair_id_dtype) is ids  # one buffer per run
+    wide = _RunBuffers(theory_steps).pair_ids(_CHAIN_400.pair_id_dtype)
     assert (ids.dtype, ids.size, wide.dtype, wide.size) == (np.uint8, _GRID_CAP, np.uint16, _CHAIN_CAP)
     assert ids.nbytes == wide.nbytes == 2**20 and _CHAIN_CAP % _CHUNK == 0
 
@@ -619,6 +620,19 @@ def test_step_sizes_below_the_prefix_computed_once_per_run(grid07):
     tq.run_periodic_q(tq.new_q_table(grid07), tq.ExplicitPeriod((1000, 1500, 20 * _CHUNK, 1200)),
                       steps, grid07, np.random.default_rng(0))
     assert calls == list(range(20 * _CHUNK))
+
+
+def test_cycle_records_are_immutable(grid07, theory_steps):
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(100), theory_steps, grid07,
+                              np.random.default_rng(0), n_cycles=2)
+    record = trace.final
+    for name in ("cycle", "bias", "stop_stat"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert record == tq.CycleRecord(2, 100, 100, 200, None, None, None)
+    assert repr(record) == ("CycleRecord(cycle=2, planned_period=100, inner_steps=100, "
+                            "cumulative_cost=200, bias=None, bellman_gap=None, score=None, "
+                            "stop_stat=None)")
 
 
 # SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with

@@ -535,6 +535,22 @@ def test_entry_points_accept_huge_finite_entries(grid07, oracle07, entry):
     _TABLE_ENTRY_POINTS[entry](q, grid07, oracle07)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("terminal_value", [np.inf, -np.inf, np.nan, 1e308, -0.0])
+@pytest.mark.parametrize("which", ["grid", "selfloop"])
+def test_greedy_state_values_equal_masked_maximum(grid07, which, terminal_value):
+    # greedy_state_values zeroes terminal states through their index; it must
+    # equal the masked maximum bit for bit, whatever the terminal rows hold
+    # (the self-loop MDP has no terminal state)
+    mdp = grid07 if which == "grid" else make_selfloop_mdp()
+    q = random_q(mdp, np.random.default_rng(5))
+    q[mdp.terminal_mask] = terminal_value
+    want = np.where(mdp.terminal_mask, 0.0, q.max(axis=1))
+    got = tq.greedy_state_values(q, mdp)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not mdp.terminal_states.flags.writeable and not mdp.pair_range.flags.writeable
+
+
 def test_chain_mdp_smoke():
     mdp = make_chain_mdp(gamma=0.5)
     q = tq.value_iteration_oracle(mdp)

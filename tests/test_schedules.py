@@ -134,8 +134,12 @@ def test_geometric_period_degenerate_ratio():
 
 
 def test_geometric_period_overflow():
-    with pytest.raises(ScheduleOverflowError):
-        tq.GeometricPeriod(10**6, 0.01).period(50)
+    # at n = 1000, gamma ** (-2n/3) itself overflows a float
+    for k0, gamma, n in ((10**6, 0.01, 50), (10, 0.01, 1000)):
+        with pytest.raises(ScheduleOverflowError) as info:
+            tq.GeometricPeriod(k0, gamma).period(n)
+        assert str(info.value) == (
+            f"period k0={k0}, gamma={gamma}, n={n} exceeds the exact-integer range")
 
 
 def test_geometric_period_domain():
@@ -258,6 +262,20 @@ def test_design_input_validation(constants07):
         for eps in (1e-300, 1e-150):
             with pytest.raises(ScheduleOverflowError):
                 designer(eps, 3.0, constants07)
+
+
+@pytest.mark.parametrize("designer", [tq.design_fixed_period, tq.design_growing_period])
+@pytest.mark.parametrize("gamma", [0.9999999, 1 - 2**-52, 1 - 2**-53])
+def test_hopeless_design_fails_before_building_periods(designer, gamma):
+    # k_min is past 2**53 at each of these gammas, where N is about 8e7, 1e17
+    # and (mu rounds to 1) unbounded: the design fails at once
+    c = tq.RateConstants(xi=1.0 / 52.0, sigma_sq=4.2025, q_star_sup=3.0, gamma=gamma, n_pairs=52)
+    assert c.k_min >= 2**53
+    with pytest.raises(ScheduleOverflowError) as info:
+        designer(0.1, 3.0, c)
+    assert str(info.value) == "designed periods for eps=0.1, e0=3.0 exceed the exact-integer range"
+    # a design whose initial error already meets the target still returns
+    assert designer(6.0, 3.0, c).degenerate
 
 
 # SHA-256 over repr of both designers' outputs on a small grid. The design
