@@ -235,21 +235,19 @@ def new_q_table(mdp: TabularMdp, fill: float = 0.0) -> np.ndarray:
 
 def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     """Check a table, or a stack of tables along a leading axis, and return
-    a fresh array of its active-pair values (one row per table)."""
+    a fresh array of its active-pair values (one row per table; a table is
+    a stack of one and gets its row)."""
     if q.ndim not in (2, 3) or q.shape[-2:] != (mdp.num_states, mdp.num_actions):
         raise DimensionError(
             f"Q-table shape {q.shape} does not match "
             f"({mdp.num_states}, {mdp.num_actions})"
         )
-    if q.ndim == 2:
-        values = q.take(mdp.pair_flat)
-    else:  # one row per table
-        values = q.reshape(len(q), q.shape[1] * q.shape[2]).take(mdp.pair_flat, axis=1)
+    values = q.reshape(-1, mdp.num_states * mdp.num_actions).take(mdp.pair_flat, axis=1)
     # counting is exact, warns on nothing and, unlike a reduction, is cheap
     # on small tables
     if np.count_nonzero(np.isfinite(values)) != values.size:
         raise DomainError("Q-table has non-finite entries on active pairs")
-    return values
+    return values if q.ndim == 3 else values[0]
 
 
 def greedy_state_values(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
@@ -317,35 +315,32 @@ def evaluate_greedy(
     undiscounted sum of reward means along the path, added in path order.
 
     ``q`` may be a stack of tables along a leading axis; the result is then
-    an array with one score per table. The rollouts of a stack run side by
-    side on the graph whose node b * num_states + s is state s of table b:
-    one ``argmax`` over the stack gives every node's greedy successor and
-    reward mean, and each step adds every path's next reward mean. A
-    terminal node is its own successor at reward 0.0, which leaves a sum
-    started at 0.0 unchanged, so each score equals that of the table alone,
-    bit for bit. Transitions are deterministic: a path still running after
+    an array with one score per table; a table is a stack of one. One
+    ``argmax`` gives the flat index of every state's greedy pair in every
+    table. Each path carries its state: a step adds the reward mean at that
+    state's greedy pair and moves to the pair's next state. A terminal
+    state is absorbing at reward 0.0, which leaves a sum started at 0.0
+    unchanged, so each score equals that of the table alone, bit for bit.
+    Transitions are deterministic: a path still running after
     num_states steps is on a cycle and never ends, so one check there
     stops the walk once every path has ended.
     """
     _check_table(q, mdp)
     if _as_int(horizon, "horizon") < 0:
         raise DomainError("horizon must be nonnegative")
-    mdp._check_state(_as_int(start, "start state"))
-    n_states = mdp.num_states
-    actions = q.argmax(axis=-1).ravel()
-    node = np.arange(actions.size)
-    state = node % n_states
-    flat = state * mdp.num_actions
-    flat += actions
-    reward = mdp._step_reward.take(flat)
-    successor = mdp._step_next.take(flat)
-    successor += node
-    successor -= state
-    at = np.arange(start, actions.size, n_states)  # each path's node
-    score = np.zeros(at.size)
+    start = _as_int(start, "start state")
+    mdp._check_state(start)
+    n_states, n_actions = mdp.num_states, mdp.num_actions
+    # greedy[b, s]: flat index of state s's greedy pair in table b
+    greedy = q.reshape(-1, n_states, n_actions).argmax(axis=-1)
+    greedy += np.arange(0, n_states * n_actions, n_actions)
+    rows = np.arange(0, greedy.size, n_states)  # where each table's row starts
+    state = np.full(len(greedy), start)
+    score = np.zeros(len(greedy))
     for step in range(horizon):
-        if step == n_states and mdp.terminal_mask.take(state.take(at)).all():
+        if step == n_states and mdp.terminal_mask.take(state).all():
             break
-        score += reward.take(at)
-        at = successor.take(at)
+        at = greedy.take(rows + state)  # greedy[b, state[b]] for every table b
+        score += mdp._step_reward.take(at)
+        state = mdp._step_next.take(at)
     return float(score[0]) if q.ndim == 2 else score

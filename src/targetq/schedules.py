@@ -88,8 +88,7 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
     """Rate constants for an environment: sigma_sq is the worst reward
     variance over active pairs, q_star_sup the sup norm of the supplied
     fixed point over active pairs."""
-    _check_table(q_star, mdp)
-    sup = float(np.abs(q_star.take(mdp.pair_flat)).max())
+    sup = float(np.abs(_check_table(q_star, mdp)).max())
     return RateConstants(
         xi=float(xi),
         sigma_sq=float(np.max(mdp.pair_reward_var)),
@@ -337,7 +336,8 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
     """Both designs: N cycles (a log ratio within 1e-9 of an integer counts as
     it) of raw periods C * rho^(N-1-j), C = (4 c2 / eps^2) ((1 - q^N) / (1 - q))^2,
     clamped to k_min and ceiled; none, within validity, when eps >= 2 e0.
-    A design whose periods would pass 2^53 fails before any is built."""
+    A design whose periods or cost would pass 2^53 fails before any period
+    is built."""
     raw = ()
     k_min = constants.k_min
     if eps >= 2.0 * e0:
@@ -350,8 +350,9 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
             r = round(x)
             n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
             c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
-        # rho <= 1, so the last raw period, C itself, is the largest
-        if n and not max(c, k_min) < _EXACT_INT_LIMIT:
+        # rho <= 1, so the last raw period, C itself, is the largest; every
+        # period is at least k_min, so the cost is at least N k_min
+        if n and not max(c, n * k_min) < _EXACT_INT_LIMIT:
             raise ScheduleOverflowError(
                 f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
             )

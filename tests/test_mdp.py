@@ -454,7 +454,9 @@ def test_stacked_calls_equal_per_table_calls(which, ties, count, seed):
 def test_stacked_calls_of_empty_stacks_and_wrong_ranks(grid07, oracle07):
     empty = np.zeros((0, grid07.num_states, grid07.num_actions))
     assert tq.sup_distance(empty, oracle07, grid07).shape == (0,)
-    assert tq.evaluate_greedy(empty, grid07, grid07.start_state, 7).shape == (0,)
+    # the second horizon runs the walk's terminal check on no paths
+    for horizon in (7, 2 * grid07.num_states + 3):
+        assert tq.evaluate_greedy(empty, grid07, grid07.start_state, horizon).shape == (0,)
     for table in (np.zeros((1, 2, grid07.num_states, grid07.num_actions)), np.float64(0.0)):
         with pytest.raises(DimensionError):
             tq.sup_distance(table, oracle07, grid07)

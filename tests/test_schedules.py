@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,21 @@ def test_hopeless_design_fails_before_building_periods(designer, gamma):
     assert str(info.value) == "designed periods for eps=0.1, e0=3.0 exceed the exact-integer range"
     # a design whose initial error already meets the target still returns
     assert designer(6.0, 3.0, c).degenerate
+
+
+@pytest.mark.parametrize("designer", [tq.design_fixed_period, tq.design_growing_period])
+def test_zero_noise_design_with_a_huge_cycle_count_fails_at_once(designer):
+    # c2 = 0 makes every raw period 0 and every period ceil(k_min), below
+    # 2**53; N is about 6.9e9, so the cost, at least N k_min, is past 2**53
+    # and the design fails before building any of its N periods
+    c = tq.RateConstants(xi=1.0, sigma_sq=0.0, q_star_sup=0.0, gamma=1 - 2e-7, n_pairs=1)
+    assert c.c2 == 0.0 and 3e15 < c.k_min < 2**53
+    started = time.perf_counter()
+    with pytest.raises(ScheduleOverflowError) as info:
+        designer(1e-150, 1e150, c)
+    assert time.perf_counter() - started < 1.0
+    assert str(info.value) == ("designed periods for eps=1e-150, e0=1e+150 "
+                               "exceed the exact-integer range")
 
 
 # SHA-256 over repr of both designers' outputs on a small grid. The design
