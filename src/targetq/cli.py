@@ -33,6 +33,14 @@ from .mdp import value_iteration_oracle
 from .schedules import compute_constants, design_fixed_period, design_growing_period
 
 
+def _out_path(text: str) -> Path:
+    """An output path. Python raises ValueError, not OSError, for a file name
+    holding a NUL, so one is refused here, as a usage error."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a file name cannot hold a NUL character")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="targetq",
@@ -55,20 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--xi", type=float, default=None,
                         help="exploration constant (default: 1/active pairs)")
     design.add_argument("--schedule", choices=("fixed", "growing"), default="growing")
-    design.add_argument("--out", type=Path, default=None, help="write a schedule file")
+    design.add_argument("--out", type=_out_path, default=None, help="write a schedule file")
 
     run = sub.add_parser("run", help="one seeded run from a config file")
     run.add_argument("--config", required=True, type=Path)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--out", type=Path, default=None, help="CSV output path")
+    run.add_argument("--out", type=_out_path, default=None, help="CSV output path")
 
     sweep = sub.add_parser("sweep", help="multi-seed experiment from a config file")
     sweep.add_argument("--config", required=True, type=Path)
-    sweep.add_argument("--out", type=Path, default=None, help="CSV output path")
+    sweep.add_argument("--out", type=_out_path, default=None, help="CSV output path")
 
     grid = sub.add_parser("gridworld", help="emit the bundled benchmark's grid spec")
     grid.add_argument("--gamma", type=float, default=0.7)
-    grid.add_argument("--out", type=Path, default=None)
+    grid.add_argument("--out", type=_out_path, default=None)
     return parser
 
 
@@ -81,8 +89,7 @@ def _cmd_oracle(args) -> int:
     )
     print(f"gamma: {mdp.gamma}")
     start = mdp.start_state
-    for a in range(mdp.num_actions):
-        name = ACTION_NAMES[a] if a < len(ACTION_NAMES) else str(a)
+    for a, name in enumerate(ACTION_NAMES):  # every environment is a grid of these four
         print(f"Q*(start, {name}) = {q_star[start, a]:.4f}")
     v = float(np.max(q_star[start]))
     print(f"V*(start) = {v:.4f}")
@@ -184,7 +191,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, OSError, ValueError, OverflowError, IterationLimitError) as exc:
+    except (DomainError, OSError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

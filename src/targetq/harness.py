@@ -9,7 +9,7 @@ order, so a configuration determines its outputs byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,20 +18,6 @@ from .errors import AlignmentError, ConfigValidationError
 from .learner import RunTrace, limit_violations, run_accuracy_triggered_q, run_periodic_q
 from .mdp import TabularMdp, new_q_table, value_iteration_oracle
 from .schedules import AccuracyTriggered, TufSchedule
-
-CSV_HEADER = (
-    "arm",
-    "cumulative_cost",
-    "cycle",
-    "bias_mean",
-    "bias_median",
-    "bias_lo",
-    "bias_hi",
-    "score_median",
-    "score_lo",
-    "score_hi",
-)
-
 
 @dataclass(frozen=True)
 class Arm:
@@ -128,6 +114,10 @@ class AggregateStats:
     score_hi: list[float | None]
 
 
+# a CSV row is an arm, a checkpoint's cost and index, then the statistics at it
+CSV_HEADER = ("arm", "cumulative_cost", "cycle", *(f.name for f in fields(AggregateStats)[1:]))
+
+
 def _locf_bands(traces: Sequence[RunTrace], grid: np.ndarray, getter) -> list[list]:
     """Mean, median, 2.5 and 97.5 percentiles across seeds at each grid cost,
     each seed carrying its last recorded value forward; None where some seed
@@ -158,18 +148,16 @@ def aggregate(traces: Sequence[RunTrace]) -> AggregateStats:
     grid = np.unique(
         np.concatenate([[rec.cumulative_cost for rec in t.records] for t in traces])
     )
-    bias_mean, bias_median, bias_lo, bias_hi = _locf_bands(traces, grid, lambda rec: rec.bias)
-    _, score_median, score_lo, score_hi = _locf_bands(traces, grid, lambda rec: rec.score)
-    return AggregateStats([int(c) for c in grid], bias_mean, bias_median, bias_lo, bias_hi,
-                          score_median, score_lo, score_hi)
+    bias = _locf_bands(traces, grid, lambda rec: rec.bias)
+    _, *score = _locf_bands(traces, grid, lambda rec: rec.score)  # a score has no mean column
+    return AggregateStats([int(c) for c in grid], *bias, *score)
 
 
 def _stats_rows(label: str, stats: AggregateStats):
     """An arm's CSV rows, formatted one column at a time."""
-    columns = (stats.bias_mean, stats.bias_median, stats.bias_lo, stats.bias_hi,
-               stats.score_median, stats.score_lo, stats.score_hi)
-    n = len(stats.costs)
-    return zip([label] * n, map(str, stats.costs), map(str, range(n)),
+    costs, *columns = (getattr(stats, f.name) for f in fields(stats))
+    n = len(costs)
+    return zip([label] * n, map(str, costs), map(str, range(n)),
                *(["" if x is None else format(float(x), ".12g") for x in column]
                  for column in columns), strict=True)
 

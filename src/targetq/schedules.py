@@ -350,12 +350,16 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
             r = round(x)
             n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
             c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
-        # rho <= 1, so the last raw period, C itself, is the largest; every
+        # rho <= 1, so the largest period is ceil(max(C, k_min)); every
         # period is at least k_min, so the cost is at least N k_min
-        if n and not max(c, n * k_min) < _EXACT_INT_LIMIT:
+        if n and not max(c, k_min) < _EXACT_INT_LIMIT:
             raise ScheduleOverflowError(
                 f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
             )
+        if n and not n * k_min < _EXACT_INT_LIMIT:
+            raise ScheduleOverflowError(
+                f"designed cost for eps={eps}, e0={e0}, at least N k_min = {n} * {k_min:.8g}, "
+                "exceeds the exact-integer range")
         raw = tuple(c * rho ** float(n - 1 - j) for j in range(n))
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value

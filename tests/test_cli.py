@@ -1,13 +1,17 @@
 import csv
 import hashlib
+import io
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import targetq as tq
+from targetq import cli
 from targetq.cli import main
 from targetq.config import (
     load_schedule_file,
@@ -793,3 +797,183 @@ def test_spec_and_file_readers_raise_domain_error(tmp_path, grid07):
             path.write_text(text)
         refused(load_schedule_file, path)
     refused(load_schedule_file, tmp_path)  # a directory
+
+
+# ---------------------------------------------------------------------------
+# One error boundary: for any input `main` returns 0, 1 with one `error: `
+# line, or argparse's usage exit 2. Any other exception is a bug and must
+# leave `main` with its traceback. A seeded fuzz over the four text formats
+# and the flag-driven commands checks this, in the manner of Claessen &
+# Hughes, "QuickCheck" (ICFP 2000).
+
+README_INI = {block.split("\n", 1)[0]: block for block in re.findall(
+    r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    flags=re.DOTALL)}
+# "\udce9" is how Python reads the non-UTF-8 byte 0xe9 in argv or a file
+HOSTILE = ("nan", "inf", "-inf", "1e400", "-1", "0", "1", "2", "2.5", "1e-300", "1e-320",
+           "0.9999999999999999", "", "x", "abc", "%", "\0", "\udce9", "theory 1e-320",
+           "file /nonexistent", "geometric 10 0.01", "adaptive 5 1")
+# valid limits too large to run: a document holding one is parsed and checked only
+HUGE = (str(10**23), str(2**53 - 1), str(2**53 + 1), f"fixed {2**53 - 1}",
+        f"adaptive 1 {2**53 - 1}", "range 3000000")
+_HUGE_KEYS = {"seed", "seeds", "budget", "schedule", "eval_horizon", "eval_every", "periods"}
+
+_PERIOD = st.integers(1, 2000)
+_PERIODS = st.lists(_PERIOD, min_size=1, max_size=4).map(lambda ks: " ".join(map(str, ks)))
+# a geometric period grows by gamma^(-2/3) a cycle, and the cycle that crosses
+# the budget completes: at gamma 2.2e-16, `geometric 1000` runs 2.7e13 steps
+_GAMMA = st.floats(0.5, 0.95).map(repr)
+_UNIT = st.floats(0.01, 1.0).map(repr)
+# a small valid value for each key the four formats read; a key none reads (a
+# schedule file's family, eps and e0) takes "x"
+VALID = {
+    "env": st.sampled_from(["gridworld", "grid.ini"]),
+    "gamma": _GAMMA,
+    "seed": st.integers(0, 2**32).map(str),
+    "seeds": st.one_of(st.sampled_from(["range 2", "range 3"]),
+                       st.lists(st.integers(0, 99), min_size=2, max_size=3, unique=True)
+                       .map(lambda seeds: " ".join(map(str, seeds)))),
+    "budget": st.integers(1, 5000).map(str),
+    "schedule": st.one_of(
+        _PERIOD.map("fixed {}".format), _PERIOD.map("geometric {}".format),
+        _PERIODS.map("custom {}".format), st.just("file sched.ini"),
+        st.tuples(_PERIOD, _PERIOD).map(lambda ks: "adaptive {} {}".format(*sorted(ks)))),
+    "step_size": st.one_of(st.just("theory"), _UNIT.map("theory {}".format),
+                           _UNIT.map("constant {}".format)),
+    "bias": st.sampled_from(["true", "false"]),
+    "eval_horizon": st.integers(0, 64).map(str),
+    "eval_every": st.integers(1, 5).map(str),
+    "rows": st.integers(1, 5).map(str),
+    "cols": st.integers(1, 5).map(str),
+    "layout": st.sampled_from(["S.B. | .... | OOB. | OOBG", "SG", "S.O | .BG"]),
+    "kind": st.sampled_from(["two-point", "deterministic"]),
+    "values": st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=2)
+              .map(lambda vs: ", ".join(map(repr, vs))),
+    "probabilities": st.sampled_from(["0.5, 0.5", "0.25, 0.75", "1.0"]),
+    "periods": _PERIODS,
+}
+# the document each fuzzed input edits, and the command that reads it; a
+# schedule file is read through a run config naming it
+DOCUMENTS = {
+    "run": ("run.ini", ["run", "--config", "run.ini"]),
+    "sweep": ("sweep.ini", ["sweep", "--config", "sweep.ini"]),
+    "grid": ("grid.ini", ["oracle", "--env", "grid.ini"]),
+    "schedule": ("sched.ini", ["run", "--config", "sched-run.ini"]),
+}
+_KEY_LINE = re.compile(r"^(\w+) = (.*)$", flags=re.MULTILINE)
+# each example rewrites the files it reads, in the directory monkeypatch moved to
+_FUZZ = settings(derandomize=True, database=None, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(tmp_path_factory):
+    """The fuzz's directory and base documents: the README's run and sweep
+    examples, `gridworld --gamma 0.7` output and a `design --out` file."""
+    path = tmp_path_factory.mktemp("fuzz")
+    assert main(["gridworld", "--gamma", "0.7", "--out", str(path / "grid.ini")]) == 0
+    assert main(["design", "--gamma", "0.7", "--eps", "0.5", "--out", str(path / "sched.ini")]) == 0
+    run = README_INI["[run]"]
+    assert "schedule = fixed 1000" in run
+    return path, {"run.ini": run, "sweep.ini": README_INI["[sweep]"],
+                  "grid.ini": (path / "grid.ini").read_text(),
+                  "sched.ini": (path / "sched.ini").read_text(),
+                  "sched-run.ini": run.replace("fixed 1000", "file sched.ini")}
+
+
+def _outcome(argv) -> None:
+    """Run ``main(argv)`` and check its outcome; no warning may print either."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = err.getvalue()
+    if rc == 2:
+        assert err.startswith("usage: ") and f"\ntargetq {argv[0]}: error: " in err
+    else:
+        assert (rc, err) == (0, "") or (
+            rc == 1 and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(_FUZZ, max_examples=40)
+@given(data=st.data())
+def test_every_edited_document_gets_one_outcome(fuzz_docs, monkeypatch, kind, data):
+    # every budget and period list is small, so each edit that is not huge runs
+    path, base = fuzz_docs
+    monkeypatch.chdir(path)
+    small = {key: data.draw(VALID[key], label=key) for key in ("budget", "periods")}
+    docs = {name: _KEY_LINE.sub(lambda m: f"{m[1]} = {small.get(m[1], m[2])}", text)
+            for name, text in base.items()}
+    name, argv = DOCUMENTS[kind]
+    lines = list(_KEY_LINE.finditer(docs[name]))
+    edits = data.draw(st.lists(st.sampled_from(lines), min_size=1, max_size=2,
+                               unique_by=lambda m: m.start()), label="lines")
+    text, huge = docs[name], False
+    for m in sorted(edits, key=lambda m: m.start(), reverse=True):
+        pools = [VALID.get(m[1], st.just("x")), st.sampled_from(HOSTILE)]
+        if m[1] in _HUGE_KEYS:
+            pools.append(st.sampled_from(HUGE))
+        value = data.draw(st.one_of(pools), label=m[1])
+        huge |= value in HUGE
+        text = text[:m.start(2)] + value + text[m.end(2):]
+    docs[name] = text
+    for doc, text in docs.items():
+        Path(doc).write_bytes(text.encode("utf-8", "surrogateescape"))
+    if not huge:
+        _outcome(argv)
+        return
+    # too large to run: parsing and the limit check still refuse only with a DomainError
+    try:
+        cfg = (parse_sweep_config if kind == "sweep" else parse_run_config)(argv[-1])
+    except DomainError:
+        return
+    assert all(isinstance(problem, str) for problem in cfg.violations())
+
+
+FLAGS = {
+    "oracle": {"--env": VALID["env"], "--gamma": _GAMMA, "--tol": st.floats(1e-12, 1e-3).map(repr)},
+    "design": {"--env": VALID["env"], "--gamma": _GAMMA, "--eps": st.floats(0.05, 5.0).map(repr),
+               "--e0": st.floats(0.1, 5.0).map(repr), "--xi": _UNIT,
+               "--schedule": st.sampled_from(["fixed", "growing"]), "--out": st.just("out.ini")},
+    "gridworld": {"--gamma": _GAMMA, "--out": st.just("out.ini")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(_FUZZ, max_examples=50)
+@given(data=st.data())
+def test_every_flag_set_gets_one_outcome(fuzz_docs, monkeypatch, command, data):
+    # each flag is valid (--gamma and --eps present), or absent; then one or
+    # two of them are hostile
+    path, base = fuzz_docs
+    monkeypatch.chdir(path)
+    flags = {flag: data.draw(valid if flag in ("--gamma", "--eps") else st.one_of(st.none(), valid),
+                             label=flag)
+             for flag, valid in FLAGS[command].items()}
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2,
+                                   unique=True), label="hostile flags"):
+        flags[flag] = data.draw(st.sampled_from(HOSTILE), label=flag)
+    argv = [command, *(arg for flag, value in flags.items() if value is not None
+                       for arg in (flag, value))]
+    Path("grid.ini").write_text(base["grid.ini"])
+    _outcome(argv)
+
+
+@pytest.mark.parametrize("command", ["design --gamma 0.7 --eps 0.5", "gridworld",
+                                     "run --config run.ini", "sweep --config sweep.ini"])
+def test_nul_in_an_output_path_is_a_usage_error(capsys, command):
+    # found by the fuzz above: writing to a path with a NUL raised ValueError
+    assert main([*command.split(), "--out", "out\0.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(": error: argument --out: a file name cannot hold a NUL character\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+def test_a_builtin_error_from_a_command_is_a_bug_with_a_traceback(monkeypatch, error):
+    def buggy(args):
+        raise error("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "gridworld", buggy)
+    with pytest.raises(error, match="a bug"):
+        main(["gridworld"])

@@ -118,6 +118,20 @@ def test_spec_validation_errors():
             gridworld_spec(gamma)
 
 
+@pytest.mark.parametrize(
+    "layout, drop, message",
+    [((), None, "layout must have at least one row"),
+     (("S.", "."), None, "layout rows must be non-empty and equal length"),
+     (("",), None, "layout rows must be non-empty and equal length"),
+     (("SG",), "goal", "reward table missing roles: ['goal']")],
+    ids=["no-rows", "ragged", "empty-row", "missing-role"],
+)
+def test_malformed_grid_spec_is_refused(layout, drop, message):
+    rewards = {key: dist for key, dist in gridworld_spec(0.7).rewards.items() if key != drop}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        tq.GridSpec(layout=layout, gamma=0.5, rewards=rewards)
+
+
 # no valid spec holds a '%': layouts, kinds and numbers all exclude it
 PERCENT_EDITS = [
     ("values = -0.08, 0.05", "values = -0.08%, 0.05",

@@ -123,6 +123,11 @@ def test_non_finite_budget_is_a_violation(grid07, budget):
     assert replace(cfg, sample_budget=2e6).violations() == []
 
 
+def test_config_without_arms_is_a_violation(grid07):
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(), seeds=(0, 1), sample_budget=100)
+    assert cfg.violations() == ["no arms configured"]
+
+
 def test_single_run_equals_direct_call(grid07, oracle07, small_cfg):
     traces = tq.run_experiment(
         tq.ExperimentConfig(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +229,31 @@ def test_integer_arguments_refuse_non_integers(grid07, oracle07, arg):
     with pytest.raises(DomainError, match=f"must be an integer, got {bad}"):
         call(grid07, oracle07, bad)
     call(grid07, oracle07, good)  # a numpy integer passes
+
+
+_DET = tq.RewardDistribution.deterministic(1.0)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [(dict(num_states=0), "num_states and num_actions must be positive"),
+     (dict(num_actions=0), "num_states and num_actions must be positive"),
+     (dict(gamma=1.0), "gamma must lie in [0, 1), got 1.0"),
+     (dict(terminal=(2,)), "terminal state 2 out of range"),
+     (dict(start_state=2), "start state 2 out of range"),
+     (dict(transitions={}), "missing transition for active pair (0, 0)"),
+     (dict(rewards={}), "missing reward for active pair (0, 0)"),
+     (dict(transitions={(0, 0): 5}), "transition target 5 out of range for (0, 0)")],
+    ids=["no-states", "no-actions", "gamma-1", "terminal", "start", "transition", "reward",
+         "target"],
+)
+def test_malformed_mdp_is_refused(changes, message):
+    # state 0 steps into the terminal state 1
+    good = dict(num_states=2, num_actions=1, transitions={(0, 0): 1}, rewards={(0, 0): _DET},
+                terminal=(1,), gamma=0.5, start_state=0)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        tq.TabularMdp(**{**good, **changes})
+    tq.TabularMdp(**good)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ def test_constants_match_exact_rational_evaluation(constants07):
     assert constants07.c2 == pytest.approx(float(c2), rel=1e-12)
 
 
+def test_rate_constants_refuse_no_pairs():
+    with pytest.raises(DomainError, match="^n_pairs must be positive$"):
+        tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=0)
+
+
 def test_mu_direct_substitution():
     c = tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=4)
     assert c.mu == pytest.approx(0.95)
@@ -290,8 +295,8 @@ def test_zero_noise_design_with_a_huge_cycle_count_fails_at_once(designer):
     with pytest.raises(ScheduleOverflowError) as info:
         designer(1e-150, 1e150, c)
     assert time.perf_counter() - started < 1.0
-    assert str(info.value) == ("designed periods for eps=1e-150, e0=1e+150 "
-                               "exceed the exact-integer range")
+    assert str(info.value) == ("designed cost for eps=1e-150, e0=1e+150, at least N k_min = "
+                               "6914686401 * 3.5999988e+15, exceeds the exact-integer range")
 
 
 # SHA-256 over repr of both designers' outputs on a small grid. The design
