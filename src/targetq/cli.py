@@ -33,11 +33,14 @@ from .mdp import value_iteration_oracle
 from .schedules import compute_constants, design_fixed_period, design_growing_period
 
 
-def _out_path(text: str) -> Path:
-    """An output path. Python raises ValueError, not OSError, for a file name
-    holding a NUL, so one is refused here, as a usage error."""
+def _path(text: str) -> Path:
+    """A config or output path. Python raises ValueError, not OSError, for a
+    file name holding a NUL, and an empty name means the current directory,
+    so both are refused here, as usage errors."""
     if "\0" in text:
         raise argparse.ArgumentTypeError("a file name cannot hold a NUL character")
+    if not text:
+        raise argparse.ArgumentTypeError("a file name cannot be empty")
     return Path(text)
 
 
@@ -63,20 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--xi", type=float, default=None,
                         help="exploration constant (default: 1/active pairs)")
     design.add_argument("--schedule", choices=("fixed", "growing"), default="growing")
-    design.add_argument("--out", type=_out_path, default=None, help="write a schedule file")
+    design.add_argument("--out", type=_path, default=None, help="write a schedule file")
 
     run = sub.add_parser("run", help="one seeded run from a config file")
-    run.add_argument("--config", required=True, type=Path)
+    run.add_argument("--config", required=True, type=_path)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--out", type=_out_path, default=None, help="CSV output path")
+    run.add_argument("--out", type=_path, default=None, help="CSV output path")
 
     sweep = sub.add_parser("sweep", help="multi-seed experiment from a config file")
-    sweep.add_argument("--config", required=True, type=Path)
-    sweep.add_argument("--out", type=_out_path, default=None, help="CSV output path")
+    sweep.add_argument("--config", required=True, type=_path)
+    sweep.add_argument("--out", type=_path, default=None, help="CSV output path")
 
     grid = sub.add_parser("gridworld", help="emit the bundled benchmark's grid spec")
     grid.add_argument("--gamma", type=float, default=0.7)
-    grid.add_argument("--out", type=_out_path, default=None)
+    grid.add_argument("--out", type=_path, default=None)
     return parser
 
 
@@ -192,7 +195,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (DomainError, OSError, IterationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None  # as config errors name it
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -159,6 +159,8 @@ def load_grid_spec(text: str, gamma: float | None = None, path=None) -> GridSpec
 def load_environment(ref: str, gamma: float | None) -> TabularMdp:
     """``gridworld`` for the bundled benchmark (gamma required), otherwise
     a path to a grid-spec file (gamma optional override)."""
+    if not ref:  # Path("") is the current directory
+        raise DomainError("env is empty: give 'gridworld' or a grid-spec file")
     if ref == "gridworld":
         if gamma is None:
             raise DomainError("the bundled gridworld needs an explicit gamma")

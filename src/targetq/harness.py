@@ -65,16 +65,19 @@ class ExperimentConfig:
         return problems
 
 
-def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, **options) -> RunTrace:
+def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, label: str, **options) -> RunTrace:
     """One seeded run from a zero table, as ``run_experiment`` makes it:
     adaptive schedules go to the accuracy-triggered runner, the rest to the
-    periodic one."""
+    periodic one. The trace is stamped with ``label`` and ``seed``."""
     rng = np.random.default_rng(seed)
     q0 = new_q_table(mdp)
     if isinstance(schedule, AccuracyTriggered):
-        return run_accuracy_triggered_q(q0, schedule.k_min, schedule.k_max, step_sizes, mdp, rng,
-                                        accuracy=schedule.accuracy, seed=seed, **options)
-    return run_periodic_q(q0, schedule, step_sizes, mdp, rng, seed=seed, **options)
+        trace = run_accuracy_triggered_q(q0, schedule.k_min, schedule.k_max, step_sizes, mdp, rng,
+                                         accuracy=schedule.accuracy, **options)
+    else:
+        trace = run_periodic_q(q0, schedule, step_sizes, mdp, rng, **options)
+    trace.label, trace.seed = label, seed
+    return trace
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:

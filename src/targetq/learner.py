@@ -6,7 +6,8 @@ the end of each cycle. There is one outer loop, ``_run_cycles``, and two
 entry points that each hand it a cycle: ``run_periodic_q`` runs a
 predetermined schedule (fixed, geometric or explicit periods) and
 ``run_accuracy_triggered_q`` stops each inner loop once the mean absolute
-TD error over all pairs falls below the cycle's threshold.
+TD error over all pairs falls below the cycle's threshold. A periodic run
+equals its explicit loop of ``run_inner_loop`` calls on one generator.
 
 A periodic cycle is applied in closed form: with the target frozen, each
 pair's value at the end of any stretch of steps is its value at the start
@@ -49,7 +50,6 @@ from .mdp import (
     _as_int,
     _check_table,
     evaluate_greedy,
-    exact_bellman_apply,
     greedy_state_values,
     sup_distance,
 )
@@ -64,27 +64,25 @@ _RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
 
 
 class CycleRecord(NamedTuple):
-    """State of a run at one cycle boundary, an immutable named tuple.
+    """What a run measured at one cycle boundary, an immutable named tuple.
 
     Record 0 describes the initial table (zero cost); record n >= 1 is
-    taken right after cycle n overwrote the target. ``bellman_gap`` is the
-    sup distance between the cycle's final iterate and the exact Bellman
-    image of its frozen target; ``stop_stat`` is the accuracy-triggered
-    stopping statistic at cycle end.
+    taken right after cycle n overwrote the target, which ran
+    ``inner_steps`` steps (a periodic cycle's period). ``stop_stat`` is the
+    accuracy-triggered stopping statistic at cycle end.
     """
 
     cycle: int
-    planned_period: int | None
     inner_steps: int
     cumulative_cost: int
     bias: float | None
-    bellman_gap: float | None
     score: float | None
     stop_stat: float | None = None
 
 
 @dataclass
 class RunTrace:
+    """A run's records; ``harness.run_one`` stamps its ``label`` and ``seed``."""
     label: str = "run"
     seed: int | None = None
     records: list[CycleRecord] = field(default_factory=list)
@@ -301,27 +299,23 @@ def limit_violations(sample_budget, n_cycles, eval_every, eval_horizon) -> list[
 
 
 def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horizon=None,
-                eval_every=1, record_gap=False, label="run", seed=None) -> RunTrace:
-    """The outer loop: ``cycle(n, q) -> (q_new, planned, steps, stop_stat)``
-    runs cycle n's inner loop against the frozen target ``q``; its result
+                eval_every=1) -> RunTrace:
+    """The outer loop: ``cycle(n, q) -> (q_new, steps, stop_stat)`` runs
+    cycle n's inner loop against the frozen target ``q``; its result
     overwrites the target. Records the initial table at cost 0, then every
     cycle, until ``limit`` cycles ran or the cumulative cost reaches
     ``sample_budget``; the cycle that crosses the budget completes.
 
     Each record carries the sup distance to ``oracle`` if given, and every
     ``eval_every`` cycles the greedy score over ``eval_horizon`` steps from
-    ``mdp.start_state`` if a horizon is given; ``record_gap`` adds the
-    distance from the cycle's exact Bellman image, taken every cycle.
+    ``mdp.start_state`` if a horizon is given.
 
     Distances and scores are computed one stack at a time: each table to
     record is copied into a stack of max(1, ``_CHUNK`` // table size)
-    tables, allocated once per run, and when the stack is full, and once
-    when the run ends, one ``sup_distance`` call over the stack and one
-    ``evaluate_greedy`` call over its due tables record them all. So the
-    trace is complete when the run returns, and each record equals the one
-    a per-cycle call would give. A non-finite table still fails the run
-    with the same ``DomainError``, from the next cycle's check or, at the
-    latest, from its stack's.
+    tables, allocated once per run; when it is full, and when the run ends,
+    one ``sup_distance`` call and one ``evaluate_greedy`` call (on its due
+    tables) record the whole stack, each record equal to a per-table call's.
+    A non-finite table fails the run with the table check's ``DomainError``.
     """
     problems = limit_violations(sample_budget, limit, eval_every, eval_horizon)
     if problems:
@@ -331,10 +325,9 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     if oracle is not None:
         _check_table(oracle, mdp)
     q = np.array(q0, dtype=float)
-    trace = RunTrace(label=label, seed=seed)
+    trace = RunTrace()
     stack = np.empty((max(1, _CHUNK // q.size), *q.shape))
-    # the record fields of the tables in the stack, but bias and score: (cycle,
-    # planned_period, inner_steps, cumulative_cost, bellman_gap, stop_stat)
+    # (cycle, inner_steps, cumulative_cost, stop_stat) of each table in the stack
     pending = []
 
     def record_stack():
@@ -345,26 +338,21 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
         due = slice(-pending[0][0] % eval_every, count, eval_every)
         if eval_horizon is not None and due.start < count:
             scores[due] = evaluate_greedy(tables[due], mdp, mdp.start_state, eval_horizon).tolist()
-        trace.records.extend(CycleRecord(n, planned, steps, cost, bias, gap, score, stat)
-                             for (n, planned, steps, cost, gap, stat), bias, score
-                             in zip(pending, biases, scores))
+        trace.records.extend(CycleRecord(n, steps, cost, bias, score, stat)
+                             for (n, steps, cost, stat), bias, score in zip(pending, biases, scores))
         pending.clear()
 
-    n = cost = steps = 0
-    planned = gap = stat = None
+    n, cost, steps, stat = 0, 0, 0, None
     while True:
         stack[len(pending)] = q
-        pending.append((n, planned, steps, cost, gap, stat))
+        pending.append((n, steps, cost, stat))
         over_budget = sample_budget is not None and cost >= sample_budget
         if over_budget or (limit is not None and n >= limit):
             record_stack()
             return trace
         if len(pending) == len(stack):
             record_stack()
-        image = exact_bellman_apply(q, mdp) if record_gap else None
-        q_new, planned, steps, stat = cycle(n, q)
-        gap = sup_distance(q_new, image, mdp) if record_gap else None
-        q = q_new
+        q, steps, stat = cycle(n, q)
         cost += steps
         n += 1
 
@@ -388,8 +376,9 @@ def run_periodic_q(
     Stops after ``n_cycles`` cycles (or the schedule's own length) or once
     the cumulative sample cost reaches ``sample_budget``, whichever comes
     first; the cycle that crosses the budget completes. ``options`` set
-    what each cycle records: ``oracle``, ``eval_horizon``, ``eval_every``,
-    ``record_gap``, and the trace's ``label`` and ``seed``.
+    what each record measures: ``oracle``, ``eval_horizon``, ``eval_every``.
+    Cycle n is ``q = run_inner_loop(q, schedule.period(n), step_sizes, mdp,
+    rng)``; shared step-size buffers and stacked recording change no value.
     """
     if isinstance(schedule, AccuracyTriggered):
         raise DomainError("adaptive schedules are run by run_accuracy_triggered_q")
@@ -397,7 +386,7 @@ def run_periodic_q(
 
     def cycle(n, q):
         k = schedule.period(n)
-        return run_inner_loop(q, k, buffers, mdp, rng), k, k, None
+        return run_inner_loop(q, k, buffers, mdp, rng), k, None
 
     limit = min((_as_int(c, "cycle count") for c in (n_cycles, schedule.n_cycles) if c is not None),
                 default=None)
@@ -433,7 +422,7 @@ def run_accuracy_triggered_q(
         eps_n = adaptive.threshold(n + 1)
         q_new = np.array(q, dtype=float)
         steps, stat = _adaptive_cycle(q_new, q, mdp, buffers, k_min, k_max, eps_n, rng)
-        return q_new, None, steps, stat
+        return q_new, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
 

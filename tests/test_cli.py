@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import re
+import shlex
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -168,7 +169,7 @@ def test_run_matches_direct_call(tmp_path, grid07, oracle07, capsys, spec):
     via_cli = tmp_path / "cli.csv"
     assert main(["run", "--config", str(cfg), "--out", str(via_cli)]) == 0
     steps = tq.TheoryInverseStepSize.from_pair_count(52)
-    options = dict(oracle=oracle07, n_cycles=3, sample_budget=2000, eval_horizon=7, seed=3)
+    options = dict(oracle=oracle07, n_cycles=3, sample_budget=2000, eval_horizon=7)
     if spec.startswith("adaptive"):
         direct = tq.run_accuracy_triggered_q(
             tq.new_q_table(grid07), 50, 500, steps, grid07,
@@ -621,7 +622,8 @@ def _grid(old, new):
 
 
 BAD_INPUT_FILES = [
-    # (command, files, culprit, rest of the diagnostic after the culprit)
+    # (command, files, culprit, rest of the diagnostic after the culprit); a
+    # bare command reads cfg.ini (grid.ini for oracle), a longer one is the argv
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file zero.ini", zero=ZERO_PERIOD), "zero.ini",
                  " [schedule]: period must be at least 1", id="schedule-file-period-0"),
     pytest.param("run", {"cfg.ini": GRID_RUN_CFG, **_grid("rows = 4", "rows = four")}, "grid.ini",
@@ -733,6 +735,12 @@ BAD_INPUT_FILES = [
                  " [grid]: could not convert string to float: '0.7%'", id="grid-gamma-%"),
     pytest.param("oracle", _grid("kind = two-point", "kind = two-point%"), "grid.ini",
                  " [reward default]: unknown reward kind 'two-point%'", id="grid-kind-%"),
+    pytest.param("run", _cfg(RUN_CFG, "env = gridworld", "env ="), "cfg.ini",
+                 " [run]: env is empty: give 'gridworld' or a grid-spec file", id="run-empty-env"),
+    pytest.param("oracle --env ''", {}, "env", " is empty: give 'gridworld' or a grid-spec file",
+                 id="oracle-empty-env"),
+    pytest.param("gridworld --out missing/grid.ini", {}, "missing/grid.ini",
+                 ": No such file or directory", id="gridworld-out-missing-directory"),
 ]
 
 
@@ -745,8 +753,10 @@ def test_bad_input_file_gives_one_diagnostic_naming_it(tmp_path, capsys, monkeyp
     for name, text in files.items():
         path = tmp_path / name
         path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
-    flag, path = ("--env", "grid.ini") if command == "oracle" else ("--config", "cfg.ini")
-    assert main([command, flag, path]) == 1
+    argv = shlex.split(command)
+    if len(argv) == 1:
+        argv += ["--env", "grid.ini"] if command == "oracle" else ["--config", "cfg.ini"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {culprit}{rest}\n"
@@ -960,13 +970,37 @@ def test_every_flag_set_gets_one_outcome(fuzz_docs, monkeypatch, command, data):
     _outcome(argv)
 
 
-@pytest.mark.parametrize("command", ["design --gamma 0.7 --eps 0.5", "gridworld",
-                                     "run --config run.ini", "sweep --config sweep.ini"])
-def test_nul_in_an_output_path_is_a_usage_error(capsys, command):
-    # found by the fuzz above: writing to a path with a NUL raised ValueError
-    assert main([*command.split(), "--out", "out\0.csv"]) == 2
+NUL = "a file name cannot hold a NUL character"
+EMPTY = "a file name cannot be empty"
+
+
+@pytest.mark.parametrize(
+    "command, flag, name, reason",
+    [pytest.param(command, "--out", "out\0.csv", NUL, id=command)
+     for command in ("design --gamma 0.7 --eps 0.5", "gridworld", "run --config run.ini",
+                     "sweep --config sweep.ini")]
+    + [pytest.param(command, "--out", "", EMPTY, id=f"{command.split()[0]}-empty-out")
+       for command in ("design --gamma 0.7 --eps 0.5", "gridworld", "run --config run.ini",
+                       "sweep --config sweep.ini")]
+    + [pytest.param(command, "--config", "", EMPTY, id=f"{command}-empty-config")
+       for command in ("run", "sweep")],
+)
+def test_nul_in_an_output_path_is_a_usage_error(capsys, command, flag, name, reason):
+    # found by the fuzz above: writing to a path with a NUL raised ValueError;
+    # an empty name is refused the same way, as it names the current directory
+    assert main([*command.split(), flag, name]) == 2
     err = capsys.readouterr().err
-    assert err.endswith(": error: argument --out: a file name cannot hold a NUL character\n")
+    assert err.endswith(f": error: argument {flag}: {reason}\n")
+
+
+@pytest.mark.parametrize("command, text", [("run", RUN_CFG), ("sweep", SWEEP_CFG)],
+                         ids=["run", "sweep"])
+def test_an_unwritable_output_file_is_named(tmp_path, capsys, command, text):
+    # the CSV is written after the run, so its summary is printed first
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "missing" / "out.csv"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("error", [ValueError, OverflowError])

@@ -147,10 +147,22 @@ def test_single_run_equals_direct_call(grid07, oracle07, small_cfg):
         oracle=oracle07,
         sample_budget=1000,
         eval_horizon=7,
-        label="fixed-200",
-        seed=5,
     )
     assert traces[0].records == direct.records
+
+
+def test_run_experiment_stamps_each_trace_with_its_arm_and_seed(grid07):
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(
+        mdp=grid07,
+        arms=(tq.Arm("fixed", tq.FixedPeriod(100), steps),
+              tq.Arm("adaptive", tq.AccuracyTriggered(50, 500), steps)),
+        seeds=(4, 0),
+        sample_budget=300,
+    )
+    res = tq.run_experiment(cfg)
+    for label, traces in res.items():
+        assert [(t.label, t.seed) for t in traces] == [(label, 4), (label, 0)]
 
 
 def test_identical_arms_same_seed_identical_traces(grid07, small_cfg):
@@ -235,8 +247,7 @@ def _trace(costs, biases, scores=None):
     for i, (c, b) in enumerate(zip(costs, biases)):
         t.records.append(
             tq.CycleRecord(
-                cycle=i, planned_period=None, inner_steps=0, cumulative_cost=c,
-                bias=b, bellman_gap=None, score=scores[i],
+                cycle=i, inner_steps=0, cumulative_cost=c, bias=b, score=scores[i],
             )
         )
     return t

@@ -359,7 +359,7 @@ def test_periodic_seeded_determinism(grid07, oracle07, theory_steps):
         return tq.run_periodic_q(
             tq.new_q_table(grid07), tq.FixedPeriod(250), theory_steps, grid07,
             np.random.default_rng(123), oracle=oracle07, n_cycles=6,
-            eval_horizon=7, record_gap=True,
+            eval_horizon=7,
         )
 
     a, b = go(), go()
@@ -374,6 +374,47 @@ def test_periodic_budget_stop_and_costs(grid07, theory_steps):
     costs = [rec.cumulative_cost for rec in trace.records]
     assert costs == [0, 300, 600, 900, 1200]  # crossing cycle completes
     assert trace.final.cumulative_cost >= 1000
+
+
+@pytest.mark.parametrize("schedule", [tq.FixedPeriod(1000), tq.FixedPeriod(8193),
+                                      tq.GeometricPeriod(1000, 0.7)],
+                         ids=["fixed 1000", "fixed 8193", "geometric 1000"])
+def test_periodic_run_is_its_explicit_loop(grid07, oracle07, theory_steps, schedule):
+    # run buffers and stacked recording change no value: each record is
+    # what one run_inner_loop, sup_distance and evaluate_greedy call per
+    # cycle give on the same generator
+    def measured(q, n, steps, cost):
+        bias = tq.sup_distance(q, oracle07, grid07)
+        score = float(tq.evaluate_greedy(q, grid07, grid07.start_state, 7))
+        return tq.CycleRecord(n, steps, cost, bias, score)
+
+    trace = tq.run_periodic_q(tq.new_q_table(grid07), schedule, theory_steps, grid07,
+                              np.random.default_rng(11), sample_budget=200_000, oracle=oracle07,
+                              eval_horizon=7)
+    rng = np.random.default_rng(11)
+    q = tq.new_q_table(grid07)
+    records = [measured(q, 0, 0, 0)]
+    while records[-1].cumulative_cost < 200_000:
+        n = len(records) - 1
+        k = schedule.period(n)
+        q = tq.run_inner_loop(q, k, theory_steps, grid07, rng)
+        records.append(measured(q, n + 1, k, records[-1].cumulative_cost + k))
+    assert trace.records == records
+
+
+@pytest.mark.parametrize("option", ["record_gap", "label", "seed"])
+def test_runners_take_only_what_they_compute_with(grid07, theory_steps, option):
+    # a trace's label and seed are stamped by harness.run_one
+    q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
+    with pytest.raises(TypeError):
+        tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, n_cycles=1,
+                          **{option: 1})
+    with pytest.raises(TypeError):
+        tq.run_accuracy_triggered_q(q0, 10, 20, theory_steps, grid07, rng, n_cycles=1,
+                                    **{option: 1})
+    for trace in (tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, n_cycles=1),
+                  tq.run_accuracy_triggered_q(q0, 10, 20, theory_steps, grid07, rng, n_cycles=1)):
+        assert (trace.label, trace.seed) == ("run", None)
 
 
 def test_periodic_near_exact_inner_tracks_value_iteration():
@@ -406,13 +447,18 @@ def test_outer_contraction_exact_realization():
         )
 
 
-def test_measured_gap_nonnegative_and_improves_with_period(grid07, oracle07, theory_steps):
+def test_measured_gap_nonnegative_and_improves_with_period(grid07, theory_steps):
+    # each cycle's Bellman gap, sup |q_new - T q|, from the explicit loop
+    # that a periodic run is (test_periodic_run_is_its_explicit_loop)
     def gaps(period, seed):
-        trace = tq.run_periodic_q(
-            tq.new_q_table(grid07), tq.FixedPeriod(period), theory_steps,
-            grid07, np.random.default_rng(seed), n_cycles=6, record_gap=True,
-        )
-        return [rec.bellman_gap for rec in trace.records[1:]]
+        rng = np.random.default_rng(seed)
+        q = tq.new_q_table(grid07)
+        out = []
+        for _ in range(6):
+            q_new = tq.run_inner_loop(q, period, theory_steps, grid07, rng)
+            out.append(tq.sup_distance(q_new, tq.exact_bellman_apply(q, grid07), grid07))
+            q = q_new
+        return out
 
     per_cycle_small = np.zeros(6)
     per_cycle_big = np.zeros(6)
@@ -499,7 +545,7 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
         q_new = q + 0.5
         if n == bad_cycle:
             q_new[grid07.start_state, 0] = np.inf
-        return q_new, 1, 1, None
+        return q_new, 1, None
 
     with pytest.raises(DomainError, match="non-finite"):
         _run_cycles(tq.new_q_table(grid07), grid07, cycle, 300, None, oracle=oracle07,
@@ -629,23 +675,24 @@ def test_cycle_records_are_immutable(grid07, theory_steps):
     for name in ("cycle", "bias", "stop_stat"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
-    assert record == tq.CycleRecord(2, 100, 100, 200, None, None, None)
-    assert repr(record) == ("CycleRecord(cycle=2, planned_period=100, inner_steps=100, "
-                            "cumulative_cost=200, bias=None, bellman_gap=None, score=None, "
-                            "stop_stat=None)")
+    assert record == tq.CycleRecord(2, 100, 200, None, None)
+    assert repr(record) == ("CycleRecord(cycle=2, inner_steps=100, cumulative_cost=200, "
+                            "bias=None, score=None, stop_stat=None)")
 
 
 # SHA-256 over repr(trace.records) of 200k-sample runs from seed 11 with
-# oracle bias, record_gap and a 7-step evaluation. Same config and seed give
-# the same trace, so a speed-up that changes a trace fails here; update a
-# digest only together with a stated trace change
+# oracle bias and a 7-step evaluation. Same config and seed give the same
+# trace, so a speed-up that changes a trace fails here; update a digest only
+# together with a stated trace change. These and the stack-boundary digests
+# below hash the records of the runs that first pinned them, repr'd with
+# their current six fields, so a record's values are what they were then
 _PINNED_TRACES = {
-    ("fixed 1000", "theory"): "ac9c2d4a791910bb26ea8f72b7774f485c5a46d72255f3c075b22e2baa3384ec",
-    ("fixed 1000", "constant"): "71cef4d5e3d4fc53c6c45399a3203d9839245b0c39d4b1ede5cae25b482cd1c5",
-    ("fixed 8193", "theory"): "57f8e7121496cc84f31cf953e004757355227316cb3f7b60c2aa0e26c27aa267",
-    ("fixed 8193", "constant"): "c4879415456bedad7652ac12d2651f92b392e3b4fb13ae4c6acf7bbb9e5171bf",
-    ("geometric 1000", "theory"): "34a34af7b1631a6742ad9e86b1b6cdbe0ceec2563ab6c63a8b7ea02a2abfccdd",
-    ("geometric 1000", "constant"): "2067a10537bd2b8ea465ffb3f29ce54966ed03e002051fab31e8612661045fb4",
+    ("fixed 1000", "theory"): "e30cffdbe4c1eb144fce9d9b493b79127a73bd88d5eef715630e85f32e979908",
+    ("fixed 1000", "constant"): "de25d178e1783a3a52cbe5471d7505bdc956d470795f0c977c3043a47a2eca01",
+    ("fixed 8193", "theory"): "07c2265570b4c9070de1fb172fceca6636d744c237fc6f47342cac323bd275eb",
+    ("fixed 8193", "constant"): "9944cb4023762ee86c7d7a749750f3af57e17aa1e146a611a19b4ddfa11ace27",
+    ("geometric 1000", "theory"): "7cd8163cb80ea323b5a915b99b7957bf5585b4332cd58383b4ca501403749bbc",
+    ("geometric 1000", "constant"): "072b431cdb6f5536864b95724cb0c7374fd2c3ad67aea42da79a9a19a3aa1f4d",
 }
 
 
@@ -657,15 +704,15 @@ def test_periodic_traces_bit_identical(grid07, oracle07, schedule, steps):
                   else tq.ConstantStepSize(0.05))
     trace = tq.run_periodic_q(tq.new_q_table(grid07), sched, step_sizes, grid07,
                               np.random.default_rng(11), sample_budget=200_000, oracle=oracle07,
-                              eval_horizon=7, record_gap=True)
+                              eval_horizon=7)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
     assert digest == _PINNED_TRACES[schedule, steps]
 
 
 # the same for accuracy-triggered runs with k_min = 1000, k_max = 100000
 _PINNED_ADAPTIVE_TRACES = {
-    "theory": "4d489bc288bfbc3f2bb7cc0a09d6fdaa65aa585eca78690895a89355a0a61444",
-    "constant": "0a9b357f5a19b8b688852803ae6b824137b5cf64e4bbac90f45fb3874726fef7",
+    "theory": "efaaaa0a825048c028918566d8bb611cd13f7ea665a4e65935633c5fd369100c",
+    "constant": "e7634f8ccbc901efd89e2903ccab221e779aaf7cc5c589dd0c6710ee9cd97863",
 }
 
 
@@ -675,8 +722,7 @@ def test_adaptive_traces_bit_identical(grid07, oracle07, steps):
                   else tq.ConstantStepSize(0.05))
     trace = tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 1000, 100_000, step_sizes,
                                         grid07, np.random.default_rng(11),
-                                        sample_budget=200_000, oracle=oracle07, eval_horizon=7,
-                                        record_gap=True)
+                                        sample_budget=200_000, oracle=oracle07, eval_horizon=7)
     digest = hashlib.sha256(repr(trace.records).encode()).hexdigest()
     assert digest == _PINNED_ADAPTIVE_TRACES[steps]
 
@@ -685,47 +731,48 @@ def test_adaptive_traces_bit_identical(grid07, oracle07, steps):
 # time. These runs put the record count just below, on and just past one and
 # two stacks, and let a budget cross mid-stack; eval_every = 7 does not
 # divide 120, so the due tables sit at another offset in each stack.
-# The digests were taken before recording was stacked, so a stack boundary
-# that shows fails here. Keys: (runner, limit kind, n_cycles or
-# sample_budget, eval_every); record_gap is on with eval_every = 3.
+# The records' values were first pinned before recording was stacked, from
+# one sup_distance and one evaluate_greedy call per cycle, so a stack
+# boundary that shows fails here. Keys: (runner, limit kind, n_cycles or
+# sample_budget, eval_every).
 _STACK_BOUNDARY_TRACES = {
-    ("periodic", "cycles", 118, 1): "ed6bd20183104b830f280124d35b3a84359adcbd0ec66a8bf2f38b306fee04a7",
-    ("periodic", "cycles", 118, 3): "6bb92197b3af69682ce67acafcf2e46f6c0bcfa1ae320015de4d200402d3d1ec",
-    ("periodic", "cycles", 119, 1): "6762df3683bbe70c51a2e6453c3b93a7838b663588a3be75383949a1c9c18da9",
-    ("periodic", "cycles", 119, 3): "4b10d08ef65d2f33db3c579ff03e5321e2216d7f1b02e61665b2e10a2aed177e",
-    ("periodic", "cycles", 120, 1): "3c4edf18a4106d9f942a7927a865663632ce96bb7924f1243fa4fab4c561e9f6",
-    ("periodic", "cycles", 120, 3): "321d7af713a908bacd647a4d4337785032c2d2a63e2b7e9232d7bf1c44e03d13",
-    ("periodic", "cycles", 121, 1): "4b8e903500fdc278cf79e207fd10b4f56bed64bba64f01772697d38f8276acd5",
-    ("periodic", "cycles", 121, 3): "60d231428ef35c3818a6c4f7f039c53a1fc7da66cb67b98a131d4b8d366d7ea9",
-    ("periodic", "cycles", 240, 1): "efd5c2df03cb71a66db33a62655e179f401d5132a13f4652805b5ad1df90f55f",
-    ("periodic", "cycles", 240, 3): "448fcc07dc8496a3ed2620a462045697c21f4706df786d4ce72bfb648f21861f",
-    ("periodic", "cycles", 241, 1): "4676234f2cc6b38d6e0d01bb6ea5c5bccffd859e0bb1d2c7fc0c7e7e7025c615",
-    ("periodic", "cycles", 241, 3): "3a1219622687252d9b29667eaa1687ba768b37a13dc6be64108452d0cec7eea8",
-    ("adaptive", "cycles", 118, 1): "dcf283b9e6c50318084413998752f54e225f9d036736dddd372ebb981558b993",
-    ("adaptive", "cycles", 118, 3): "ff5f343282d56028556761a1bcede38bd78f2475a622aa84674e66d9a1c3dfac",
-    ("adaptive", "cycles", 119, 1): "edc1c9a355c6c705d4cef8b6a190da13d938dcaa942befabb3540d575a7b3b45",
-    ("adaptive", "cycles", 119, 3): "c0497f56de81db312f9d3650f42cd71566ec7f917822b37f2f6dd3325eeb528d",
-    ("adaptive", "cycles", 120, 1): "1ab3fa6c2fdb5bec5d0670c4f14faebc045e9608ab085f61e344acdfaff859e6",
-    ("adaptive", "cycles", 120, 3): "bb548c18fbee37940e1a389991e3e5096b0e98ffc8e3834e1f747a059ea34af1",
-    ("adaptive", "cycles", 121, 1): "11ed81748bf95dddf2c674405292a874b0d87b50ec848c1167314f4f80c0198b",
-    ("adaptive", "cycles", 121, 3): "7de3ba230a004ae38d39359685d2807fd3f8d40e902734ed49a29fc4b60dd5f2",
-    ("adaptive", "cycles", 240, 1): "31da02bb0a7177f93e11db0b3d57f0493c991606faff8ac4351ce22dad1d9b15",
-    ("adaptive", "cycles", 240, 3): "72cc90b567a4e65a4dcb4e6a690906267dc3c01abf872a4ee5c8afe395fec94f",
-    ("adaptive", "cycles", 241, 1): "c57c77b5011886114339e524b6bc79dfdea0a43cbd50b7828eb57d39439bf849",
-    ("adaptive", "cycles", 241, 3): "51742f6d6b5bf53e85be363437af8ce8d1bb52ea3cf50ce4ff5bb826e9f33b1a",
-    ("periodic", "budget", 1263, 1): "2a780e70592faa00210cb077b8b05310ab5f0dce099794448f8e040c2a8f5cf2",
-    ("adaptive", "budget", 5000, 1): "3dd96ac7d22e7a357bea0e34e8b0e79fadd5aae0c235f25dd76dce043edf0e1a",
-    ("periodic", "budget", 1263, 3): "6f4b50ec38cc6fee2e31f33bfa2aa792534918931b3aa0df47fb75c9b63c8992",
-    ("adaptive", "budget", 5000, 3): "37191098cbccb7bbe58f7486508a3aae5d37364a3cfb5f13dc7a775ff0322173",
-    ("periodic", "cycles", 241, 7): "8503ca91c99d4cb67707c8d1a0cf7f8e6a35e6f49c766f6fa8651c7fcb551af0",
-    ("adaptive", "cycles", 241, 7): "da2f67faed0e6d8d7e306927ecd260db7d608095c0799a95993601c49c043b70",
-    ("periodic", "budget", 1263, 7): "b984110eb255e6f7dbd0d0802a515bfb4c3a2b18ffaee38de7b64e7d8fcae01d",
-    ("adaptive", "budget", 5000, 7): "756667ef7337c603521a4577439db1fe81d8afde4e78d5f4e2ea01f341a9d499",
+    ("periodic", "cycles", 118, 1): "4dc8f79db5cf83aeb949d425025bc21e34e4c62288f825e19eb9a50d5cbcc28e",
+    ("periodic", "cycles", 118, 3): "005e1b79eefa611e0d610138ffc19061297c202144c3aa4dfcdd7cab134790f4",
+    ("periodic", "cycles", 119, 1): "c938d7d2037fb0a4f81ad419532c6cb7e856057d2ac45054865c57c827559c4e",
+    ("periodic", "cycles", 119, 3): "6c19e5e771053cf6059aebd85f09f6b70aef1305cc62552232c339b17c345146",
+    ("periodic", "cycles", 120, 1): "01fa5b69902324fed36375b471624f58f8133bf46cfd6c1c633ee9ea66486774",
+    ("periodic", "cycles", 120, 3): "04e4c0d7a6fa17df00fb277899d208b0b76fa308b1a6b14d2c20ed38f7c040e6",
+    ("periodic", "cycles", 121, 1): "aec6d831c1ddc8eb233694591dcc1da5b172e1cd860f86c07510b17c62bc52a7",
+    ("periodic", "cycles", 121, 3): "933f10e555cdef9dc0ce12b6535ec373b926698694db34a630c81b18e882181d",
+    ("periodic", "cycles", 240, 1): "6ddb1b01033270623736a4f8ba39ece1fccd09f2e297a53cb9a81c0e33e22483",
+    ("periodic", "cycles", 240, 3): "593d24996412b70d061aae77c6df0ddc2a8f03b31531af92924452fe11648096",
+    ("periodic", "cycles", 241, 1): "6773689fb1db8113e49534ba65acc8931924bb0eaa5e1707fced5bdaee27d11c",
+    ("periodic", "cycles", 241, 3): "f8888d9aa8618e8b1d9e40fb84f65c6b6acaa5b54003740c191fd5304160242e",
+    ("adaptive", "cycles", 118, 1): "92ec2412468499c1cc49708af2e01cd4a7c07b9996b61d44625d01a2db98318b",
+    ("adaptive", "cycles", 118, 3): "2806bfa40c5eaeb79ba0950f25c6114599be25626a53192208359ca9e0eb3650",
+    ("adaptive", "cycles", 119, 1): "f0993fcf868bcb0f315e89d438d77119300db6a946d62b90cb5d2ace3f943255",
+    ("adaptive", "cycles", 119, 3): "bab157d29ec953c45d11439ebaa3dfa1a1f5e6ab0fdf98f67fba1b700f6f25d0",
+    ("adaptive", "cycles", 120, 1): "ecf636267b29178f882eb2af47e93c2a428c4886dee1ea4d6a088f69a2cd94fc",
+    ("adaptive", "cycles", 120, 3): "4b1c29a825b81c13d4252d37064826a2442f1f342a46021d9a5472199ebf29d5",
+    ("adaptive", "cycles", 121, 1): "453f423d263d1436047c2a861a5790be48435d2704f003e7e055a578e6438264",
+    ("adaptive", "cycles", 121, 3): "4007e6c55578eeb16e327c829bf79784fc841f8d9e82fea13adacf938449913b",
+    ("adaptive", "cycles", 240, 1): "b2427203e2b37d67daed39930a1e4374d9d062b0a17f90c402c97ba8349386a7",
+    ("adaptive", "cycles", 240, 3): "7dc9e292f12a5170e58404a046554ebad9cc974e35fa66233cc8a81fc24cb7f3",
+    ("adaptive", "cycles", 241, 1): "e608e46fca3cd0ec83918065376409c449f7c7dc9c4bf2f922d420c13d33c25f",
+    ("adaptive", "cycles", 241, 3): "28d9a5beef8d487fb371c56cb46408ddaafbdbb3f7e86ba916e09562fa279b8c",
+    ("periodic", "budget", 1263, 1): "b1b53f7f2e1f159ae654d05df111aec6f007e411ad569155bc7f5501b895e273",
+    ("adaptive", "budget", 5000, 1): "10ede975c33a392f985b2c187e4ac802aa9b323c3627b8ce5201c4b2ca198781",
+    ("periodic", "budget", 1263, 3): "efbaa753207426b8f606e93b85193e4746b660ed680f1b3c262c78806147164f",
+    ("adaptive", "budget", 5000, 3): "9f1544a988cbc6a2522fec0d203f74cb01d5dc82730b1ee9eb32048000280a4b",
+    ("periodic", "cycles", 241, 7): "f29ef5ed12bbedeae12931f63fb92bb5f4a424b04ea2f38eee5238d12154fe2b",
+    ("adaptive", "cycles", 241, 7): "2cdb5967fa04a3909c004da561c17b50fbefdf4216b6676901ad2e7ba9a703d8",
+    ("periodic", "budget", 1263, 7): "3b03db936e067eb3b72d3194b14dec10fb1a4c30220efea8b9266cdc0620b17a",
+    ("adaptive", "budget", 5000, 7): "6503edea724a9e16c7756630c11cc5fa598075c772a47e7a52a78d45328a9442",
 }
 
 
 def _stack_boundary_run(grid07, oracle07, runner, limit, n, every):
-    options = dict(oracle=oracle07, eval_horizon=7, eval_every=every, record_gap=every == 3)
+    options = dict(oracle=oracle07, eval_horizon=7, eval_every=every)
     options["n_cycles" if limit == "cycles" else "sample_budget"] = n
     steps = tq.TheoryInverseStepSize.from_pair_count(52)
     rng = np.random.default_rng(23)
@@ -772,9 +819,8 @@ def test_geometric_runner_periods_match_schedule(grid07, theory_steps):
         tq.new_q_table(grid07), tq.GeometricPeriod(100, grid07.gamma), theory_steps,
         grid07, np.random.default_rng(3), n_cycles=8,
     )
-    planned = [rec.planned_period for rec in trace.records[1:]]
-    assert planned == [tq.GeometricPeriod(100, 0.7).period(n) for n in range(8)]
-    assert [rec.inner_steps for rec in trace.records[1:]] == planned
+    assert ([rec.inner_steps for rec in trace.records[1:]]
+            == [tq.GeometricPeriod(100, 0.7).period(n) for n in range(8)])
 
 
 def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps):
@@ -782,7 +828,7 @@ def test_periodic_explicit_schedule_clamps_cycles(grid07, theory_steps):
         tq.new_q_table(grid07), tq.ExplicitPeriod((50, 80)), theory_steps,
         grid07, np.random.default_rng(0), n_cycles=10,
     )
-    assert [rec.planned_period for rec in trace.records[1:]] == [50, 80]
+    assert [rec.inner_steps for rec in trace.records[1:]] == [50, 80]
 
 
 # ---------------------------------------------------------------------------
