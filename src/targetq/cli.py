@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _NUL_IN_NAME,
     dump_grid_spec,
     dump_schedule_file,
     load_environment,
@@ -38,10 +39,17 @@ def _path(text: str) -> Path:
     file name holding a NUL, and an empty name means the current directory,
     so both are refused here, as usage errors."""
     if "\0" in text:
-        raise argparse.ArgumentTypeError("a file name cannot hold a NUL character")
+        raise argparse.ArgumentTypeError(_NUL_IN_NAME)
     if not text:
         raise argparse.ArgumentTypeError("a file name cannot be empty")
     return Path(text)
+
+
+def _check_out(path: Path | None) -> None:
+    """Open an output path once, before a run spends its time on it: append
+    mode creates a missing file and truncates none."""
+    if path is not None:
+        open(path, "a").close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +147,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_run_config(args.config, seed_override=args.seed)
+    _check_out(args.out)
     [[trace]] = run_experiment(cfg).values()  # one arm, one seed
     final = trace.final
     print(f"run '{trace.label}' seed={trace.seed}: {final.cycle} cycles, "
@@ -155,6 +164,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(args.config)
+    _check_out(args.out)
     results = run_experiment(cfg)
     stats = {label: aggregate(traces) for label, traces in results.items()}
     for label, traces in results.items():

@@ -156,11 +156,18 @@ def load_grid_spec(text: str, gamma: float | None = None, path=None) -> GridSpec
     return spec if gamma is None else replace(spec, gamma=float(gamma))
 
 
+# Python raises ValueError, naming no file, for a file name that holds a NUL;
+# a diagnostic that echoed the name would carry the NUL to the terminal
+_NUL_IN_NAME = "a file name cannot hold a NUL character"
+
+
 def load_environment(ref: str, gamma: float | None) -> TabularMdp:
     """``gridworld`` for the bundled benchmark (gamma required), otherwise
     a path to a grid-spec file (gamma optional override)."""
     if not ref:  # Path("") is the current directory
         raise DomainError("env is empty: give 'gridworld' or a grid-spec file")
+    if "\0" in ref:
+        raise DomainError(f"env {ref!r}: {_NUL_IN_NAME}")
     if ref == "gridworld":
         if gamma is None:
             raise DomainError("the bundled gridworld needs an explicit gamma")
@@ -183,6 +190,8 @@ def parse_schedule_spec(spec: str, gamma: float):
             case ["custom", *ks] if ks:
                 return ExplicitPeriod(tuple(int(k) for k in ks))
             case ["file", path]:
+                if "\0" in path:
+                    raise DomainError(_NUL_IN_NAME)
                 return load_schedule_file(path)
             case ["adaptive", k_min, k_max]:
                 return AccuracyTriggered(int(k_min), int(k_max))

@@ -126,7 +126,6 @@ def build_grid_mdp(spec: GridSpec) -> TabularMdp:
             else:
                 rewards[(s, a)] = spec.rewards[_ROLE_KEYS[ch]]
 
-    terminal_rewards = {s: spec.rewards["bomb"] for s in bombs}
     return TabularMdp(
         num_states=sink + 1,
         num_actions=4,
@@ -134,7 +133,6 @@ def build_grid_mdp(spec: GridSpec) -> TabularMdp:
         rewards=rewards,
         terminal=bombs | {sink},
         gamma=spec.gamma,
-        terminal_rewards=terminal_rewards,
         start_state=start,
     )
 

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 
 * A Q-table is a plain ``(num_states, num_actions)`` float ndarray.
 * The "active" state-action pairs are all pairs whose state is non-terminal.
-  Norms, sampling, and learning operate on active pairs only; terminal rows
-  of a Q-table are inert (value-iteration output pins them to the terminal
-  state's mean reward, with zero continuation).
+  Norms, sampling, and learning operate on active pairs only. A terminal
+  state is absorbing at reward 0: terminal rows are zero in every table the
+  library makes from scratch (fresh tables, exact images, the oracle) and
+  ignored in every table it reads.
 * Transitions are deterministic; all stochasticity lives in the rewards.
 * Every reward draw takes exactly one uniform (``TabularMdp.draw_rewards``,
   or ``draw_sorted_targets`` for steps sorted by pair), also for
@@ -80,10 +81,8 @@ class TabularMdp:
     """Finite MDP with deterministic transitions and per-pair reward laws.
 
     Immutable after construction. Terminal states have no outgoing
-    transitions; learning and norms run over the active (non-terminal)
-    state-action pairs only. ``terminal_rewards`` gives the reward law a
-    terminal state itself emits (used only to pin terminal rows of exact
-    Bellman images); it defaults to deterministic 0.
+    transitions and are absorbing at reward 0; learning and norms run over
+    the active (non-terminal) state-action pairs only.
     """
 
     def __init__(
@@ -94,7 +93,6 @@ class TabularMdp:
         rewards: Mapping[tuple[int, int], RewardDistribution],
         terminal: Iterable[int],
         gamma: float,
-        terminal_rewards: Mapping[int, RewardDistribution] | None = None,
         start_state: int = 0,
     ):
         num_states = _as_int(num_states, "num_states")
@@ -159,17 +157,13 @@ class TabularMdp:
         self.terminal_states = _read_only(np.flatnonzero(self.terminal_mask))
         self.pair_range = _read_only(np.arange(n))
         self.pair_id_dtype = np.min_scalar_type(n - 1)
-        # a greedy rollout's step from flat index s * num_actions + a: the
-        # pair's reward mean and next state, terminal states absorbing at
-        # reward 0
+        # the step from flat index s * num_actions + a, which greedy rollouts
+        # and exact Bellman images read: the pair's reward mean and next
+        # state, terminal states absorbing at reward 0
         self._step_reward = np.zeros(num_states * num_actions)
         self._step_reward[self.pair_flat] = self.pair_reward_mean
         self._step_next = np.arange(num_states).repeat(num_actions)
         self._step_next[self.pair_flat] = self.pair_next_state
-        self.terminal_mean = np.zeros(num_states)
-        for s in self.terminal:
-            if terminal_rewards is not None and s in terminal_rewards:
-                self.terminal_mean[s] = terminal_rewards[s].mean()
 
     @property
     def num_active_pairs(self) -> int:
@@ -228,9 +222,9 @@ def _reward_rule(u, p_first, first, second):
     return np.where(u < p_first, first, second)
 
 
-def new_q_table(mdp: TabularMdp, fill: float = 0.0) -> np.ndarray:
-    """Fresh dense Q-table matching the MDP's shape."""
-    return np.full((mdp.num_states, mdp.num_actions), float(fill))
+def new_q_table(mdp: TabularMdp) -> np.ndarray:
+    """Fresh all-zero Q-table matching the MDP's shape."""
+    return np.zeros((mdp.num_states, mdp.num_actions))
 
 
 def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
@@ -259,13 +253,13 @@ def greedy_state_values(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
 
 def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     """One exact Bellman optimality update using reward means and the
-    deterministic transitions. Terminal rows are set to the terminal
-    state's mean reward (zero continuation)."""
+    deterministic transitions: one pass over the step table the greedy
+    rollout walks, so terminal rows come out zero (reward 0, and a terminal
+    state's value is 0)."""
     _check_table(q, mdp)
     v = greedy_state_values(q, mdp)
-    out = np.repeat(mdp.terminal_mean[:, None], mdp.num_actions, axis=1)
-    out.put(mdp.pair_flat, mdp.pair_reward_mean + mdp.gamma * v[mdp.pair_next_state])
-    return out
+    step = mdp._step_reward + mdp.gamma * v.take(mdp._step_next)
+    return step.reshape(mdp.num_states, mdp.num_actions)
 
 
 def sup_distance(q1: np.ndarray, q2: np.ndarray, mdp: TabularMdp):

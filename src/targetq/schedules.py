@@ -185,6 +185,18 @@ def _period(k) -> int:
     return k
 
 
+def _cycle_index(n, n_cycles: int | None) -> int:
+    """``n`` as the index of a cycle a schedule has: an integer from 0, and
+    below ``n_cycles`` when the schedule is finite. Every ``period(n)``
+    takes its index through here."""
+    n = _as_int(n, "cycle index")
+    if n < 0:
+        raise DomainError(f"cycle index must be nonnegative, got {n}")
+    if n_cycles is not None and n >= n_cycles:
+        raise DomainError(f"cycle index {n} is past the schedule's {n_cycles} cycles")
+    return n
+
+
 @dataclass(frozen=True)
 class FixedPeriod:
     """Constant update period."""
@@ -197,6 +209,7 @@ class FixedPeriod:
     n_cycles: int | None = field(default=None, init=False)
 
     def period(self, n: int) -> int:
+        _cycle_index(n, self.n_cycles)
         return self.k
 
 
@@ -215,8 +228,7 @@ class GeometricPeriod:
     n_cycles: int | None = field(default=None, init=False)
 
     def period(self, n: int) -> int:
-        if n < 0:
-            raise DomainError("cycle index must be nonnegative")
+        n = _cycle_index(n, self.n_cycles)
         try:
             x = self.k0 * self.gamma ** (-(2.0 * n) / 3.0)
         except OverflowError:  # a float ** that overflows raises
@@ -242,7 +254,7 @@ class ExplicitPeriod:
         return len(self.ks)
 
     def period(self, n: int) -> int:
-        return self.ks[n]
+        return self.ks[_cycle_index(n, self.n_cycles)]
 
 
 @dataclass(frozen=True)

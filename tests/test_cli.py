@@ -739,6 +739,11 @@ BAD_INPUT_FILES = [
                  " [run]: env is empty: give 'gridworld' or a grid-spec file", id="run-empty-env"),
     pytest.param("oracle --env ''", {}, "env", " is empty: give 'gridworld' or a grid-spec file",
                  id="oracle-empty-env"),
+    pytest.param("oracle --env a\0b", {}, "env", " 'a\\x00b': a file name cannot hold a NUL character",
+                 id="oracle-env-nul"),
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file a\0b"), "cfg.ini",
+                 " [run]: schedule spec 'file a\\x00b': a file name cannot hold a NUL character",
+                 id="schedule-file-nul"),
     pytest.param("gridworld --out missing/grid.ini", {}, "missing/grid.ini",
                  ": No such file or directory", id="gridworld-out-missing-directory"),
 ]
@@ -761,7 +766,7 @@ def test_bad_input_file_gives_one_diagnostic_naming_it(tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert captured.err == f"error: {culprit}{rest}\n"
     assert captured.err.count("\n") == 1 and captured.err.count(culprit) == 1
-    for text in ("malformed", "'<string>'", "Traceback"):
+    for text in ("\0", "malformed", "'<string>'", "Traceback"):
         assert text not in captured.err
 
 
@@ -995,12 +1000,19 @@ def test_nul_in_an_output_path_is_a_usage_error(capsys, command, flag, name, rea
 
 @pytest.mark.parametrize("command, text", [("run", RUN_CFG), ("sweep", SWEEP_CFG)],
                          ids=["run", "sweep"])
-def test_an_unwritable_output_file_is_named(tmp_path, capsys, command, text):
-    # the CSV is written after the run, so its summary is printed first
+def test_an_unwritable_output_file_is_named(tmp_path, capsys, monkeypatch, command, text):
+    # the output is opened once before the run, so it fails before any run
+    # starts and before a summary is printed
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("targetq.harness.run_one", no_run)
     cfg, out = tmp_path / "cfg.ini", tmp_path / "missing" / "out.csv"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+    assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path}: Is a directory\n")
 
 
 @pytest.mark.parametrize("error", [ValueError, OverflowError])

@@ -90,7 +90,7 @@ def test_inner_step_full_replacement():
 
 def test_inner_step_convex_combination():
     mdp = make_selfloop_mdp(gamma=0.5, reward=4.0)
-    q = tq.new_q_table(mdp, fill=2.0)
+    q = tq.new_q_table(mdp) + 2.0
     frozen = tq.new_q_table(mdp)  # continuation 0, so target = 4
     inner_sgd_step(q, frozen, mdp, 0, alpha=0.5, u=0.5)
     assert q[mdp.pair_state[0], mdp.pair_action[0]] == 3.0
@@ -305,7 +305,7 @@ def test_inner_loop_frozen_target_is_input_table(grid07, theory_steps):
 def test_inner_loop_error_decreases_with_k(theory_steps):
     mdp = make_chain_mdp(gamma=0.5)  # deterministic rewards
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
-    q_in = tq.new_q_table(mdp, fill=1.0)
+    q_in = tq.new_q_table(mdp) + 1.0
     image = tq.exact_bellman_apply(q_in, mdp)
     errs = []
     for k in (50, 500, 5000):
@@ -422,7 +422,7 @@ def test_periodic_near_exact_inner_tracks_value_iteration():
     mdp = make_chain_mdp(gamma=0.5)
     oracle = tq.value_iteration_oracle(mdp)
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
-    q0 = tq.new_q_table(mdp, fill=2.0)
+    q0 = tq.new_q_table(mdp) + 2.0
     trace = tq.run_periodic_q(
         q0, tq.FixedPeriod(4000), steps, mdp, np.random.default_rng(2),
         oracle=oracle, n_cycles=5,
@@ -438,7 +438,7 @@ def test_outer_contraction_exact_realization():
     # eta = 0 case: exact operator applications on a self-loop environment
     mdp = make_selfloop_mdp(gamma=0.7, reward=0.0)
     oracle = tq.value_iteration_oracle(mdp)
-    q = tq.new_q_table(mdp, fill=2.0)
+    q = tq.new_q_table(mdp) + 2.0
     e0 = tq.sup_distance(q, oracle, mdp)
     for n in range(1, 30):
         q = tq.exact_bellman_apply(q, mdp)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -116,13 +117,27 @@ def test_bellman_shape_and_finite_errors(grid07):
 
 
 def test_bellman_terminal_rows_pinned(grid07, oracle07):
-    # hazard rows carry their own mean reward, sink row zero
+    # a terminal state is absorbing at reward 0: hazard and sink rows are zero
     img = tq.exact_bellman_apply(tq.new_q_table(grid07), grid07)
     for s in sorted(grid07.terminal):
-        expected = grid07.terminal_mean[s]
-        assert np.all(img[s] == expected)
-    assert np.all(oracle07[16] == 0.0)
-    assert np.all(oracle07[2] == -3.0)
+        assert np.all(img[s] == 0.0)
+        assert np.all(oracle07[s] == 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: tq.build_gridworld(0.7), make_chain_mdp, make_selfloop_mdp],
+                         ids=["grid", "chain", "selfloop"])
+def test_tables_the_library_makes_have_zero_terminal_rows(make):
+    # the terminal rows a table holds on input reach no entry of its image
+    mdp = make()
+    rng = np.random.default_rng(21)
+    q = rng.uniform(-5.0, 5.0, (mdp.num_states, mdp.num_actions))
+    zeroed = q.copy()
+    zeroed[mdp.terminal_states] = 0.0
+    img = tq.exact_bellman_apply(q, mdp)
+    assert np.array_equal(img, tq.exact_bellman_apply(zeroed, mdp))
+    for table in (img, tq.new_q_table(mdp), tq.value_iteration_oracle(mdp)):
+        assert table.shape == (mdp.num_states, mdp.num_actions)
+        assert np.all(table[mdp.terminal_states] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +156,6 @@ def test_value_iteration_matches_path_sum_oracle(gamma):
 def _gauss_seidel(mdp, tol, max_sweeps=10**6):
     # independently coded in-place sweep (updates visible within the sweep)
     q = tq.new_q_table(mdp)
-    for s in sorted(mdp.terminal):
-        q[s, :] = mdp.terminal_mean[s]
     for _ in range(max_sweeps):
         delta = 0.0
         for s in range(mdp.num_states):
@@ -190,6 +203,24 @@ def test_value_iteration_agrees_with_gauss_seidel(gamma):
         mdp.terminal_mask[mdp.pair_next_state], 0.0, v[mdp.pair_next_state]
     )
     assert np.max(np.abs(backup - x)) <= 1e-12
+
+
+# SHA-256 of the oracle's active entries, oracle.take(mdp.pair_flat), derived
+# at commit 03fe7c4, where the hazard rows still held the hazard's reward:
+# zeroing every terminal row moved no active entry by a bit
+_ORACLE_ACTIVE_SHA256 = {
+    0.7: "218a05ef9521e379ea690ac97885387ebd9ec90c97358b093c20bd11b2b80a87",
+    0.9: "4c25f4fd9a97ac488e5faf39ca0d608579c2c76cb980ed00908f99a0c918bddc",
+    0.95: "7d9854c759b39563f8bb074b3c5045fc016384e1f932967f052a3339d46c6d41",
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(_ORACLE_ACTIVE_SHA256))
+def test_oracle_active_entries_pinned(gamma):
+    mdp = tq.build_gridworld(gamma)
+    oracle = tq.value_iteration_oracle(mdp)
+    digest = hashlib.sha256(oracle.take(mdp.pair_flat).tobytes()).hexdigest()
+    assert digest == _ORACLE_ACTIVE_SHA256[gamma]
 
 
 def test_value_iteration_iteration_limit(grid07):

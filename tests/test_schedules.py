@@ -157,6 +157,24 @@ def test_geometric_period_domain():
         tq.GeometricPeriod(10, 0.7).period(-1)
 
 
+_PERIOD_SCHEDULES = {"fixed": tq.FixedPeriod(5), "geometric": tq.GeometricPeriod(5, 0.7),
+                     "explicit": tq.ExplicitPeriod((5, 7))}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in sorted(_PERIOD_SCHEDULES) for n in (-1, 2.5, np.float64(1.0))]
+    + [("explicit", 2)],  # the explicit schedule's length
+)
+def test_period_takes_a_cycle_index_by_one_rule(name, n):
+    schedule = _PERIOD_SCHEDULES[name]
+    with pytest.raises(DomainError) as info:
+        schedule.period(n)
+    assert type(info.value) is DomainError and "cycle index" in str(info.value)
+    assert schedule.period(0) == 5
+    assert schedule.period(np.int64(1)) == (5 if name == "fixed" else 7)
+
+
 # ---------------------------------------------------------------------------
 # Unrolled bound
 
