@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .mdp import RewardDistribution, TabularMdp
+from .mdp import RewardDistribution, TabularMdp, _check_discount
 
 ACTION_NAMES = ("up", "down", "left", "right")
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -65,8 +65,7 @@ class GridSpec:
     rewards: dict[str, RewardDistribution]
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
+        _check_discount(self.gamma)
         if not self.layout:
             raise DomainError("layout must have at least one row")
         cols = len(self.layout[0])

@@ -53,7 +53,7 @@ from .mdp import (
     greedy_state_values,
     sup_distance,
 )
-from .schedules import AccuracyTriggered, TufSchedule, _period
+from .schedules import AccuracyTriggered, TufSchedule, _check_step_sizes, _period
 
 _CHUNK = 8192
 _RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
@@ -108,12 +108,6 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
     return rng.integers(0, mdp.num_active_pairs, size=count), rng.random(count)
 
 
-def _check_alphas(alphas):
-    # a NaN makes min() NaN and fails the test
-    if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
-        raise DomainError("step sizes must lie in (0, 1]")
-
-
 class _RunBuffers:
     """One run's buffers: its checked, read-only step sizes and the pair ids
     of its current long cycle, each at most ``_RUN_BUFFER_BYTES`` (1 MiB).
@@ -138,12 +132,12 @@ class _RunBuffers:
         end = start + count
         if end > self._prefix.size:
             block = np.array(self._step_sizes.alphas(count, start=start))
-            _check_alphas(block)
+            _check_step_sizes(block)
         else:
             if end > self._filled:
                 fresh = self._prefix[self._filled:end]
                 fresh[:] = self._step_sizes.alphas(fresh.size, start=self._filled)
-                _check_alphas(fresh)
+                _check_step_sizes(fresh)
                 self._filled = end
             block = self._prefix[start:end]
         block.flags.writeable = False

@@ -100,8 +100,7 @@ class TabularMdp:
         start_state = _as_int(start_state, "start state")
         if num_states < 1 or num_actions < 1:
             raise DomainError("num_states and num_actions must be positive")
-        if not 0.0 <= gamma < 1.0:
-            raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+        _check_discount(gamma)
         self.num_states = num_states
         self.num_actions = num_actions
         self.gamma = float(gamma)
@@ -210,6 +209,12 @@ class TabularMdp:
             raise DomainError(f"state {s} out of range")
 
 
+def _check_discount(gamma) -> None:
+    """The one discount rule, for MDPs, grid specs and rate constants."""
+    if not 0.0 <= gamma < 1.0:  # NaN fails too
+        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -227,15 +232,20 @@ def new_q_table(mdp: TabularMdp) -> np.ndarray:
     return np.zeros((mdp.num_states, mdp.num_actions))
 
 
-def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
-    """Check a table, or a stack of tables along a leading axis, and return
-    a fresh array of its active-pair values (one row per table; a table is
-    a stack of one and gets its row)."""
-    if q.ndim not in (2, 3) or q.shape[-2:] != (mdp.num_states, mdp.num_actions):
-        raise DimensionError(
-            f"Q-table shape {q.shape} does not match "
-            f"({mdp.num_states}, {mdp.num_actions})"
-        )
+def _check_shape(q: np.ndarray, mdp: TabularMdp, stack: bool = False) -> None:
+    """The one shape rule: ``q`` is one ``(num_states, num_actions)`` table,
+    or, where ``stack`` is set, possibly a stack of them along a leading
+    axis."""
+    shape = (mdp.num_states, mdp.num_actions)
+    if q.shape != shape and not (stack and q.ndim == 3 and q.shape[1:] == shape):
+        raise DimensionError(f"Q-table shape {q.shape} does not match {shape}")
+
+
+def _check_table(q: np.ndarray, mdp: TabularMdp, stack: bool = False) -> np.ndarray:
+    """Check a table's shape (``_check_shape``) and that its active entries
+    are finite, and return a fresh array of its active-pair values: a row
+    for a table, one row per table for a stack."""
+    _check_shape(q, mdp, stack)
     values = q.reshape(-1, mdp.num_states * mdp.num_actions).take(mdp.pair_flat, axis=1)
     # counting is exact, warns on nothing and, unlike a reduction, is cheap
     # on small tables
@@ -245,7 +255,9 @@ def _check_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
 
 
 def greedy_state_values(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
-    """V(s) = max_a Q(s, a) for non-terminal s, 0 for terminal s."""
+    """V(s) = max_a Q(s, a) for non-terminal s, 0 for terminal s. Only the
+    shape is checked: callers pass tables already checked."""
+    _check_shape(q, mdp)
     v = np.maximum.reduce(q, axis=1)
     v[mdp.terminal_states] = 0.0
     return v
@@ -265,11 +277,14 @@ def exact_bellman_apply(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
 def sup_distance(q1: np.ndarray, q2: np.ndarray, mdp: TabularMdp):
     """Supremum distance over active state-action pairs.
 
-    Either table may be a stack of tables along a leading axis; the result
-    is then an array with one distance per table, each equal to the
-    distance of that table alone.
+    Either table may be a stack of tables along a leading axis, and two
+    stacks must hold as many tables; the result is then an array with one
+    distance per table, each equal to the distance of that table alone.
     """
-    d = _check_table(q1, mdp) - _check_table(q2, mdp)
+    v1, v2 = _check_table(q1, mdp, stack=True), _check_table(q2, mdp, stack=True)
+    if v1.ndim == v2.ndim == 2 and len(v1) != len(v2):
+        raise DimensionError(f"stacks of {len(v1)} and {len(v2)} Q-tables do not match")
+    d = v1 - v2
     # abs is never -0.0, so the initial 0.0 changes only an empty maximum
     dist = np.maximum.reduce(np.abs(d), axis=-1, initial=0.0)
     return float(dist) if dist.ndim == 0 else dist
@@ -319,7 +334,7 @@ def evaluate_greedy(
     num_states steps is on a cycle and never ends, so one check there
     stops the walk once every path has ended.
     """
-    _check_table(q, mdp)
+    _check_table(q, mdp, stack=True)
     if _as_int(horizon, "horizon") < 0:
         raise DomainError("horizon must be nonnegative")
     start = _as_int(start, "start state")

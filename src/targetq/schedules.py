@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _as_int, _check_table
+from .mdp import TabularMdp, _as_int, _check_discount, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -57,8 +57,7 @@ class RateConstants:
             raise DomainError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
         if not 0.0 <= self.q_star_sup < math.inf:
             raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise DomainError("gamma must lie in [0, 1)")
+        _check_discount(self.gamma)
         object.__setattr__(self, "n_pairs", _as_int(self.n_pairs, "n_pairs"))
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be positive")
@@ -104,6 +103,13 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
 # any split, so each value is computed from its own index alone.
 
 
+def _check_step_sizes(alphas: np.ndarray) -> None:
+    """The one step-size rule: each lies in (0, 1]."""
+    # a NaN makes min() NaN and fails the test
+    if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
+        raise DomainError("step size must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class TheoryInverseStepSize:
     """alpha(k) = 2 / (xi * (k + s)) with s = 2/xi, i.e. s / (k + s).
@@ -141,8 +147,7 @@ class ConstantStepSize:
     value: float
 
     def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise DomainError("step size must lie in (0, 1]")
+        _check_step_sizes(np.asarray(self.value))
 
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
         return np.full(count, self.value)
@@ -301,15 +306,14 @@ class UnrollResult:
 def unroll_error_bound(
     e0: float, periods: Sequence[int], constants: RateConstants
 ) -> UnrollResult:
-    """Unroll the error recursion from e0 across the given periods."""
+    """Unroll the error recursion from e0 across the given periods, each
+    taken by the period rule (``_period``)."""
     if not e0 >= 0.0:  # NaN fails too
         raise DomainError("e0 must be nonnegative")
     seq = [float(e0)]
     e = float(e0)
     for k in periods:
-        if k < 1:
-            raise DomainError("all periods must be at least 1")
-        e = constants.mu * e + math.sqrt(constants.c2 / k)
+        e = constants.mu * e + math.sqrt(constants.c2 / _period(k))
         seq.append(e)
     return UnrollResult(bound=seq[-1], per_cycle=tuple(seq))
 

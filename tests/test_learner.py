@@ -556,13 +556,13 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
 @pytest.mark.parametrize("at", [0, 9])
 def test_step_sizes_out_of_range_rejected(grid07, bad, at):
     steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         _RunBuffers(steps).alphas(10, 0)
     q0 = tq.new_q_table(grid07)
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, grid07,
                           np.random.default_rng(0), n_cycles=3)
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         tq.run_accuracy_triggered_q(q0, 10, 10, steps, grid07,
                                     np.random.default_rng(0), n_cycles=3)
 
@@ -570,13 +570,13 @@ def test_step_sizes_out_of_range_rejected(grid07, bad, at):
 def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07):
     # one bad step deep in the third block of the first cycle
     steps = tq.CustomStepSize(lambda k: 1.5 if k == 2 * _CHUNK + 3 else 0.5)
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(3 * _CHUNK), steps,
                           grid07, np.random.default_rng(0), n_cycles=1)
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, grid07,
                           np.random.default_rng(0))
-    with pytest.raises(DomainError, match="step sizes"):
+    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
         tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 3 * _CHUNK, 3 * _CHUNK, steps,
                                     grid07, np.random.default_rng(0), accuracy=lambda n: 0.0,
                                     n_cycles=1)

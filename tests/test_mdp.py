@@ -520,6 +520,12 @@ def test_stacked_calls_of_empty_stacks_and_wrong_ranks(grid07, oracle07):
             tq.sup_distance(table, oracle07, grid07)
         with pytest.raises(DimensionError):
             tq.evaluate_greedy(table, grid07, grid07.start_state, 7)
+    # two stacks pair their tables, so their lengths must match
+    two, three = np.zeros((2, *oracle07.shape)), np.zeros((3, *oracle07.shape))
+    with pytest.raises(DimensionError, match="stacks of 2 and 3 Q-tables do not match"):
+        tq.sup_distance(two, three, grid07)
+    with pytest.raises(DimensionError, match="stacks of 3 and 2 Q-tables do not match"):
+        tq.sup_distance(three, two, grid07)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +578,35 @@ def test_entry_points_reject_wrong_shape(grid07, oracle07, entry):
                   (grid07.num_states * grid07.num_actions,)):
         with pytest.raises(DimensionError):
             _TABLE_ENTRY_POINTS[entry](np.zeros(shape), grid07, oracle07)
+
+
+# every public entry point that takes one table and no stack, called as
+# (q, mdp, oracle, rng)
+_ONE_TABLE_ENTRY_POINTS = {
+    "exact_bellman_apply": lambda q, mdp, oracle, rng: tq.exact_bellman_apply(q, mdp),
+    "greedy_state_values": lambda q, mdp, oracle, rng: tq.greedy_state_values(q, mdp),
+    "compute_constants": lambda q, mdp, oracle, rng: tq.compute_constants(mdp, 1.0 / 52.0, q),
+    "run_inner_loop": lambda q, mdp, oracle, rng: tq.run_inner_loop(q, 10, _STEPS, mdp, rng),
+    "run_periodic_q q0": lambda q, mdp, oracle, rng: tq.run_periodic_q(
+        q, tq.FixedPeriod(10), _STEPS, mdp, rng, n_cycles=1, oracle=oracle),
+    "run_periodic_q oracle": lambda q, mdp, oracle, rng: tq.run_periodic_q(
+        oracle, tq.FixedPeriod(10), _STEPS, mdp, rng, n_cycles=1, oracle=q),
+    "run_accuracy_triggered_q q0": lambda q, mdp, oracle, rng: tq.run_accuracy_triggered_q(
+        q, 10, 20, _STEPS, mdp, rng, n_cycles=1, oracle=oracle),
+    "run_accuracy_triggered_q oracle": lambda q, mdp, oracle, rng: tq.run_accuracy_triggered_q(
+        oracle, 10, 20, _STEPS, mdp, rng, n_cycles=1, oracle=q),
+}
+
+
+@pytest.mark.parametrize("entry", _ONE_TABLE_ENTRY_POINTS)
+def test_one_table_entry_points_reject_a_stack(grid07, oracle07, entry):
+    # the shape rule refuses a stack before anything is computed or drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    stack = np.zeros((2, grid07.num_states, grid07.num_actions))
+    with pytest.raises(DimensionError, match=re.escape("shape (2, 17, 4) does not match (17, 4)")):
+        _ONE_TABLE_ENTRY_POINTS[entry](stack, grid07, oracle07, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.filterwarnings("error")

@@ -56,8 +56,10 @@ def test_rate_constants_validation(grid07):
                 dict(sigma_sq=math.inf), dict(sigma_sq=math.nan),
                 # finite inputs whose c1 or c2 is not finite (1e-200**2 underflows to 0)
                 dict(q_star_sup=1e200), dict(sigma_sq=1e308), dict(xi=1e-200)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             tq.RateConstants(**{**good, **bad})
+        (value,) = bad.values()
+        assert str(value) in str(info.value)  # each refusal names the value
     # a finite table whose sup is past sqrt(max float)
     huge = np.full((grid07.num_states, grid07.num_actions), 1e308)
     with pytest.raises(DomainError, match="not finite"):
@@ -414,8 +416,9 @@ def test_schedule_validation():
             tq.AccuracyTriggered(10, 100, accuracy=lambda n: eps).threshold(1)
 
 
-# Every entry point that takes a period a run uses, and one bad value of each
-# kind: each must fail with the same type and the same message
+# Every entry point that takes a period, a run's or one the error bound
+# unrolls, and one bad value of each kind: each must fail with the same type
+# and the same message
 _PERIOD_TAKERS = {
     "FixedPeriod": lambda k, run: tq.FixedPeriod(k),
     "ExplicitPeriod": lambda k, run: tq.ExplicitPeriod((5, k)),
@@ -423,11 +426,14 @@ _PERIOD_TAKERS = {
     "AccuracyTriggered-k_min": lambda k, run: tq.AccuracyTriggered(k, 2**53 - 1),
     "AccuracyTriggered-k_max": lambda k, run: tq.AccuracyTriggered(1, k),
     "run_inner_loop-n_steps": lambda k, run: run(k),
+    "unroll_error_bound": lambda k, run: tq.unroll_error_bound(3.0, [10, k], tq.RateConstants(
+        xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.5, n_pairs=4)),
 }
 _BAD_PERIODS = [
     pytest.param(0, DomainError, "period must be at least 1", id="0"),
     pytest.param(-3, DomainError, "period must be at least 1", id="-3"),
     pytest.param(2.5, DomainError, "period must be an integer, got 2.5", id="2.5"),
+    pytest.param(math.nan, DomainError, "period must be an integer, got nan", id="nan"),
     pytest.param(np.float64(3.0), DomainError,
                  f"period must be an integer, got {np.float64(3.0)!r}", id="float64-3"),
     pytest.param(2**53, ScheduleOverflowError,
