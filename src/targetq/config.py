@@ -80,7 +80,7 @@ def _errors_in(where, located: bool = True):
 
 
 _REWARD_SECTIONS = tuple(f"reward {key}" for key in DEFAULT_REWARDS)
-_SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon", "eval_every"}
+_SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon"}
 _SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed", "cycles"},
                  "sweep": _SHARED_KEYS | {"seeds"}, "arm NAME": {"schedule", "step_size"},
                  "grid": {"rows", "cols", "gamma", "layout"},
@@ -174,7 +174,9 @@ def load_environment(ref: str, gamma: float | None) -> TabularMdp:
         return build_gridworld(gamma)
     with _errors_in(ref):
         text = Path(ref).read_text()
-    return build_grid_mdp(load_grid_spec(text, gamma, path=ref))
+    spec = load_grid_spec(text, gamma, path=ref)
+    with _errors_in(ref):
+        return build_grid_mdp(spec)
 
 
 def parse_schedule_spec(spec: str, gamma: float):
@@ -232,7 +234,6 @@ def _shared_keys(section) -> dict:
         sample_budget=section.getint("budget", fallback=None),
         record_bias=section.getboolean("bias", fallback=True),
         eval_horizon=section.getint("eval_horizon", fallback=None),
-        eval_every=section.getint("eval_every", fallback=1),
     )
 
 

@@ -33,7 +33,6 @@ class ExperimentConfig:
     seeds: Sequence[int]  # a tuple, or a range as ``seeds = range N`` gives
     sample_budget: int | None
     eval_horizon: int | None = None
-    eval_every: int = 1
     record_bias: bool = True
     n_cycles: int | None = None
 
@@ -57,8 +56,7 @@ class ExperimentConfig:
         bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
         if bad:
             problems.append(f"seeds must be nonnegative integers, got {', '.join(map(str, bad))}")
-        problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_every,
-                                     self.eval_horizon)
+        problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_horizon)
         # a library run of no cycles returns its initial record; a configured run must run one
         if isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles == 0:
             problems.append("cycle count must be at least 1")
@@ -96,7 +94,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunTrace]]:
         results[arm.label] = [
             run_one(arm.schedule, arm.step_sizes, cfg.mdp, seed, oracle=oracle,
                     n_cycles=cfg.n_cycles, sample_budget=cfg.sample_budget,
-                    eval_horizon=cfg.eval_horizon, eval_every=cfg.eval_every, label=arm.label)
+                    eval_horizon=cfg.eval_horizon, label=arm.label)
             for seed in cfg.seeds
         ]
     return results

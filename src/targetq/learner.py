@@ -48,7 +48,9 @@ from .errors import DomainError
 from .mdp import (
     TabularMdp,
     _as_int,
+    _as_real,
     _check_table,
+    _horizon,
     evaluate_greedy,
     greedy_state_values,
     sup_distance,
@@ -256,8 +258,9 @@ def run_inner_loop(
     left untouched and keeps serving as the frozen target throughout.
     """
     n_steps = _period(n_steps)
+    _check_table(q_in, mdp)
     q = np.array(q_in, dtype=float)
-    values = _check_table(q, mdp)
+    values = q.take(mdp.pair_flat)
     # a run passes its own buffers; a lone cycle gets buffers of its own
     buffers = step_sizes if isinstance(step_sizes, _RunBuffers) else _RunBuffers(step_sizes)
     _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, buffers, n_steps, rng)
@@ -269,52 +272,57 @@ def run_inner_loop(
 # Outer loop
 
 
-def limit_violations(sample_budget, n_cycles, eval_every, eval_horizon) -> list[str]:
+def limit_violations(sample_budget, n_cycles, eval_horizon) -> list[str]:
     """Every run-limit rule, for the runners and ``ExperimentConfig`` alike.
-    ``None`` leaves the budget, cycle count or horizon unset; the cadence is
-    always set."""
+    ``None`` leaves the budget, cycle count or horizon unset."""
     problems = []
-    if sample_budget is not None and not sample_budget < np.inf:  # NaN fails too
-        problems.append(f"sample budget must be finite, got {sample_budget}")
-    elif sample_budget is not None and sample_budget < 1:
-        problems.append("sample budget must be at least 1")
-    for what, value, low in (("cycle count", n_cycles, 0), ("evaluation horizon", eval_horizon, 0),
-                             ("evaluation cadence", eval_every, 1)):
-        if value is None and what != "evaluation cadence":
-            continue
-        try:
-            if _as_int(value, what) < low:
-                problems.append(f"{what} must be " + ("at least 1" if low else "nonnegative"))
-        except DomainError as exc:
-            problems.append(str(exc))
+    for rule, value in ((_budget, sample_budget), (_cycle_count, n_cycles), (_horizon, eval_horizon)):
+        if value is not None:
+            try:
+                rule(value)
+            except DomainError as exc:
+                problems.append(str(exc))
     if n_cycles is None and sample_budget is None:
         problems.append("an unbounded run needs n_cycles or sample_budget")
     return problems
 
 
-def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horizon=None,
-                eval_every=1) -> RunTrace:
+def _budget(budget) -> None:
+    """A sample budget is only compared with a cost, so any real number
+    that a cost can reach passes."""
+    _as_real(budget, "sample budget")
+    if not budget < np.inf:  # NaN fails too
+        raise DomainError(f"sample budget must be finite, got {budget}")
+    if budget < 1:
+        raise DomainError("sample budget must be at least 1")
+
+
+def _cycle_count(n) -> None:
+    if _as_int(n, "cycle count") < 0:
+        raise DomainError("cycle count must be nonnegative")
+
+
+def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horizon=None) -> RunTrace:
     """The outer loop: ``cycle(n, q) -> (q_new, steps, stop_stat)`` runs
     cycle n's inner loop against the frozen target ``q``; its result
     overwrites the target. Records the initial table at cost 0, then every
     cycle, until ``limit`` cycles ran or the cumulative cost reaches
     ``sample_budget``; the cycle that crosses the budget completes.
 
-    Each record carries the sup distance to ``oracle`` if given, and every
-    ``eval_every`` cycles the greedy score over ``eval_horizon`` steps from
-    ``mdp.start_state`` if a horizon is given.
+    Each record carries the sup distance to ``oracle`` if given, and the
+    greedy score over ``eval_horizon`` steps from ``mdp.start_state`` if a
+    horizon is given.
 
     Distances and scores are computed one stack at a time: each table to
     record is copied into a stack of max(1, ``_CHUNK`` // table size)
     tables, allocated once per run; when it is full, and when the run ends,
-    one ``sup_distance`` call and one ``evaluate_greedy`` call (on its due
-    tables) record the whole stack, each record equal to a per-table call's.
-    A non-finite table fails the run with the table check's ``DomainError``.
+    one ``sup_distance`` call and one ``evaluate_greedy`` call record the
+    whole stack, each record equal to a per-table call's. A non-finite
+    table fails the run with the table check's ``DomainError``.
     """
-    problems = limit_violations(sample_budget, limit, eval_every, eval_horizon)
+    problems = limit_violations(sample_budget, limit, eval_horizon)
     if problems:
         raise DomainError("; ".join(problems))
-    eval_every = int(eval_every)  # -n % eval_every overflows a numpy unsigned cadence
     _check_table(q0, mdp)
     if oracle is not None:
         _check_table(oracle, mdp)
@@ -325,13 +333,11 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     pending = []
 
     def record_stack():
-        count = len(pending)
-        tables = stack[:count]
-        biases = sup_distance(tables, oracle, mdp).tolist() if oracle is not None else [None] * count
-        scores = [None] * count
-        due = slice(-pending[0][0] % eval_every, count, eval_every)
-        if eval_horizon is not None and due.start < count:
-            scores[due] = evaluate_greedy(tables[due], mdp, mdp.start_state, eval_horizon).tolist()
+        tables = stack[:len(pending)]
+        unset = [None] * len(pending)
+        biases = sup_distance(tables, oracle, mdp).tolist() if oracle is not None else unset
+        scores = (evaluate_greedy(tables, mdp, mdp.start_state, eval_horizon).tolist()
+                  if eval_horizon is not None else unset)
         trace.records.extend(CycleRecord(n, steps, cost, bias, score, stat)
                              for (n, steps, cost, stat), bias, score in zip(pending, biases, scores))
         pending.clear()
@@ -370,7 +376,7 @@ def run_periodic_q(
     Stops after ``n_cycles`` cycles (or the schedule's own length) or once
     the cumulative sample cost reaches ``sample_budget``, whichever comes
     first; the cycle that crosses the budget completes. ``options`` set
-    what each record measures: ``oracle``, ``eval_horizon``, ``eval_every``.
+    what each record measures: ``oracle`` and ``eval_horizon``.
     Cycle n is ``q = run_inner_loop(q, schedule.period(n), step_sizes, mdp,
     rng)``; shared step-size buffers and stacked recording change no value.
     """

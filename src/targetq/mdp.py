@@ -17,7 +17,10 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -34,12 +37,37 @@ def _as_int(value, what):
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_real(value, what) -> float:
+    """``value`` as a Python float; an integer or a numpy real passes, a
+    string or any other non-number does not. An integer past the float
+    range is an infinity."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _horizon(horizon) -> int:
+    """The one evaluation-horizon rule: an integer from 0 up to the largest
+    float, so that a score's lap count (``evaluate_greedy``) is a float."""
+    horizon = _as_int(horizon, "evaluation horizon")
+    if horizon < 0:
+        raise DomainError("evaluation horizon must be nonnegative")
+    if horizon > sys.float_info.max:
+        raise DomainError("evaluation horizon must be at most the largest float, about 1.8e308")
+    return horizon
+
+
 @dataclass(frozen=True)
 class RewardDistribution:
     """Closed-form reward law for one state-action pair.
 
     kind is either ``"two-point"`` (two values, complementary probabilities)
-    or ``"deterministic"`` (a single value).
+    or ``"deterministic"`` (a single value). Values and probabilities are
+    real numbers, kept as floats; the mean and variance are computed once,
+    here, and must be finite.
     """
 
     kind: str
@@ -54,12 +82,25 @@ class RewardDistribution:
             raise DomainError(
                 f"{self.kind} reward needs exactly {n_expected} value(s)"
             )
-        if not np.isfinite([*self.values, *self.probabilities]).all():
+        values = tuple(_as_real(v, "reward value") for v in self.values)
+        probs = tuple(_as_real(p, "reward probability") for p in self.probabilities)
+        if not all(map(math.isfinite, values + probs)):
             raise DomainError("reward values and probabilities must be finite")
-        if any(p < 0.0 for p in self.probabilities):
+        if any(p < 0.0 for p in probs):
             raise DomainError("probabilities must be nonnegative")
-        if abs(sum(self.probabilities) - 1.0) > 1e-12:
+        if abs(sum(probs) - 1.0) > 1e-12:
             raise DomainError("probabilities must sum to 1 within 1e-12")
+        mean = float(sum(p * v for p, v in zip(probs, values)))
+        try:
+            variance = float(sum(p * (v - mean) ** 2 for p, v in zip(probs, values)))
+        except OverflowError:  # a float ** that overflows raises
+            variance = math.inf
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise DomainError("reward mean and variance must be finite, got values "
+                              + ", ".join(map(repr, values)))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "_moments", (mean, variance))
 
     @classmethod
     def two_point(cls, first: float, second: float, p_first: float = 0.5) -> "RewardDistribution":
@@ -70,11 +111,10 @@ class RewardDistribution:
         return cls("deterministic", (float(value),), (1.0,))
 
     def mean(self) -> float:
-        return float(sum(p * v for p, v in zip(self.probabilities, self.values)))
+        return self._moments[0]
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(sum(p * (v - m) ** 2 for p, v in zip(self.probabilities, self.values)))
+        return self._moments[1]
 
 
 class TabularMdp:
@@ -100,10 +140,9 @@ class TabularMdp:
         start_state = _as_int(start_state, "start state")
         if num_states < 1 or num_actions < 1:
             raise DomainError("num_states and num_actions must be positive")
-        _check_discount(gamma)
         self.num_states = num_states
         self.num_actions = num_actions
-        self.gamma = float(gamma)
+        self.gamma = _check_discount(gamma)
         self.terminal = frozenset(int(s) for s in terminal)
         for s in self.terminal:
             if not 0 <= s < num_states:
@@ -209,10 +248,13 @@ class TabularMdp:
             raise DomainError(f"state {s} out of range")
 
 
-def _check_discount(gamma) -> None:
-    """The one discount rule, for MDPs, grid specs and rate constants."""
+def _check_discount(gamma) -> float:
+    """The one discount rule, for MDPs, grid specs and rate constants; returns
+    the discount as a float."""
+    gamma = _as_real(gamma, "gamma")
     if not 0.0 <= gamma < 1.0:  # NaN fails too
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+    return gamma
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -235,7 +277,9 @@ def new_q_table(mdp: TabularMdp) -> np.ndarray:
 def _check_shape(q: np.ndarray, mdp: TabularMdp, stack: bool = False) -> None:
     """The one shape rule: ``q`` is one ``(num_states, num_actions)`` table,
     or, where ``stack`` is set, possibly a stack of them along a leading
-    axis."""
+    axis, and a numpy array either way."""
+    if not isinstance(q, np.ndarray):
+        raise DimensionError(f"a Q-table must be a numpy array, got {type(q).__name__}")
     shape = (mdp.num_states, mdp.num_actions)
     if q.shape != shape and not (stack and q.ndim == 3 and q.shape[1:] == shape):
         raise DimensionError(f"Q-table shape {q.shape} does not match {shape}")
@@ -298,7 +342,7 @@ def value_iteration_oracle(
     Returns a table whose Bellman residual (sup over active pairs) is at
     most ``tol``.
     """
-    if not tol > 0.0:
+    if not _as_real(tol, "tol") > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     q = new_q_table(mdp)
     for _ in range(_as_int(max_iter, "max_iter")):
@@ -321,7 +365,7 @@ def evaluate_greedy(
 
     Follows argmax_a Q(s, a) (ties to the lowest action index) for at most
     ``horizon`` steps, stopping early in a terminal state. The score is the
-    undiscounted sum of reward means along the path, added in path order.
+    undiscounted sum of reward means along the path.
 
     ``q`` may be a stack of tables along a leading axis; the result is then
     an array with one score per table; a table is a stack of one. One
@@ -330,13 +374,19 @@ def evaluate_greedy(
     state's greedy pair and moves to the pair's next state. A terminal
     state is absorbing at reward 0.0, which leaves a sum started at 0.0
     unchanged, so each score equals that of the table alone, bit for bit.
-    Transitions are deterministic: a path still running after
-    num_states steps is on a cycle and never ends, so one check there
-    stops the walk once every path has ended.
+
+    Transitions are deterministic: a path still running after num_states
+    steps is on a cycle of at most num_states states and never ends, so one
+    check there stops the walk once every path has ended. The walk adds
+    every reward in path order up to 4 * num_states steps. Past them, one
+    more walk of at most num_states steps gives each path's cycle length
+    and the reward sums of one lap and of a partial lap (a terminal state
+    is a lap of one step and reward 0); the score adds the number of whole
+    laps, a Python int, times the lap sum, then the partial sum. So a call
+    takes at most 5 * num_states steps at any horizon.
     """
     _check_table(q, mdp, stack=True)
-    if _as_int(horizon, "horizon") < 0:
-        raise DomainError("horizon must be nonnegative")
+    horizon = _horizon(horizon)
     start = _as_int(start, "start state")
     mdp._check_state(start)
     n_states, n_actions = mdp.num_states, mdp.num_actions
@@ -346,10 +396,28 @@ def evaluate_greedy(
     rows = np.arange(0, greedy.size, n_states)  # where each table's row starts
     state = np.full(len(greedy), start)
     score = np.zeros(len(greedy))
-    for step in range(horizon):
-        if step == n_states and mdp.terminal_mask.take(state).all():
-            break
+
+    def step():
+        """Move every path one step; return the rewards it collects."""
+        nonlocal state
         at = greedy.take(rows + state)  # greedy[b, state[b]] for every table b
-        score += mdp._step_reward.take(at)
         state = mdp._step_next.take(at)
+        return mdp._step_reward.take(at)
+
+    for n in range(min(horizon, 4 * n_states)):
+        if n == n_states and mdp.terminal_mask.take(state).all():
+            break
+        score += step()
+    if horizon > 4 * n_states and not mdp.terminal_mask.take(state).all():
+        origin, rest = state, horizon - 4 * n_states
+        # sums[k]: each path's rewards over its first k steps from origin
+        sums = np.zeros((n_states + 1, len(score)))
+        lap = np.zeros(len(score), dtype=np.int64)  # each path's cycle length
+        for k in range(1, n_states + 1):
+            sums[k] = sums[k - 1] + step()
+            lap[(lap == 0) & (state == origin)] = k
+        paths = np.arange(len(score))
+        laps = np.array([rest // k for k in lap.tolist()], dtype=float)
+        part = np.array([rest % k for k in lap.tolist()], dtype=np.int64)
+        score += laps * sums[lap, paths] + sums[part, paths]
     return float(score[0]) if q.ndim == 2 else score

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _as_int, _check_discount, _check_table
+from .mdp import TabularMdp, _as_int, _as_real, _check_discount, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -38,7 +38,7 @@ class RateConstants:
     runs (xi = 1/n_pairs there); sigma_sq bounds all reward variances;
     q_star_sup is the sup norm of the fixed point; n_pairs the active pair
     count. Inputs that are not finite, or whose constants overflow, raise
-    ``DomainError``.
+    ``DomainError``, as do inputs that are not real numbers.
     """
 
     xi: float
@@ -51,13 +51,15 @@ class RateConstants:
     mu: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("xi", "sigma_sq", "q_star_sup"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if not 0.0 < self.xi <= 1.0:
             raise DomainError(f"xi must lie in (0, 1], got {self.xi}")
         if not 0.0 <= self.sigma_sq < math.inf:
             raise DomainError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
         if not 0.0 <= self.q_star_sup < math.inf:
             raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
-        _check_discount(self.gamma)
+        object.__setattr__(self, "gamma", _check_discount(self.gamma))
         object.__setattr__(self, "n_pairs", _as_int(self.n_pairs, "n_pairs"))
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be positive")
@@ -89,7 +91,7 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
     fixed point over active pairs."""
     sup = float(np.abs(_check_table(q_star, mdp)).max())
     return RateConstants(
-        xi=float(xi),
+        xi=xi,
         sigma_sq=float(np.max(mdp.pair_reward_var)),
         q_star_sup=sup,
         gamma=mdp.gamma,
@@ -121,8 +123,9 @@ class TheoryInverseStepSize:
     xi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "xi", _as_real(self.xi, "xi"))
         # a tiny xi makes s = 2/xi overflow and every step size NaN
-        if not (0.0 < self.xi <= 1.0 and math.isfinite(2.0 / float(self.xi))):
+        if not (0.0 < self.xi <= 1.0 and math.isfinite(2.0 / self.xi)):
             raise DomainError(f"xi must lie in (0, 1] with 2/xi finite, got {self.xi}")
 
     @classmethod
@@ -147,6 +150,7 @@ class ConstantStepSize:
     value: float
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _as_real(self.value, "step size"))
         _check_step_sizes(np.asarray(self.value))
 
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
@@ -227,6 +231,7 @@ class GeometricPeriod:
 
     def __post_init__(self):
         object.__setattr__(self, "k0", _period(self.k0))
+        object.__setattr__(self, "gamma", _as_real(self.gamma, "gamma"))
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("gamma must lie in (0, 1)")
 
@@ -308,10 +313,10 @@ def unroll_error_bound(
 ) -> UnrollResult:
     """Unroll the error recursion from e0 across the given periods, each
     taken by the period rule (``_period``)."""
-    if not e0 >= 0.0:  # NaN fails too
+    e = _as_real(e0, "e0")
+    if not e >= 0.0:  # NaN fails too
         raise DomainError("e0 must be nonnegative")
-    seq = [float(e0)]
-    e = float(e0)
+    seq = [e]
     for k in periods:
         e = constants.mu * e + math.sqrt(constants.c2 / _period(k))
         seq.append(e)
@@ -394,7 +399,10 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
     )
 
 
-def _check_design_inputs(eps: float, e0: float) -> None:
+def _check_design_inputs(eps: float, e0: float) -> tuple[float, float]:
+    """The designers' inputs as floats, each positive and finite, with
+    eps / (2 e0) and eps^2 representable."""
+    eps, e0 = _as_real(eps, "target accuracy"), _as_real(e0, "initial error")
     if not 0.0 < eps < math.inf:
         raise DomainError(f"target accuracy must be positive and finite, got {eps}")
     if not 0.0 < e0 < math.inf:
@@ -409,6 +417,7 @@ def _check_design_inputs(eps: float, e0: float) -> None:
             f"initial error {e0} is too large for target accuracy {eps}: "
             "eps / (2 e0) is not representable"
         )
+    return eps, e0
 
 
 def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> DesignOutput:
@@ -421,7 +430,7 @@ def design_fixed_period(eps: float, e0: float, constants: RateConstants) -> Desi
     in every regime, keeps the contraction argument valid). With
     eps >= 2 e0 the design is empty and ``degenerate``.
     """
-    _check_design_inputs(eps, e0)
+    eps, e0 = _check_design_inputs(eps, e0)
     limit = (1.0 - constants.gamma) * math.sqrt(constants.c2 / constants.c1)
     return _design("fixed", eps, e0, constants, constants.mu, 1.0, eps <= limit)
 
@@ -437,7 +446,7 @@ def design_growing_period(eps: float, e0: float, constants: RateConstants) -> De
     with nu = (1 - gamma) / (1 - mu^(2/3)); outside it ``within_validity``
     is False. With eps >= 2 e0 the design is empty and ``degenerate``.
     """
-    _check_design_inputs(eps, e0)
+    eps, e0 = _check_design_inputs(eps, e0)
     rho = constants.mu ** (2.0 / 3.0)
     # rho is 1 only where mu rounds to 1, at the largest gamma below 1
     nu = (1.0 - constants.gamma) / (1.0 - rho) if rho < 1.0 else math.inf

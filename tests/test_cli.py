@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import re
 import shlex
 import warnings
@@ -148,20 +149,6 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     assert rows[0]["bias_median"] == "3"
 
 
-def test_run_csv_carries_score_forward(tmp_path, capsys):
-    # a run CSV follows the sweep CSV's rule: a score recorded every
-    # eval_every cycles is carried forward to the rows in between
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(RUN_CFG + "eval_every = 2\n")
-    out_csv = tmp_path / "run.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out_csv)]) == 0
-    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
-    scores = [row["score_median"] for row in rows]
-    assert len(scores) == 11 and all(scores)
-    assert scores[1::2] == scores[0:-1:2]  # each odd cycle repeats the evaluation before it
-    assert all(row["score_lo"] == row["score_hi"] == row["score_median"] for row in rows)
-
-
 @pytest.mark.parametrize("spec", ["adaptive 50 500", "fixed 200"])
 def test_run_matches_direct_call(tmp_path, grid07, oracle07, capsys, spec):
     cfg = tmp_path / "run.ini"
@@ -228,7 +215,6 @@ def test_run_malformed_config_fails(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("eval_every = 0", "evaluation cadence must be at least 1"),
         ("budget = -5", "sample budget must be at least 1"),
         ("cycles = 0", "cycle count must be at least 1"),
         ("eval_horizon = -1", "evaluation horizon must be nonnegative"),
@@ -283,11 +269,11 @@ def test_run_config_lists_every_limit_violation(tmp_path, monkeypatch):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(
         "[run]\ngamma = 0.7\nschedule = fixed 10\nbudget = 0\ncycles = 0\n"
-        "eval_every = 0\neval_horizon = -2\n"
+        "eval_horizon = -2\n"
     )
     with pytest.raises(ConfigValidationError) as err:
         tq.run_experiment(parse_run_config(cfg))
-    assert len(err.value.violations) == 4
+    assert len(err.value.violations) == 3
 
 
 def test_run_label_with_percent_sign(tmp_path, capsys):
@@ -309,12 +295,12 @@ def test_sweep_csv_byte_identical(tmp_path, capsys):
 
 
 # SHA-256 of `targetq sweep` CSVs over fixed, geometric and adaptive arms, an
-# arm label csv.writer must quote and a score every third cycle; without bias
+# arm label csv.writer must quote and a score every cycle; without bias
 # every bias field is empty. Update these only with a stated change to the
 # CSV or to the traces behind it
 _PINNED_SWEEP_CSVS = {
-    "true": "9e2e3998a87cd8e88af14f4cde319cb9e7bc3095c0d88571413753ac47f641fa",
-    "false": "5b587ffe87c5cd98c4eb590157c585635866d1c6f691b972e168583553430d8e",
+    "true": "823a940958998dc2ddcfe94ea6f7d695dcacd8f3e51763e3e3082bf173bedef6",
+    "false": "bfa21ab15418fa1ffd790a717fe66a09c7921af4e08a954038f0b2f9767efc50",
 }
 
 
@@ -323,7 +309,7 @@ def test_sweep_csv_bytes_pinned(tmp_path, capsys, bias):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(
         "[sweep]\nenv = gridworld\ngamma = 0.7\nseeds = 0 1 2\nbudget = 2500\n"
-        f"bias = {bias}\neval_horizon = 7\neval_every = 3\n\n"
+        f"bias = {bias}\neval_horizon = 7\n\n"
         "[arm fixed,200]\nschedule = fixed 200\n\n"
         "[arm geo-100]\nschedule = geometric 100\n\n"
         "[arm adaptive-50-2000]\nschedule = adaptive 50 2000\n"
@@ -523,10 +509,32 @@ def test_readme_config_examples_parse(tmp_path):
     run = parse_run_config(run_path)
     assert (run.mdp.gamma, run.seeds, run.sample_budget) == (0.7, (3,), 2_000_000)
     assert run.arms[0].schedule == tq.FixedPeriod(1000)
-    assert (run.eval_horizon, run.eval_every, run.record_bias) == (7, 1, True)
+    assert (run.eval_horizon, run.record_bias) == (7, True)
     sweep = parse_sweep_config(sweep_path)
     assert [arm.label for arm in sweep.arms] == ["fixed-1e3", "geometric-1e3"]
-    assert (sweep.seeds, sweep.eval_every) == ((0, 1, 2), 1)
+    assert sweep.seeds == (0, 1, 2)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the Python block under "Library quickstart" runs as written and prints
+    # finite numbers
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    [block] = re.findall(r"```python\n(.*?)```", quickstart.split("\n## ", 1)[0], flags=re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 5 and all(math.isfinite(float(x)) for x in printed)
+
+
+def test_readme_run_example_scores_at_a_huge_horizon(tmp_path, capsys):
+    # scoring does bounded work, so the fuzz's huge horizon runs in full
+    cfg = tmp_path / "run.ini"
+    huge = README_INI["[run]"].replace("eval_horizon = 7", "eval_horizon = 99999999999999999999999")
+    assert huge != README_INI["[run]"]
+    cfg.write_text(huge)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "final score: " in out
 
 
 def test_parse_sweep_range_seeds(tmp_path):
@@ -595,7 +603,7 @@ def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
 
 # ---------------------------------------------------------------------------
 # One diagnostic per bad input file: `error: PATH [SECTION]: REASON` on one
-# line, naming only the file at fault. A config's limits (budget, cadence,
+# line, naming only the file at fault. A config's limits (budget, horizon,
 # seeds, labels) are checked when it is run and read `invalid configuration`.
 
 GRID_SPEC = tq.dump_grid_spec(tq.gridworld_spec(0.7))
@@ -637,6 +645,9 @@ BAD_INPUT_FILES = [
                  " [arm a]: missing key 'schedule'", id="arm-without-schedule"),
     pytest.param("oracle", _grid("gamma = 0.7", "gamma = 1.5"), "grid.ini",
                  " [grid]: gamma must lie in [0, 1), got 1.5", id="grid-gamma"),
+    pytest.param("oracle", _grid("values = -2.1, 2.0", "values = -1e200, 1e200"), "grid.ini",
+                 " [reward stochastic]: reward mean and variance must be finite, "
+                 "got values -1e+200, 1e+200", id="grid-reward-variance-overflow"),
     pytest.param("oracle", _grid("S.B.", "X.B."), "grid.ini",
                  " [grid]: unknown layout characters: ['X']", id="grid-layout"),
     pytest.param("oracle", _grid("kind = two-point", "kind = three"), "grid.ini",
@@ -704,6 +715,10 @@ BAD_INPUT_FILES = [
                  id="arm-theory-x"),
     pytest.param("run", _cfg(RUN_CFG, "eval_horizon = 7", "eval_horizn = 7"), "cfg.ini",
                  ": unknown key 'eval_horizn' in [run]", id="run-key-typo"),
+    pytest.param("run", {"cfg.ini": RUN_CFG + "eval_every = 1\n"}, "cfg.ini",
+                 ": unknown key 'eval_every' in [run]", id="run-eval-every"),
+    pytest.param("sweep", _cfg(SWEEP_CFG, "eval_horizon = 7", "eval_horizon = 7\neval_every = 1"),
+                 "cfg.ini", ": unknown key 'eval_every' in [sweep]", id="sweep-eval-every"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size", "geometric 100\nstep_sise"),
                  "cfg.ini", ": unknown key 'step_sise' in [arm geo-100]", id="arm-key-typo"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "[arm geo-100]", "[arms geo-100]"), "cfg.ini",
@@ -825,13 +840,13 @@ README_INI = {block.split("\n", 1)[0]: block for block in re.findall(
     r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(),
     flags=re.DOTALL)}
 # "\udce9" is how Python reads the non-UTF-8 byte 0xe9 in argv or a file
-HOSTILE = ("nan", "inf", "-inf", "1e400", "-1", "0", "1", "2", "2.5", "1e-300", "1e-320",
+HOSTILE = ("nan", "inf", "-inf", "1e400", "1e200", "-1", "0", "1", "2", "2.5", "1e-300", "1e-320",
            "0.9999999999999999", "", "x", "abc", "%", "\0", "\udce9", "theory 1e-320",
            "file /nonexistent", "geometric 10 0.01", "adaptive 5 1")
 # valid limits too large to run: a document holding one is parsed and checked only
 HUGE = (str(10**23), str(2**53 - 1), str(2**53 + 1), f"fixed {2**53 - 1}",
         f"adaptive 1 {2**53 - 1}", "range 3000000")
-_HUGE_KEYS = {"seed", "seeds", "budget", "schedule", "eval_horizon", "eval_every", "periods"}
+_HUGE_KEYS = {"seed", "seeds", "budget", "schedule", "periods"}
 
 _PERIOD = st.integers(1, 2000)
 _PERIODS = st.lists(_PERIOD, min_size=1, max_size=4).map(lambda ks: " ".join(map(str, ks)))
@@ -856,8 +871,8 @@ VALID = {
     "step_size": st.one_of(st.just("theory"), _UNIT.map("theory {}".format),
                            _UNIT.map("constant {}".format)),
     "bias": st.sampled_from(["true", "false"]),
-    "eval_horizon": st.integers(0, 64).map(str),
-    "eval_every": st.integers(1, 5).map(str),
+    # scoring does bounded work at any horizon, so a huge one runs too
+    "eval_horizon": st.one_of(st.integers(0, 64), st.sampled_from([2**53 + 1, 10**23])).map(str),
     "rows": st.integers(1, 5).map(str),
     "cols": st.integers(1, 5).map(str),
     "layout": st.sampled_from(["S.B. | .... | OOB. | OOBG", "SG", "S.O | .BG"]),

@@ -49,7 +49,7 @@ def test_config_validation_lists_every_violation(grid07):
         ),
         seeds=(1, 1),
         sample_budget=0,
-        eval_every=0,
+        eval_horizon=-1,
     )
     with pytest.raises(ConfigValidationError) as err:
         tq.run_experiment(cfg)
@@ -71,8 +71,8 @@ def test_unbounded_config_fails_before_the_oracle_solve(grid07, monkeypatch):
 @pytest.mark.parametrize(
     "field, value, what",
     [("n_cycles", 2.5, "cycle count"), ("n_cycles", 0.0, "cycle count"),
-     ("eval_every", 1.5, "evaluation cadence"), ("eval_horizon", 2.5, "evaluation horizon")],
-    ids=["n_cycles=2.5", "n_cycles=0.0", "eval_every=1.5", "eval_horizon=2.5"],
+     ("eval_horizon", 2.5, "evaluation horizon")],
+    ids=["n_cycles=2.5", "n_cycles=0.0", "eval_horizon=2.5"],
 )
 def test_non_integer_limit_fails_before_the_oracle_solve(grid07, monkeypatch, field, value, what):
     def spy(*args, **kwargs):
@@ -298,8 +298,8 @@ def test_aggregate_cost_alignment_carries_forward():
     # at cost 20: b carries 0.5 forward
     assert stats.bias_mean[3] == pytest.approx((1.0 + 0.5) / 2)
     assert all(x < y for x, y in zip(stats.costs, stats.costs[1:]))
-    # scores recorded every other record (eval_every = 2) carry forward too;
-    # before a seed's first score there is none to carry
+    # scores missing from some records carry forward too; before a seed's
+    # first score there is none to carry
     a = _trace([0, 10, 20, 30], [3.0] * 4, [-1.0, None, -2.0, None])
     b = _trace([0, 10, 20], [3.0] * 3, [None, -4.0, None])
     stats = tq.aggregate([a, b])

@@ -485,12 +485,12 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
 
 @pytest.mark.parametrize(
     "limits",
-    [dict(eval_every=0, n_cycles=2), dict(sample_budget=0), dict(sample_budget=-5),
+    [dict(sample_budget=0), dict(sample_budget=-5),
      dict(n_cycles=-3, sample_budget=100), dict(n_cycles=2.5),
-     dict(eval_every=1.5, n_cycles=2), dict(eval_horizon=2.5, n_cycles=2),
+     dict(eval_horizon=2.5, n_cycles=2),
      dict(sample_budget=np.nan, n_cycles=2), dict(sample_budget=np.inf, n_cycles=2)],
-    ids=["eval_every=0", "budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
-         "eval_every=1.5", "eval_horizon=2.5", "budget=nan", "budget=inf"],
+    ids=["budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
+         "eval_horizon=2.5", "budget=nan", "budget=inf"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
@@ -508,21 +508,13 @@ def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_accept_numpy_integer_limits(grid07, theory_steps, adaptive):
     q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
-    limits = dict(n_cycles=np.int64(2), eval_every=np.int32(2), eval_horizon=np.uint8(3))
+    limits = dict(n_cycles=np.int64(2), eval_horizon=np.uint8(3))
     if adaptive:
         trace = tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, grid07, rng, **limits)
     else:
         trace = tq.run_periodic_q(q0, tq.FixedPeriod(10), theory_steps, grid07, rng, **limits)
     assert [r.cycle for r in trace.records] == [0, 1, 2]
-    assert [r.score is None for r in trace.records] == [False, True, False]
-
-
-def test_unsigned_cadence_spans_record_stacks(grid07, theory_steps):
-    # the grid's record stack holds 128 tables, so cycle 128 starts a second one
-    trace = tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(1), theory_steps, grid07,
-                              np.random.default_rng(0), n_cycles=200, eval_every=np.uint8(3),
-                              eval_horizon=1)
-    assert [r.cycle for r in trace.records if r.score is not None] == list(range(0, 201, 3))
+    assert [r.score is None for r in trace.records] == [False, False, False]
 
 
 def test_non_finite_oracle_fails_before_any_cycle(grid07, oracle07, theory_steps):
@@ -729,50 +721,31 @@ def test_adaptive_traces_bit_identical(grid07, oracle07, steps):
 
 # Records are computed one stack of _CHUNK // 68 = 120 grid tables at a
 # time. These runs put the record count just below, on and just past one and
-# two stacks, and let a budget cross mid-stack; eval_every = 7 does not
-# divide 120, so the due tables sit at another offset in each stack.
+# two stacks, and let a budget cross mid-stack.
 # The records' values were first pinned before recording was stacked, from
 # one sup_distance and one evaluate_greedy call per cycle, so a stack
 # boundary that shows fails here. Keys: (runner, limit kind, n_cycles or
-# sample_budget, eval_every).
+# sample_budget).
 _STACK_BOUNDARY_TRACES = {
-    ("periodic", "cycles", 118, 1): "4dc8f79db5cf83aeb949d425025bc21e34e4c62288f825e19eb9a50d5cbcc28e",
-    ("periodic", "cycles", 118, 3): "005e1b79eefa611e0d610138ffc19061297c202144c3aa4dfcdd7cab134790f4",
-    ("periodic", "cycles", 119, 1): "c938d7d2037fb0a4f81ad419532c6cb7e856057d2ac45054865c57c827559c4e",
-    ("periodic", "cycles", 119, 3): "6c19e5e771053cf6059aebd85f09f6b70aef1305cc62552232c339b17c345146",
-    ("periodic", "cycles", 120, 1): "01fa5b69902324fed36375b471624f58f8133bf46cfd6c1c633ee9ea66486774",
-    ("periodic", "cycles", 120, 3): "04e4c0d7a6fa17df00fb277899d208b0b76fa308b1a6b14d2c20ed38f7c040e6",
-    ("periodic", "cycles", 121, 1): "aec6d831c1ddc8eb233694591dcc1da5b172e1cd860f86c07510b17c62bc52a7",
-    ("periodic", "cycles", 121, 3): "933f10e555cdef9dc0ce12b6535ec373b926698694db34a630c81b18e882181d",
-    ("periodic", "cycles", 240, 1): "6ddb1b01033270623736a4f8ba39ece1fccd09f2e297a53cb9a81c0e33e22483",
-    ("periodic", "cycles", 240, 3): "593d24996412b70d061aae77c6df0ddc2a8f03b31531af92924452fe11648096",
-    ("periodic", "cycles", 241, 1): "6773689fb1db8113e49534ba65acc8931924bb0eaa5e1707fced5bdaee27d11c",
-    ("periodic", "cycles", 241, 3): "f8888d9aa8618e8b1d9e40fb84f65c6b6acaa5b54003740c191fd5304160242e",
-    ("adaptive", "cycles", 118, 1): "92ec2412468499c1cc49708af2e01cd4a7c07b9996b61d44625d01a2db98318b",
-    ("adaptive", "cycles", 118, 3): "2806bfa40c5eaeb79ba0950f25c6114599be25626a53192208359ca9e0eb3650",
-    ("adaptive", "cycles", 119, 1): "f0993fcf868bcb0f315e89d438d77119300db6a946d62b90cb5d2ace3f943255",
-    ("adaptive", "cycles", 119, 3): "bab157d29ec953c45d11439ebaa3dfa1a1f5e6ab0fdf98f67fba1b700f6f25d0",
-    ("adaptive", "cycles", 120, 1): "ecf636267b29178f882eb2af47e93c2a428c4886dee1ea4d6a088f69a2cd94fc",
-    ("adaptive", "cycles", 120, 3): "4b1c29a825b81c13d4252d37064826a2442f1f342a46021d9a5472199ebf29d5",
-    ("adaptive", "cycles", 121, 1): "453f423d263d1436047c2a861a5790be48435d2704f003e7e055a578e6438264",
-    ("adaptive", "cycles", 121, 3): "4007e6c55578eeb16e327c829bf79784fc841f8d9e82fea13adacf938449913b",
-    ("adaptive", "cycles", 240, 1): "b2427203e2b37d67daed39930a1e4374d9d062b0a17f90c402c97ba8349386a7",
-    ("adaptive", "cycles", 240, 3): "7dc9e292f12a5170e58404a046554ebad9cc974e35fa66233cc8a81fc24cb7f3",
-    ("adaptive", "cycles", 241, 1): "e608e46fca3cd0ec83918065376409c449f7c7dc9c4bf2f922d420c13d33c25f",
-    ("adaptive", "cycles", 241, 3): "28d9a5beef8d487fb371c56cb46408ddaafbdbb3f7e86ba916e09562fa279b8c",
-    ("periodic", "budget", 1263, 1): "b1b53f7f2e1f159ae654d05df111aec6f007e411ad569155bc7f5501b895e273",
-    ("adaptive", "budget", 5000, 1): "10ede975c33a392f985b2c187e4ac802aa9b323c3627b8ce5201c4b2ca198781",
-    ("periodic", "budget", 1263, 3): "efbaa753207426b8f606e93b85193e4746b660ed680f1b3c262c78806147164f",
-    ("adaptive", "budget", 5000, 3): "9f1544a988cbc6a2522fec0d203f74cb01d5dc82730b1ee9eb32048000280a4b",
-    ("periodic", "cycles", 241, 7): "f29ef5ed12bbedeae12931f63fb92bb5f4a424b04ea2f38eee5238d12154fe2b",
-    ("adaptive", "cycles", 241, 7): "2cdb5967fa04a3909c004da561c17b50fbefdf4216b6676901ad2e7ba9a703d8",
-    ("periodic", "budget", 1263, 7): "3b03db936e067eb3b72d3194b14dec10fb1a4c30220efea8b9266cdc0620b17a",
-    ("adaptive", "budget", 5000, 7): "6503edea724a9e16c7756630c11cc5fa598075c772a47e7a52a78d45328a9442",
+    ("periodic", "cycles", 118): "4dc8f79db5cf83aeb949d425025bc21e34e4c62288f825e19eb9a50d5cbcc28e",
+    ("periodic", "cycles", 119): "c938d7d2037fb0a4f81ad419532c6cb7e856057d2ac45054865c57c827559c4e",
+    ("periodic", "cycles", 120): "01fa5b69902324fed36375b471624f58f8133bf46cfd6c1c633ee9ea66486774",
+    ("periodic", "cycles", 121): "aec6d831c1ddc8eb233694591dcc1da5b172e1cd860f86c07510b17c62bc52a7",
+    ("periodic", "cycles", 240): "6ddb1b01033270623736a4f8ba39ece1fccd09f2e297a53cb9a81c0e33e22483",
+    ("periodic", "cycles", 241): "6773689fb1db8113e49534ba65acc8931924bb0eaa5e1707fced5bdaee27d11c",
+    ("adaptive", "cycles", 118): "92ec2412468499c1cc49708af2e01cd4a7c07b9996b61d44625d01a2db98318b",
+    ("adaptive", "cycles", 119): "f0993fcf868bcb0f315e89d438d77119300db6a946d62b90cb5d2ace3f943255",
+    ("adaptive", "cycles", 120): "ecf636267b29178f882eb2af47e93c2a428c4886dee1ea4d6a088f69a2cd94fc",
+    ("adaptive", "cycles", 121): "453f423d263d1436047c2a861a5790be48435d2704f003e7e055a578e6438264",
+    ("adaptive", "cycles", 240): "b2427203e2b37d67daed39930a1e4374d9d062b0a17f90c402c97ba8349386a7",
+    ("adaptive", "cycles", 241): "e608e46fca3cd0ec83918065376409c449f7c7dc9c4bf2f922d420c13d33c25f",
+    ("periodic", "budget", 1263): "b1b53f7f2e1f159ae654d05df111aec6f007e411ad569155bc7f5501b895e273",
+    ("adaptive", "budget", 5000): "10ede975c33a392f985b2c187e4ac802aa9b323c3627b8ce5201c4b2ca198781",
 }
 
 
-def _stack_boundary_run(grid07, oracle07, runner, limit, n, every):
-    options = dict(oracle=oracle07, eval_horizon=7, eval_every=every)
+def _stack_boundary_run(grid07, oracle07, runner, limit, n):
+    options = dict(oracle=oracle07, eval_horizon=7)
     options["n_cycles" if limit == "cycles" else "sample_budget"] = n
     steps = tq.TheoryInverseStepSize.from_pair_count(52)
     rng = np.random.default_rng(23)
@@ -806,7 +779,7 @@ def test_recording_goes_through_the_traced_names(grid07, oracle07, monkeypatch, 
         monkeypatch.setattr(tq.learner, name, counted)
     for n in (1, 130):
         calls.update(dict.fromkeys(calls, 0))
-        _stack_boundary_run(grid07, oracle07, runner, "cycles", n, 1)
+        _stack_boundary_run(grid07, oracle07, runner, "cycles", n)
         assert calls["sup_distance"] >= 1 and calls["evaluate_greedy"] >= 1
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +265,64 @@ def test_integer_arguments_refuse_non_integers(grid07, oracle07, arg):
 
 
 _DET = tq.RewardDistribution.deterministic(1.0)
+_CONSTANTS = dict(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=4)
+
+# a bad argument of the wrong type: (call, exception, message); a Q-table must
+# be an ndarray, and a real number must not be a string or another non-number
+_WRONG_TYPES = {
+    "exact_bellman_apply list": (lambda mdp, q: tq.exact_bellman_apply(q.tolist(), mdp),
+                                 DimensionError, "a Q-table must be a numpy array, got list"),
+    "sup_distance list": (lambda mdp, q: tq.sup_distance(q, q.tolist(), mdp),
+                          DimensionError, "a Q-table must be a numpy array, got list"),
+    "evaluate_greedy list": (lambda mdp, q: tq.evaluate_greedy(q.tolist(), mdp, 0, 7),
+                             DimensionError, "a Q-table must be a numpy array, got list"),
+    "run_inner_loop list": (lambda mdp, q: tq.run_inner_loop(
+        q.tolist(), 10, tq.ConstantStepSize(0.5), mdp, np.random.default_rng(0)),
+        DimensionError, "a Q-table must be a numpy array, got list"),
+    "ConstantStepSize str": (lambda mdp, q: tq.ConstantStepSize("0.5"),
+                             DomainError, "step size must be a real number, got '0.5'"),
+    "ConstantStepSize None": (lambda mdp, q: tq.ConstantStepSize(None),
+                              DomainError, "step size must be a real number, got None"),
+    "TheoryInverseStepSize str": (lambda mdp, q: tq.TheoryInverseStepSize("0.5"),
+                                  DomainError, "xi must be a real number, got '0.5'"),
+    "GeometricPeriod gamma str": (lambda mdp, q: tq.GeometricPeriod(10, "0.5"),
+                                  DomainError, "gamma must be a real number, got '0.5'"),
+    "RateConstants xi str": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "xi": "a"}),
+                             DomainError, "xi must be a real number, got 'a'"),
+    "RateConstants gamma str": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "gamma": "a"}),
+                                DomainError, "gamma must be a real number, got 'a'"),
+    "TabularMdp gamma str": (lambda mdp, q: tq.TabularMdp(1, 1, {(0, 0): 0}, {(0, 0): _DET}, (),
+                                                        gamma="0.5"),
+                             DomainError, "gamma must be a real number, got '0.5'"),
+    "design_fixed_period str": (lambda mdp, q: tq.design_fixed_period(
+        "0.1", 3.0, tq.RateConstants(**_CONSTANTS)),
+        DomainError, "target accuracy must be a real number, got '0.1'"),
+    "unroll_error_bound str": (lambda mdp, q: tq.unroll_error_bound(
+        "3", [10], tq.RateConstants(**_CONSTANTS)), DomainError, "e0 must be a real number, got '3'"),
+    "value_iteration_oracle tol str": (lambda mdp, q: tq.value_iteration_oracle(mdp, tol="1e-10"),
+                                       DomainError, "tol must be a real number, got '1e-10'"),
+    "sample_budget str": (lambda mdp, q: tq.run_periodic_q(
+        q, tq.FixedPeriod(10), tq.ConstantStepSize(0.5), mdp, np.random.default_rng(0),
+        sample_budget="100"), DomainError, "sample budget must be a real number, got '100'"),
+    "RewardDistribution str": (lambda mdp, q: tq.RewardDistribution("deterministic", ("1",), (1.0,)),
+                               DomainError, "reward value must be a real number, got '1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_TYPES))
+def test_wrong_typed_arguments_raise_domain_error(grid07, oracle07, case):
+    call, error, message = _WRONG_TYPES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(grid07, oracle07)
+
+
+def test_reward_moments_are_computed_once_and_must_be_finite():
+    # (v - m) ** 2 overflows at 1e200: refused where the law is made
+    with pytest.raises(DomainError, match="reward mean and variance must be finite"):
+        tq.RewardDistribution.two_point(-1e200, 1e200)
+    d = tq.RewardDistribution("two-point", (1, np.float32(2.0)), (0.5, np.float64(0.5)))
+    assert d.values == (1.0, 2.0) and all(type(v) is float for v in d.values + d.probabilities)
+    assert (d.mean(), d.variance()) == (1.5, 0.25)
 
 
 @pytest.mark.parametrize(
@@ -465,6 +525,60 @@ def test_evaluate_greedy_matches_per_step_reference(which, ties, horizon, seed):
     for start in range(mdp.num_states):  # terminal starts included
         assert (tq.evaluate_greedy(q, mdp, start, horizon)
                 == _greedy_rollout_reference(q, mdp, start, horizon))
+
+
+def _reference_tables(mdp, seed, count):
+    # alternately random and tie-heavy tables
+    rng = np.random.default_rng(seed)
+    return [rng.integers(-1, 2, size=(mdp.num_states, mdp.num_actions)).astype(float)
+            if i % 2 else rng.normal(size=(mdp.num_states, mdp.num_actions))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("which", ["chain", "grid"])
+@pytest.mark.parametrize("horizon", [10**3, 10**4])
+def test_evaluate_greedy_laps_match_per_step_reference(grid07, which, horizon):
+    # past 4 * num_states steps a path's score is laps of its cycle: exact on
+    # the chain, whose reward means are multiples of 1/4, and within the
+    # walk's own rounding drift on the grid
+    mdp = make_chain_mdp(0.5) if which == "chain" else grid07
+    for q in _reference_tables(mdp, 0, 6 if which == "chain" else 2):
+        for start in range(mdp.num_states):
+            want = _greedy_rollout_reference(q, mdp, start, horizon)
+            got = tq.evaluate_greedy(q, mdp, start, horizon)
+            if which == "chain":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_evaluate_greedy_laps_are_exact_on_a_self_loop():
+    mdp = make_selfloop_mdp(0.5, 1.0)  # one state, reward 1 a step, never ends
+    q = tq.new_q_table(mdp)
+    for horizon in (5, 10**6, 2**53):
+        assert tq.evaluate_greedy(q, mdp, 0, horizon) == horizon
+    assert tq.evaluate_greedy(q, mdp, 0, 10**23) == 1e23
+
+
+def test_evaluate_greedy_does_bounded_work_at_any_horizon(grid07):
+    # a record stack of 120 grid tables at the fuzz's horizon, which no
+    # step-by-step walk could finish; stacked and per-table calls still agree
+    stack = _random_tables(grid07, np.random.default_rng(1), False, 120)
+    tq.evaluate_greedy(stack, grid07, grid07.start_state, 10**23)
+    start = time.perf_counter()
+    scores = tq.evaluate_greedy(stack, grid07, grid07.start_state, 10**23)
+    assert time.perf_counter() - start < 0.05
+    assert np.isfinite(scores).all()
+    assert scores[:8].tolist() == [tq.evaluate_greedy(q, grid07, grid07.start_state, 10**23)
+                                   for q in stack[:8]]
+
+
+def test_evaluate_greedy_horizon_rule(grid07, oracle07):
+    # a lap count must be a float, so the largest horizon is the largest float
+    largest = int(sys.float_info.max)
+    assert np.isfinite(tq.evaluate_greedy(oracle07, grid07, grid07.start_state, largest))
+    with pytest.raises(DomainError, match="at most the largest float"):
+        tq.evaluate_greedy(oracle07, grid07, grid07.start_state, largest + 2**971)
 
 
 # ---------------------------------------------------------------------------
