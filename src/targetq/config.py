@@ -3,9 +3,9 @@ configs, designed-schedule files and grid specs. All four are read by one
 parser that takes values literally (a ``%`` is text), each inside one error
 boundary: any failure reads ``PATH [SECTION]: REASON`` (``PATH: REASON`` for
 the whole file) on one line and names only the file at fault, which may be
-a grid spec or schedule file a config names. Run and sweep configs and grid
-specs refuse any section or key they do not take; schedule files do not, as
-``design --out`` writes keys nothing reads. A run config is read as the
+a grid spec or schedule file a config names. All four refuse any section
+or key they do not take; a schedule file takes the keys ``design --out``
+writes, of which only ``periods`` is read. A run config is read as the
 one-arm, one-seed experiment it describes.
 
 Schedule specs (shared by configs and the CLI):
@@ -84,26 +84,26 @@ _SHARED_KEYS = {"env", "gamma", "budget", "bias", "eval_horizon"}
 _SECTION_KEYS = {"run": _SHARED_KEYS | {"schedule", "step_size", "label", "seed", "cycles"},
                  "sweep": _SHARED_KEYS | {"seeds"}, "arm NAME": {"schedule", "step_size"},
                  "grid": {"rows", "cols", "gamma", "layout"},
+                 "schedule": {"periods", "family", "gamma", "eps", "e0"},
                  **dict.fromkeys(_REWARD_SECTIONS, {"kind", "values", "probabilities"})}
 
 
-def _parse(text: str, kinds: tuple[str, ...], strict: bool = True) -> configparser.ConfigParser:
-    """Parse ``text`` and require a section of each kind but "arm NAME".
-    If ``strict``, refuse a section whose kind (its name, or "arm NAME" for
-    any arm) is not in ``kinds`` and a key that section does not take."""
+def _parse(text: str, kinds: tuple[str, ...]) -> configparser.ConfigParser:
+    """Parse ``text``, require a section of each kind but "arm NAME", and
+    refuse a section whose kind (its name, or "arm NAME" for any arm) is not
+    in ``kinds`` and a key that section does not take."""
     # values are taken literally: a '%' is text in every format, not interpolation
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
-    if strict:
-        if parser.defaults():
-            raise DomainError(f"unknown section [{parser.default_section}]")
-        for name in parser.sections():
-            kind = "arm NAME" if name.startswith("arm ") else name
-            if kind not in kinds:
-                raise DomainError(f"unknown section [{name}]")
-            unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
-            if unknown:
-                raise DomainError(f"unknown key {unknown[0]!r} in [{name}]")
+    if parser.defaults():
+        raise DomainError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        kind = "arm NAME" if name.startswith("arm ") else name
+        if kind not in kinds:
+            raise DomainError(f"unknown section [{name}]")
+        unknown = [key for key in parser[name] if key not in _SECTION_KEYS[kind]]
+        if unknown:
+            raise DomainError(f"unknown key {unknown[0]!r} in [{name}]")
     missing = [kind for kind in kinds if kind != "arm NAME" and kind not in parser]
     if missing:
         raise DomainError(f"needs a [{missing[0]}] section")
@@ -219,7 +219,7 @@ def dump_schedule_file(periods, meta: dict[str, str]) -> str:
 
 def load_schedule_file(path) -> ExplicitPeriod:
     with _errors_in(path):
-        section = _parse(Path(path).read_text(), ("schedule",), strict=False)["schedule"]
+        section = _parse(Path(path).read_text(), ("schedule",))["schedule"]
         with _errors_in(f"{path} [schedule]"):
             schedule = ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
             if not schedule.ks:  # as a degenerate design writes; ExplicitPeriod(()) itself is valid

@@ -15,7 +15,7 @@ scaled by the product of its (1 - alpha) factors plus a weighted sum of its
 own sampled targets. ``_apply_cycle`` draws and evaluates this one block of
 ``_CHUNK`` steps at a time and carries the per-pair values from block to
 block, so a cycle of any period runs in O(``_CHUNK``) temporaries beside
-the run's two 1 MiB buffers (``_RunBuffers``).
+the run's buffers (``_RunBuffers``).
 ``_adaptive_cycle`` works chunk by chunk too, speculatively: it
 evaluates each chunk of steps whole, as if the cycle did not stop inside it,
 computes the stopping statistic after every step, and rolls the values back
@@ -23,19 +23,17 @@ to the first step that meets the stopping rule.
 
 Sample-stream contract (what makes traces reproducible): each run owns one
 ``numpy.random.Generator``, and every step draws its pair uniformly from
-the active pairs. A periodic cycle's stream is that of drawing all its pair
-indices, then all its reward uniforms; each step consumes exactly one pair
-index and one uniform. The draws themselves are made per block: numpy gives
-the same values drawn in pieces as in one call, so a long cycle draws its
-pair indices block by block and keeps them, one byte each on up to 256
-pairs, in the run's 1 MiB pair-id buffer before its first uniform. Past
-the buffer it replays its remaining pair indices from a copy of the
-generator state while the run's generator skips past them to the
-uniforms, so only those are drawn twice (see ``_apply_cycle``). The
-accuracy-triggered runner draws blocks of at most ``_CHUNK`` steps and
-discards any drawn but unused samples when a cycle stops early, so
-speculation and roll-back draw exactly what a per-step loop over the same
-blocks would.
+the active pairs and consumes exactly one pair index and one reward
+uniform. A periodic cycle draws its steps one segment of at most
+``_SEGMENT`` (2**20) steps at a time, and each segment draws all its pair
+indices, then all its uniforms; so a cycle of at most 2**20 steps draws
+all its pair indices, then all its uniforms. numpy gives the same values
+drawn in pieces as in one call, so a segment draws its pair indices block
+by block into the run's pair-id buffer before its first uniform. The
+accuracy-triggered runner draws blocks of at most ``_CHUNK`` steps the
+same way and discards any drawn but unused samples when a cycle stops
+early, so speculation and roll-back draw exactly what a per-step loop over
+the same blocks would.
 """
 from __future__ import annotations
 
@@ -58,7 +56,8 @@ from .mdp import (
 from .schedules import AccuracyTriggered, TufSchedule, _check_step_sizes, _period
 
 _CHUNK = 8192
-_RUN_BUFFER_BYTES = 2**20  # the size of each per-run buffer (_RunBuffers)
+_SEGMENT = 2**20  # the steps of a periodic cycle that draw their pair ids together
+_RUN_BUFFER_BYTES = 2**20  # the size of a run's step-size prefix (_RunBuffers)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +111,14 @@ def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
 
 class _RunBuffers:
     """One run's buffers: its checked, read-only step sizes and the pair ids
-    of its current long cycle, each at most ``_RUN_BUFFER_BYTES`` (1 MiB).
+    of one segment of its current long cycle.
 
-    Every cycle restarts at alpha(0), so one buffer holds the prefix
-    alpha(0) .. alpha(``_RUN_BUFFER_BYTES`` // 8 - 1), filled in place and
-    checked (each in (0, 1]) only as far as cycles have reached: each of
-    those step sizes is computed once per run, and a block inside the filled
-    part is a read-only view. A block past the prefix is computed, checked
-    and made read-only each time. Both copy what the step-size object
-    returns. The pair-id buffer is made on the run's first multi-block cycle
-    (``_apply_cycle``); runs whose cycles fit in one block never make it.
+    Every cycle restarts at alpha(0), so a ``_RUN_BUFFER_BYTES`` (1 MiB)
+    prefix holds alpha(0) .. alpha(131071), filled in place and checked
+    (each in (0, 1]) only as far as cycles have reached: each of those step
+    sizes is computed once per run, and a block inside the filled part is a
+    read-only view. A block past the prefix is computed, checked and made
+    read-only each time. Both copy what the step-size object returns.
     """
 
     def __init__(self, step_sizes):
@@ -146,11 +143,10 @@ class _RunBuffers:
         return block
 
     def pair_ids(self, dtype: np.dtype) -> np.ndarray:
-        """A buffer for pair ids of an MDP's ``pair_id_dtype``, the smallest
-        unsigned type that holds them: 2**20 ids at up to 256 pairs, 2**19 at
-        up to 65536, always a whole number of ``_CHUNK`` blocks."""
-        if self._pair_ids is None or self._pair_ids.dtype != dtype:
-            self._pair_ids = np.empty(_RUN_BUFFER_BYTES // dtype.itemsize, dtype)
+        """The ``_SEGMENT`` pair ids of the run's MDP's ``pair_id_dtype``
+        (1 MiB at up to 256 pairs), made on its first multi-block cycle."""
+        if self._pair_ids is None:
+            self._pair_ids = np.empty(_SEGMENT, dtype)
         return self._pair_ids
 
 
@@ -166,38 +162,25 @@ def _apply_cycle(values, cont, mdp, buffers, n_steps, rng):
     form maps the values at the start of any stretch of steps to the values
     at its end, so each block carries the per-pair values into the next.
 
-    The samples are those of one whole-cycle draw: all pair ids, then all
-    uniforms. A one-block cycle draws its pair ids directly. A longer cycle
-    draws its pair ids block by block into the run's pair-id buffer
-    (``buffers.pair_ids``), so each is drawn once, and each block then takes
-    its uniforms from the run's generator. Past the buffer's 1 MiB (2**20
-    steps at up to 256 pairs), a replay generator takes a copy of the run's
-    generator state, the run's generator skips past the remaining pair ids,
-    and each later block draws its pair ids again from the replay. So
-    nothing period-sized is ever held: the temporaries are O(_CHUNK +
-    n_pairs * max hits per block) beside the run's two 1 MiB buffers,
-    whatever the period. ``buffers`` is a ``_RunBuffers``, so its step-size
-    blocks come checked.
+    A one-block cycle draws its pair ids, then its uniforms, directly. A
+    longer cycle draws each segment's pair ids block by block into the
+    run's pair-id buffer (``buffers.pair_ids``), then takes each block's
+    uniforms from the run's generator (the stream contract in the module
+    docstring). ``buffers`` is a ``_RunBuffers``, so its step-size blocks
+    come checked.
     """
-    n_pairs = mdp.num_active_pairs
     if n_steps <= _CHUNK:
         _apply_block(values, cont, mdp, *_draw_block(mdp, n_steps, rng), buffers.alphas(n_steps, 0))
         return
     ids = buffers.pair_ids(mdp.pair_id_dtype)
-    kept = min(n_steps, ids.size)  # a whole number of blocks if the cycle is longer
-    for lo in range(0, kept, _CHUNK):
-        count = min(_CHUNK, kept - lo)
-        ids[lo:lo + count] = rng.integers(0, n_pairs, size=count)
-    if n_steps > kept:
-        # a fresh bit generator is cheaper to make than a deep copy
-        replay = np.random.Generator(type(rng.bit_generator)(0))
-        replay.bit_generator.state = rng.bit_generator.state
-        for lo in range(kept, n_steps, _CHUNK):
-            rng.integers(0, n_pairs, size=min(_CHUNK, n_steps - lo))
-    for lo in range(0, n_steps, _CHUNK):
-        count = min(_CHUNK, n_steps - lo)
-        pairs = ids[lo:lo + count] if lo < kept else replay.integers(0, n_pairs, size=count)
-        _apply_block(values, cont, mdp, pairs, rng.random(count), buffers.alphas(count, lo))
+    for start in range(0, n_steps, _SEGMENT):
+        size = min(_SEGMENT, n_steps - start)
+        blocks = [(lo, min(_CHUNK, size - lo)) for lo in range(0, size, _CHUNK)]
+        for lo, count in blocks:
+            ids[lo:lo + count] = rng.integers(0, mdp.num_active_pairs, size=count)
+        for lo, count in blocks:
+            _apply_block(values, cont, mdp, ids[lo:lo + count], rng.random(count),
+                         buffers.alphas(count, start + lo))
 
 
 def _sorted_block(mdp, pairs, u, alphas, cont):
@@ -211,8 +194,8 @@ def _sorted_block(mdp, pairs, u, alphas, cont):
 
     Sorting the ids as the smallest unsigned type that holds them lets the
     stable sort use radix sort; the order equals that of the int64 sort.
-    A long cycle's kept ids (``_RunBuffers.pair_ids``) come in that type
-    already, so they are sorted without a copy.
+    A long cycle's buffered ids (``_RunBuffers.pair_ids``) come in that
+    type already, so they are sorted without a copy.
     """
     n_pairs = mdp.num_active_pairs
     order = pairs.astype(mdp.pair_id_dtype, copy=False).argsort(kind="stable")

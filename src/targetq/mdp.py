@@ -49,6 +49,14 @@ def _as_real(value, what) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _as_tuple(value, what) -> tuple:
+    """``value``'s items as a tuple; a string or a non-iterable is refused
+    whole."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise DomainError(f"{what} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def _horizon(horizon) -> int:
     """The one evaluation-horizon rule: an integer from 0 up to the largest
     float, so that a score's lap count (``evaluate_greedy``) is a float."""
@@ -77,13 +85,15 @@ class RewardDistribution:
     def __post_init__(self):
         if self.kind not in ("two-point", "deterministic"):
             raise DomainError(f"unknown reward kind {self.kind!r}")
+        values = _as_tuple(self.values, "reward values")
+        probs = _as_tuple(self.probabilities, "reward probabilities")
         n_expected = 2 if self.kind == "two-point" else 1
-        if len(self.values) != n_expected or len(self.probabilities) != n_expected:
+        if len(values) != n_expected or len(probs) != n_expected:
             raise DomainError(
                 f"{self.kind} reward needs exactly {n_expected} value(s)"
             )
-        values = tuple(_as_real(v, "reward value") for v in self.values)
-        probs = tuple(_as_real(p, "reward probability") for p in self.probabilities)
+        values = tuple(_as_real(v, "reward value") for v in values)
+        probs = tuple(_as_real(p, "reward probability") for p in probs)
         if not all(map(math.isfinite, values + probs)):
             raise DomainError("reward values and probabilities must be finite")
         if any(p < 0.0 for p in probs):
@@ -143,7 +153,8 @@ class TabularMdp:
         self.num_states = num_states
         self.num_actions = num_actions
         self.gamma = _check_discount(gamma)
-        self.terminal = frozenset(int(s) for s in terminal)
+        terminal = _as_tuple(terminal, "terminal states")
+        self.terminal = frozenset(_as_int(s, "terminal state") for s in terminal)
         for s in self.terminal:
             if not 0 <= s < num_states:
                 raise DomainError(f"terminal state {s} out of range")
@@ -152,6 +163,7 @@ class TabularMdp:
         self.start_state = start_state
 
         pairs: list[tuple[int, int]] = []
+        next_states: list[int] = []
         for s in range(num_states):
             if s in self.terminal:
                 continue
@@ -160,10 +172,14 @@ class TabularMdp:
                     raise DomainError(f"missing transition for active pair {(s, a)}")
                 if (s, a) not in rewards:
                     raise DomainError(f"missing reward for active pair {(s, a)}")
-                ns = int(transitions[(s, a)])
+                ns = _as_int(transitions[(s, a)], f"transition target for {(s, a)}")
                 if not 0 <= ns < num_states:
                     raise DomainError(f"transition target {ns} out of range for {(s, a)}")
+                if not isinstance(rewards[(s, a)], RewardDistribution):
+                    raise DomainError(f"reward for {(s, a)} must be a RewardDistribution, "
+                                      f"got {rewards[(s, a)]!r}")
                 pairs.append((s, a))
+                next_states.append(ns)
 
         # pair id of each (s, a), -1 for a terminal state's pairs, for
         # pair_id's scalar lookups
@@ -178,9 +194,7 @@ class TabularMdp:
         # row-major flat index of each active pair: q.take / q.put on it do
         # the work of q[pair_state, pair_action] at a fraction of its cost
         self.pair_flat = self.pair_state * self.num_actions + self.pair_action
-        self.pair_next_state = np.fromiter(
-            (int(transitions[p]) for p in pairs), dtype=np.int64, count=n
-        )
+        self.pair_next_state = np.array(next_states, dtype=np.int64)
         self.pair_p_first = np.array([d.probabilities[0] for d in self._reward_laws])
         self.pair_value_first = np.array([d.values[0] for d in self._reward_laws])
         self.pair_value_second = np.array([d.values[-1] for d in self._reward_laws])

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _as_int, _as_real, _check_discount, _check_table
+from .mdp import TabularMdp, _as_int, _as_real, _as_tuple, _check_discount, _check_table
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -162,7 +162,7 @@ class CustomStepSize:
     fn: Callable[[int], float]
 
     def alphas(self, count: int, start: int = 0) -> np.ndarray:
-        return np.array([float(self.fn(k)) for k in range(start, start + count)])
+        return np.array([_as_real(self.fn(k), "step size") for k in range(start, start + count)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ class ExplicitPeriod:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(_period(k) for k in self.ks))
+        object.__setattr__(self, "ks", tuple(map(_period, _as_tuple(self.ks, "periods"))))
 
     @property
     def n_cycles(self) -> int:
@@ -290,7 +290,7 @@ class AccuracyTriggered:
         """Threshold for 1-based cycle index n."""
         if self.accuracy is None:
             return 1.0 / (n * n)
-        eps = float(self.accuracy(n))
+        eps = _as_real(self.accuracy(n), "accuracy threshold")
         if not eps >= 0.0:  # NaN fails too
             raise DomainError(f"accuracy thresholds must be nonnegative, got {eps}")
         return eps

@@ -677,6 +677,8 @@ BAD_INPUT_FILES = [
                  ": No such file or directory", id="missing-schedule-file"),
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "fixed 0"), "cfg.ini",
                  " [run]: schedule spec 'fixed 0': period must be at least 1", id="fixed-0"),
+    pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file typo.ini", typo="[schedule]\nperods = 5\n"),
+                 "typo.ini", ": unknown key 'perods' in [schedule]", id="schedule-file-key-typo"),
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file deg.ini", deg=EMPTY_SCHEDULE), "deg.ini",
                  " [schedule]: no periods", id="run-degenerate-schedule-file"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "file deg.ini", deg=EMPTY_SCHEDULE),

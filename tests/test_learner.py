@@ -9,7 +9,7 @@ import targetq as tq
 from targetq.errors import DomainError
 from targetq.learner import (
     _CHUNK,
-    _RUN_BUFFER_BYTES,
+    _SEGMENT,
     _RunBuffers,
     _adaptive_cycle,
     _apply_block,
@@ -183,44 +183,53 @@ def test_chunked_draws_equal_one_shot_draws(n):
         assert rng.bit_generator.state == whole.bit_generator.state
 
 
-# A run keeps 1 MiB of a long cycle's pair ids, in the smallest unsigned type
-# that holds them: 2**20 on the grid's 52 pairs, 2**19 on _CHAIN_400's 400.
-# Blocks past those caps replay their pair ids from a copy of the generator.
-_GRID_CAP, _CHAIN_CAP = _RUN_BUFFER_BYTES, _RUN_BUFFER_BYTES // 2
-_CAP_EDGES = [cap + d for cap in (_CHAIN_CAP, _GRID_CAP) for d in (0, 1, _CHUNK + 5)]
+def _cycle_draw(mdp, k, rng):
+    # a cycle's samples: each segment's pair ids, then its uniforms
+    draws = [_draw_block(mdp, min(_SEGMENT, k - lo), rng) for lo in range(0, k, _SEGMENT)]
+    return np.concatenate([p for p, _ in draws]), np.concatenate([u for _, u in draws])
 
 
-def test_pair_id_buffer_holds_one_mib(theory_steps):
+# A cycle of at most one segment is one whole draw and a longer one draws
+# per segment; its edges are a segment, a step and a block past it, and
+# three steps past two segments.
+_SEGMENT_EDGES = [_SEGMENT + d for d in (0, 1, _CHUNK + 5)] + [2 * _SEGMENT + 3]
+
+
+def test_pair_id_buffer_holds_one_segment(theory_steps):
     grid = tq.build_gridworld(0.7)
     buffers = _RunBuffers(theory_steps)
     ids = buffers.pair_ids(grid.pair_id_dtype)
     assert buffers.pair_ids(grid.pair_id_dtype) is ids  # one buffer per run
     wide = _RunBuffers(theory_steps).pair_ids(_CHAIN_400.pair_id_dtype)
-    assert (ids.dtype, ids.size, wide.dtype, wide.size) == (np.uint8, _GRID_CAP, np.uint16, _CHAIN_CAP)
-    assert ids.nbytes == wide.nbytes == 2**20 and _CHAIN_CAP % _CHUNK == 0
+    assert (ids.dtype, ids.size, wide.dtype, wide.size) == (np.uint8, _SEGMENT, np.uint16, _SEGMENT)
+    assert ids.nbytes == 2**20 and _SEGMENT % _CHUNK == 0
 
 
-@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, *_CAP_EDGES])
+@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5,
+                               *(_SEGMENT // 2 + d for d in (0, 1, _CHUNK + 5)), *_SEGMENT_EDGES])
 def test_inner_loop_consumes_one_whole_cycle_draw(theory_steps, k):
     for mdp in (tq.build_gridworld(0.7), _CHAIN_400):
         rng = np.random.default_rng(12)
         tq.run_inner_loop(tq.new_q_table(mdp), k, theory_steps, mdp, rng)
         reference = np.random.default_rng(12)
-        _draw_block(mdp, k, reference)
+        _cycle_draw(mdp, k, reference)
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("use_chain", [False, True], ids=["grid", "chain-400"])
-@pytest.mark.parametrize("past_cap", [-_CHUNK - 3, 0, 1, _CHUNK + 5])
-def test_inner_loop_equals_blocks_of_one_whole_cycle_draw(use_chain, past_cap):
-    # kept and replayed pair ids give bitwise the table of applying one
-    # whole-cycle draw block by block
+@pytest.mark.parametrize("past_segment", [-_CHUNK - 3, 0, 1, _CHUNK + 5, _SEGMENT + 3])
+def test_inner_loop_equals_blocks_of_one_whole_cycle_draw(use_chain, past_segment):
+    # a cycle gives bitwise the table of applying its per-segment draws
+    # block by block
     mdp = _CHAIN_400 if use_chain else tq.build_gridworld(0.7)
-    k = (_CHAIN_CAP if use_chain else _GRID_CAP) + past_cap
+    k = _SEGMENT + past_segment
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
     q_in = random_q(mdp, np.random.default_rng(5))
-    fast = tq.run_inner_loop(q_in, k, steps, mdp, np.random.default_rng(9))
-    pairs, u = _draw_block(mdp, k, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    fast = tq.run_inner_loop(q_in, k, steps, mdp, rng)
+    reference = np.random.default_rng(9)
+    pairs, u = _cycle_draw(mdp, k, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
     alphas, cont = steps.alphas(k), _frozen_continuation(q_in, mdp)
     values = q_in.take(mdp.pair_flat)
     for lo in range(0, k, _CHUNK):

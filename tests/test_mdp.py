@@ -306,6 +306,19 @@ _WRONG_TYPES = {
         sample_budget="100"), DomainError, "sample budget must be a real number, got '100'"),
     "RewardDistribution str": (lambda mdp, q: tq.RewardDistribution("deterministic", ("1",), (1.0,)),
                                DomainError, "reward value must be a real number, got '1'"),
+    "RewardDistribution scalar": (lambda mdp, q: tq.RewardDistribution("deterministic", 1.0, (1.0,)),
+                                  DomainError, "reward values must be a sequence, got 1.0"),
+    "RewardDistribution probabilities str": (
+        lambda mdp, q: tq.RewardDistribution("deterministic", (1.0,), "1"),
+        DomainError, "reward probabilities must be a sequence, got '1'"),
+    "CustomStepSize str": (lambda mdp, q: tq.run_inner_loop(
+        q, 10, tq.CustomStepSize(lambda k: "0.5"), mdp, np.random.default_rng(0)),
+        DomainError, "step size must be a real number, got '0.5'"),
+    "AccuracyTriggered threshold str": (
+        lambda mdp, q: tq.AccuracyTriggered(1, 2, accuracy=lambda n: "0.5").threshold(1),
+        DomainError, "accuracy threshold must be a real number, got '0.5'"),
+    "ExplicitPeriod str": (lambda mdp, q: tq.ExplicitPeriod("12"),
+                           DomainError, "periods must be a sequence, got '12'"),
 }
 
 
@@ -334,9 +347,14 @@ def test_reward_moments_are_computed_once_and_must_be_finite():
      (dict(start_state=2), "start state 2 out of range"),
      (dict(transitions={}), "missing transition for active pair (0, 0)"),
      (dict(rewards={}), "missing reward for active pair (0, 0)"),
-     (dict(transitions={(0, 0): 5}), "transition target 5 out of range for (0, 0)")],
+     (dict(transitions={(0, 0): 5}), "transition target 5 out of range for (0, 0)"),
+     (dict(transitions={(0, 0): 1.0}), "transition target for (0, 0) must be an integer, got 1.0"),
+     (dict(transitions={(0, 0): "x"}), "transition target for (0, 0) must be an integer, got 'x'"),
+     (dict(terminal=(1.7,)), "terminal state must be an integer, got 1.7"),
+     (dict(terminal=1), "terminal states must be a sequence, got 1"),
+     (dict(rewards={(0, 0): 1.0}), "reward for (0, 0) must be a RewardDistribution, got 1.0")],
     ids=["no-states", "no-actions", "gamma-1", "terminal", "start", "transition", "reward",
-         "target"],
+         "target", "target-float", "target-str", "terminal-float", "terminal-int", "reward-float"],
 )
 def test_malformed_mdp_is_refused(changes, message):
     # state 0 steps into the terminal state 1
