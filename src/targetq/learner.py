@@ -241,12 +241,11 @@ def run_inner_loop(
     left untouched and keeps serving as the frozen target throughout.
     """
     n_steps = _period(n_steps)
-    _check_table(q_in, mdp)
-    q = np.array(q_in, dtype=float)
-    values = q.take(mdp.pair_flat)
+    values = _check_table(q_in, mdp)
     # a run passes its own buffers; a lone cycle gets buffers of its own
     buffers = step_sizes if isinstance(step_sizes, _RunBuffers) else _RunBuffers(step_sizes)
     _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, buffers, n_steps, rng)
+    q = np.array(q_in, dtype=float)
     q.put(mdp.pair_flat, values)
     return q
 
@@ -402,18 +401,23 @@ def run_accuracy_triggered_q(
     buffers = _RunBuffers(step_sizes)
 
     def cycle(n, q):
-        eps_n = adaptive.threshold(n + 1)
-        q_new = np.array(q, dtype=float)
-        steps, stat = _adaptive_cycle(q_new, q, mdp, buffers, k_min, k_max, eps_n, rng)
+        values = _check_table(q, mdp)
+        steps, stat = _adaptive_cycle(values, _frozen_continuation(q, mdp), mdp, buffers,
+                                      k_min, k_max, adaptive.threshold(n + 1), rng)
+        q_new = q.copy()
+        q_new.put(mdp.pair_flat, values)
         return q_new, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)
 
 
-def _adaptive_cycle(q, q_frozen, mdp, buffers, k_min, k_max, eps_n, rng):
+def _adaptive_cycle(values, cont, mdp, buffers, k_min, k_max, eps_n, rng):
     """Inner loop with per-step stopping checks under uniform exploration,
-    evaluated one speculative chunk at a time; ``buffers`` is a
-    ``_RunBuffers``, so its step-size blocks come checked.
+    run on the per-pair ``values`` in place against the frozen per-pair
+    continuation ``cont`` (as ``_apply_cycle``) and evaluated one
+    speculative chunk at a time; ``buffers`` is a ``_RunBuffers``, so its
+    step-size blocks come checked. Returns the steps taken and the
+    stopping statistic.
 
     Each chunk of at most ``_CHUNK`` steps is drawn whole, as the stream
     contract says, and every step of it is evaluated as if the cycle ran
@@ -433,8 +437,6 @@ def _adaptive_cycle(q, q_frozen, mdp, buffers, k_min, k_max, eps_n, rng):
     """
     n_pairs = mdp.num_active_pairs
     ids = mdp.pair_range
-    cont = _frozen_continuation(q_frozen, mdp)
-    values = q.take(mdp.pair_flat)
     counts = np.zeros(n_pairs, dtype=np.int64)
     sums = np.zeros(n_pairs)
     stat = 0.0
@@ -472,13 +474,12 @@ def _adaptive_cycle(q, q_frozen, mdp, buffers, k_min, k_max, eps_n, rng):
         stops = np.flatnonzero(stat_after[first:] <= eps_n)
         used = first + int(stops[0]) + 1 if stops.size else block
         taken = np.bincount(pairs[:used], minlength=n_pairs)
-        values = shift[taken, ids]
+        values[:] = shift[taken, ids]
         sums = running[taken, ids]
         counts += taken
         stat = stat_after[used - 1]
         steps += used
         if stops.size:
             break
-    q.put(mdp.pair_flat, values)
     return steps, float(np.sum(np.abs(sums / np.maximum(counts, 1)))) / n_pairs
 

@@ -301,10 +301,11 @@ def _check_shape(q: np.ndarray, mdp: TabularMdp, stack: bool = False) -> None:
 
 def _check_table(q: np.ndarray, mdp: TabularMdp, stack: bool = False) -> np.ndarray:
     """Check a table's shape (``_check_shape``) and that its active entries
-    are finite, and return a fresh array of its active-pair values: a row
-    for a table, one row per table for a stack."""
+    are finite, and return a fresh float array of its active-pair values: a
+    row for a table, one row per table for a stack."""
     _check_shape(q, mdp, stack)
     values = q.reshape(-1, mdp.num_states * mdp.num_actions).take(mdp.pair_flat, axis=1)
+    values = values.astype(float, copy=False)
     # counting is exact, warns on nothing and, unlike a reduction, is cheap
     # on small tables
     if np.count_nonzero(np.isfinite(values)) != values.size:

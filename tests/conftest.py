@@ -81,3 +81,20 @@ def random_q(mdp, rng, scale=5.0):
     q = tq.new_q_table(mdp)
     q[mdp.pair_state, mdp.pair_action] = rng.uniform(-scale, scale, mdp.num_active_pairs)
     return q
+
+
+def cycle_law(alphas, n_pairs):
+    """The exact law of one cycle of ``len(alphas)`` steps that samples
+    each of ``n_pairs`` pairs with probability p = 1 / n_pairs per step.
+
+    With the target frozen, a pair's error e = q - T q_frozen moves to
+    (1 - alpha_t) e + alpha_t * (reward noise) when the pair is hit, so
+    E e_K = m e_0 and E e_K**2 = A e_0**2 + B sigma**2, with sigma**2 the
+    pair's reward variance and
+    m = prod (1 - p alpha_t), A = prod b_t, B = sum p alpha_t**2 prod_{j>t} b_j,
+    b_t = 1 - p alpha_t (2 - alpha_t). Returns (m, A, B).
+    """
+    p = 1.0 / n_pairs
+    b = 1.0 - p * alphas * (2.0 - alphas)
+    later = np.append(np.cumprod(b[:0:-1])[::-1], 1.0)  # prod_{j>t} b_j
+    return float(np.prod(1.0 - p * alphas)), float(np.prod(b)), float(np.sum(p * alphas**2 * later))

@@ -370,6 +370,26 @@ def test_theory_xi_with_infinite_scale_fails_while_parsing(tmp_path, capsys, mon
     assert tq.TheoryInverseStepSize(1e-300).alphas(2).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("schedule", ["fixed 100", "adaptive 100 100"])
+def test_overflowing_run_exits_1_under_either_schedule(tmp_path, capsys, monkeypatch, schedule):
+    # default cells paying 1e308 overflow the table within a few cycles; with
+    # no bias and no horizon only each cycle's table check sees it
+    monkeypatch.chdir(tmp_path)
+    default = "kind = two-point\nvalues = -0.08, 0.05\nprobabilities = 0.5, 0.5"
+    assert default in GRID_SPEC
+    huge = "kind = deterministic\nvalues = 1e308\nprobabilities = 1.0"
+    Path("grid.ini").write_text(GRID_SPEC.replace(default, huge))
+    text = GRID_RUN_CFG
+    for old, new in (("gamma = 0.7", "gamma = 0.9"), ("budget = 2000", "budget = 3000"),
+                     ("fixed 200", schedule), ("bias = true", "bias = false"),
+                     ("eval_horizon = 7\n", "")):
+        text = text.replace(old, new)
+    Path("cfg.ini").write_text(text)
+    with np.errstate(all="ignore"):  # the overflow warns on its way
+        assert main(["run", "--config", "cfg.ini"]) == 1
+    assert capsys.readouterr().err == "error: Q-table has non-finite entries on active pairs\n"
+
+
 def test_gridworld_emit_and_reload(tmp_path, capsys):
     out = tmp_path / "grid.ini"
     assert main(["gridworld", "--gamma", "0.9", "--out", str(out)]) == 0

@@ -19,7 +19,7 @@ from targetq.learner import (
     _sorted_block,
 )
 
-from conftest import inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
+from conftest import cycle_law, inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
 
 
 def _sequential_replay(q_in, mdp, pairs, u, alphas):
@@ -66,11 +66,12 @@ def _check_adaptive_against_replay(q_in, mdp, step_sizes, k_min, k_max, eps_n, s
                                      np.random.default_rng(seed))
     if np.any(np.abs(np.array(stats[k_min - 1:]) - eps_n) <= 1e-9 * abs(eps_n)):
         return None
-    q = np.array(q_in, dtype=float)
-    steps, stat = _adaptive_cycle(q, q_in, mdp, _RunBuffers(step_sizes), k_min, k_max, eps_n,
+    got = q_in.take(mdp.pair_flat)
+    steps, stat = _adaptive_cycle(got, _frozen_continuation(q_in, mdp), mdp,
+                                  _RunBuffers(step_sizes), k_min, k_max, eps_n,
                                   np.random.default_rng(seed))
     assert steps == len(stats)
-    np.testing.assert_allclose(q[mdp.pair_state, mdp.pair_action], values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, values, rtol=0, atol=1e-12)
     assert stat == pytest.approx(stats[-1], rel=0, abs=1e-12)
     return steps, stat
 
@@ -129,6 +130,15 @@ def test_inner_loop_single_step_sets_sampled_target(grid07, theory_steps):
     diff = np.argwhere(q != q_in)
     assert diff.shape == (1, 2)
     assert np.all(q_in == 0.0)
+
+
+def test_inner_loop_takes_an_integer_table(grid07, theory_steps):
+    # the checked values come as floats, so an integer table runs as its float copy
+    q_in = np.ones((grid07.num_states, grid07.num_actions), dtype=int)
+    got = tq.run_inner_loop(q_in, 300, theory_steps, grid07, np.random.default_rng(4))
+    want = tq.run_inner_loop(q_in.astype(float), 300, theory_steps, grid07,
+                             np.random.default_rng(4))
+    assert got.dtype == float and np.array_equal(got, want)
 
 
 def test_inner_loop_matches_sequential_replay(grid07, theory_steps):
@@ -225,11 +235,19 @@ def test_inner_loop_equals_blocks_of_one_whole_cycle_draw(use_chain, past_segmen
     k = _SEGMENT + past_segment
     steps = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
     q_in = random_q(mdp, np.random.default_rng(5))
-    rng = np.random.default_rng(9)
+    # seed 9 draws the grid's 2**20 + 1 steps alike under both rules
+    seed = 12 if (use_chain, past_segment) == (False, 1) else 9
+    rng = np.random.default_rng(seed)
     fast = tq.run_inner_loop(q_in, k, steps, mdp, rng)
-    reference = np.random.default_rng(9)
+    reference = np.random.default_rng(seed)
     pairs, u = _cycle_draw(mdp, k, reference)
     assert rng.bit_generator.state == reference.bit_generator.state
+    if k > _SEGMENT:
+        # the whole-cycle rule (all of a cycle's pair ids, then all its
+        # uniforms) must draw other samples from this seed, or the test
+        # could not tell it from the per-segment rule
+        whole_pairs, whole_u = _draw_block(mdp, k, np.random.default_rng(seed))
+        assert not (np.array_equal(whole_pairs, pairs) and np.array_equal(whole_u, u))
     alphas, cont = steps.alphas(k), _frozen_continuation(q_in, mdp)
     values = q_in.take(mdp.pair_flat)
     for lo in range(0, k, _CHUNK):
@@ -551,6 +569,22 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
     with pytest.raises(DomainError, match="non-finite"):
         _run_cycles(tq.new_q_table(grid07), grid07, cycle, 300, None, oracle=oracle07,
                     eval_horizon=7)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
+def test_overflowing_table_fails_either_runner(adaptive):
+    # one self-loop pair paying 1e308 overflows within a few cycles; with no
+    # oracle and no horizon only each cycle's check of its frozen table sees it
+    dist = tq.RewardDistribution.deterministic(1e308)
+    mdp = tq.TabularMdp(num_states=2, num_actions=1, transitions={(0, 0): 0},
+                        rewards={(0, 0): dist}, terminal=(1,), gamma=0.9)
+    args = (tq.ConstantStepSize(0.5), mdp, np.random.default_rng(0))
+    # the overflow warns on its way
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="^Q-table has non-finite"):
+        if adaptive:
+            tq.run_accuracy_triggered_q(tq.new_q_table(mdp), 50, 50, *args, n_cycles=6)
+        else:
+            tq.run_periodic_q(tq.new_q_table(mdp), tq.FixedPeriod(50), *args, n_cycles=6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.7])
@@ -980,3 +1014,61 @@ def test_uniform_policy_xi_and_frequencies(grid07):
     assert pairs.min() >= 0 and pairs.max() < 52
     counts = np.bincount(pairs, minlength=52)
     assert counts.min() > 700 and counts.max() < 1300
+
+
+# The exact one-cycle law (conftest's cycle_law) against both kernels. The
+# per-step reference shares the kernels' reward rule, so only the law can
+# see a kernel that samples pairs or rewards with a bias. Each case runs
+# 400 independent cycles from one random table and bands at +-4.5 standard
+# errors:
+# - each pair's mean end error around m e_0, with the standard error from
+#   the law's own variance A e_0^2 + B sigma^2 - (m e_0)^2 (the cycles' own
+#   standard errors give the per-pair ratio tails several times heavier
+#   than normal on the grid);
+# - the mean of |q_K - T q|^2 around A |e_0|^2 + B sum sigma^2, with the
+#   cycles' own standard error (the law has no fourth moment).
+# Under the normal approximation each band's false-alarm rate is 6.8e-6,
+# so a case of n pairs (n + 1 bands) fails a correct kernel with
+# probability at most (n + 1) * 6.8e-6: 3.6e-4 on the 52-pair grid and
+# 4.8e-5 on the 6-pair chain.
+_LAW_CYCLES = 400
+_LAW_BAND = 4.5
+
+
+def _periodic_cycle(q_in, k, step_sizes, mdp, rng):
+    return tq.run_inner_loop(q_in, k, step_sizes, mdp, rng).take(mdp.pair_flat)
+
+
+def _adaptive_full_cycle(q_in, k, step_sizes, mdp, rng):
+    # k_min = k_max = k: the cycle never stops early
+    values = q_in.take(mdp.pair_flat)
+    _adaptive_cycle(values, _frozen_continuation(q_in, mdp), mdp, _RunBuffers(step_sizes),
+                    k, k, 0.0, rng)
+    return values
+
+
+@pytest.mark.parametrize("cycle", [_periodic_cycle, _adaptive_full_cycle],
+                         ids=["periodic", "adaptive"])
+@pytest.mark.parametrize("use_chain, k", [(False, 100), (False, 1000), (True, 10), (True, 30)],
+                         ids=["grid-100", "grid-1000", "chain-10", "chain-30"])
+def test_one_cycle_matches_exact_law(cycle, use_chain, k):
+    # theory steps on the grid; constant 0.3 steps on the chain, whose
+    # rewards are deterministic, so its B term is multiplied by zero
+    if use_chain:
+        mdp, step_sizes = make_chain_mdp(), tq.ConstantStepSize(0.3)
+    else:
+        mdp = tq.build_gridworld(0.7)
+        step_sizes = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
+    q_in = random_q(mdp, np.random.default_rng(k))
+    target = tq.exact_bellman_apply(q_in, mdp).take(mdp.pair_flat)
+    e0 = q_in.take(mdp.pair_flat) - target
+    m, a, b = cycle_law(step_sizes.alphas(k), mdp.num_active_pairs)
+    second = a * e0**2 + b * mdp.pair_reward_var  # each pair's E e_K^2
+    rng = np.random.default_rng(7)
+    errors = np.array([cycle(q_in, k, step_sizes, mdp, rng) - target
+                       for _ in range(_LAW_CYCLES)])
+    se = np.sqrt((second - (m * e0)**2) / _LAW_CYCLES)
+    assert np.all(np.abs(errors.mean(axis=0) - m * e0) <= _LAW_BAND * se)
+    squares = np.sum(errors**2, axis=1)
+    se = squares.std(ddof=1) / np.sqrt(_LAW_CYCLES)
+    assert abs(squares.mean() - np.sum(second)) <= _LAW_BAND * se

@@ -268,7 +268,9 @@ _DET = tq.RewardDistribution.deterministic(1.0)
 _CONSTANTS = dict(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=4)
 
 # a bad argument of the wrong type: (call, exception, message); a Q-table must
-# be an ndarray, and a real number must not be a string or another non-number
+# be an ndarray, and a real number must not be a string or another non-number.
+# An integer past the float range is an infinity, refused by the value's own
+# range rule, never with an OverflowError.
 _WRONG_TYPES = {
     "exact_bellman_apply list": (lambda mdp, q: tq.exact_bellman_apply(q.tolist(), mdp),
                                  DimensionError, "a Q-table must be a numpy array, got list"),
@@ -319,14 +321,22 @@ _WRONG_TYPES = {
         DomainError, "accuracy threshold must be a real number, got '0.5'"),
     "ExplicitPeriod str": (lambda mdp, q: tq.ExplicitPeriod("12"),
                            DomainError, "periods must be a sequence, got '12'"),
+    "ConstantStepSize huge int": (lambda mdp, q: tq.ConstantStepSize(10**400),
+                                  DomainError, "step size must lie in (0, 1]"),
+    "GeometricPeriod gamma huge int": (lambda mdp, q: tq.GeometricPeriod(1000, -10**400),
+                                       DomainError, "gamma must lie in (0, 1)"),
+    "RateConstants sigma_sq huge int": (
+        lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "sigma_sq": 10**400}),
+        DomainError, "sigma_sq must be finite and nonnegative, got inf"),
 }
 
 
 @pytest.mark.parametrize("case", list(_WRONG_TYPES))
 def test_wrong_typed_arguments_raise_domain_error(grid07, oracle07, case):
     call, error, message = _WRONG_TYPES[case]
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call(grid07, oracle07)
+    assert not isinstance(info.value, OverflowError)
 
 
 def test_reward_moments_are_computed_once_and_must_be_finite():
