@@ -1,21 +1,9 @@
 """Grid benchmark environments.
 
-A grid environment is described by a character layout plus a reward law per
-cell role:
-
-* ``S`` start cell (shares the default reward law)
-* ``.`` default cell
-* ``O`` high-variance cell
-* ``B`` hazard cell: terminal; a move INTO it yields the hazard's own
-  reward and ends the episode
-* ``G`` goal cell: non-terminal; every action from it collects the goal's
-  reward and ends the episode (transition to an absorbing sink state)
-
-All other moves pay the reward law of the cell being left, identically for
-every action, including off-grid moves which keep the agent in place
-("hovering"). The sink is an extra terminal state appended after the grid
-cells, so a rows x cols grid has ``rows * cols + 1`` states and 4 actions
-(up, down, left, right).
+A grid environment is a character layout, a discount and a reward table
+keyed by cell role; ``_ROLE_KEYS`` maps each layout character to its role.
+A rows x cols grid has ``rows * cols + 1`` states, the cells row-major and
+an absorbing sink last, and 4 actions (up, down, left, right).
 
 This module is only the environment; its text format, the grid spec, is
 read and written by ``config.load_grid_spec`` and ``config.dump_grid_spec``.
@@ -30,21 +18,13 @@ from .mdp import RewardDistribution, TabularMdp, _check_discount
 ACTION_NAMES = ("up", "down", "left", "right")
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
-ROLE_START = "S"
-ROLE_DEFAULT = "."
-ROLE_STOCHASTIC = "O"
-ROLE_BOMB = "B"
-ROLE_GOAL = "G"
-_ROLES = (ROLE_START, ROLE_DEFAULT, ROLE_STOCHASTIC, ROLE_BOMB, ROLE_GOAL)
-
-# Reward-table keys, mapped from layout characters.
-_ROLE_KEYS = {
-    ROLE_START: "default",
-    ROLE_DEFAULT: "default",
-    ROLE_STOCHASTIC: "stochastic",
-    ROLE_BOMB: "bomb",
-    ROLE_GOAL: "goal",
-}
+# The cell roles: layout character -> reward-table key. ``S``, the one start
+# cell, pays as ``.``; ``O`` is the high-variance cell. A bomb ``B`` is
+# terminal, and a move into it pays the bomb law. Every move from a goal
+# ``G`` pays the goal law and ends in the sink. Every other move, an
+# off-grid one that keeps the agent in place included, pays the law of the
+# cell it leaves, whatever the action.
+_ROLE_KEYS = {"S": "default", ".": "default", "O": "stochastic", "B": "bomb", "G": "goal"}
 
 DEFAULT_LAYOUT = ("S.B.", "....", "OOB.", "OOBG")
 
@@ -71,12 +51,13 @@ class GridSpec:
         cols = len(self.layout[0])
         if cols == 0 or any(len(row) != cols for row in self.layout):
             raise DomainError("layout rows must be non-empty and equal length")
-        bad = {c for row in self.layout for c in row} - set(_ROLES)
+        cells = "".join(self.layout)
+        bad = set(cells) - set(_ROLE_KEYS)
         if bad:
             raise DomainError(f"unknown layout characters: {sorted(bad)}")
-        if sum(row.count(ROLE_START) for row in self.layout) != 1:
+        if cells.count("S") != 1:
             raise DomainError("layout needs exactly one start cell 'S'")
-        missing = {key for key in _ROLE_KEYS.values()} - set(self.rewards)
+        missing = set(_ROLE_KEYS.values()) - set(self.rewards)
         if missing:
             raise DomainError(f"reward table missing roles: {sorted(missing)}")
 
@@ -97,42 +78,32 @@ def gridworld_spec(gamma: float) -> GridSpec:
 def build_grid_mdp(spec: GridSpec) -> TabularMdp:
     """Compile a GridSpec into a TabularMdp (grid cells row-major, sink last)."""
     rows, cols = spec.rows, spec.cols
-    sink = rows * cols
-
-    def cell(r: int, c: int) -> int:
-        return r * cols + c
-
-    role = {cell(r, c): spec.layout[r][c] for r in range(rows) for c in range(cols)}
-    start = next(s for s, ch in role.items() if ch == ROLE_START)
-    bombs = {s for s, ch in role.items() if ch == ROLE_BOMB}
-
+    cells = "".join(spec.layout)  # cell (r, c) is cells[r * cols + c]
+    keys = [_ROLE_KEYS[ch] for ch in cells]
+    sink = len(cells)
     transitions: dict[tuple[int, int], int] = {}
     rewards: dict[tuple[int, int], RewardDistribution] = {}
-    for s, ch in role.items():
-        if ch == ROLE_BOMB:
+    for s, key in enumerate(keys):
+        if key == "bomb":
             continue
         r, c = divmod(s, cols)
         for a, (dr, dc) in enumerate(_MOVES):
-            if ch == ROLE_GOAL:
-                transitions[(s, a)] = sink
-                rewards[(s, a)] = spec.rewards["goal"]
-                continue
             nr, nc = r + dr, c + dc
-            ns = cell(nr, nc) if 0 <= nr < rows and 0 <= nc < cols else s
-            transitions[(s, a)] = ns
-            if ns in bombs:
-                rewards[(s, a)] = spec.rewards["bomb"]
+            ns = nr * cols + nc if 0 <= nr < rows and 0 <= nc < cols else s
+            if key == "goal":
+                transitions[s, a], rewards[s, a] = sink, spec.rewards["goal"]
             else:
-                rewards[(s, a)] = spec.rewards[_ROLE_KEYS[ch]]
+                transitions[s, a] = ns
+                rewards[s, a] = spec.rewards["bomb" if keys[ns] == "bomb" else key]
 
     return TabularMdp(
         num_states=sink + 1,
         num_actions=4,
         transitions=transitions,
         rewards=rewards,
-        terminal=bombs | {sink},
+        terminal={s for s, key in enumerate(keys) if key == "bomb"} | {sink},
         gamma=spec.gamma,
-        start_state=start,
+        start_state=cells.index("S"),
     )
 
 

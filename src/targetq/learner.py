@@ -284,12 +284,15 @@ def _cycle_count(n) -> None:
         raise DomainError("cycle count must be nonnegative")
 
 
-def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horizon=None) -> RunTrace:
+def _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, schedule_cycles=None, /, *,
+                oracle=None, eval_horizon=None) -> RunTrace:
     """The outer loop: ``cycle(n, q) -> (q_new, steps, stop_stat)`` runs
     cycle n's inner loop against the frozen target ``q``; its result
     overwrites the target. Records the initial table at cost 0, then every
-    cycle, until ``limit`` cycles ran or the cumulative cost reaches
-    ``sample_budget``; the cycle that crosses the budget completes.
+    cycle, until ``n_cycles`` cycles ran (at most ``schedule_cycles``, a
+    schedule's own length) or the cumulative cost reaches ``sample_budget``;
+    the cycle that crosses the budget completes. The limits are checked as
+    given, before the schedule's length caps them.
 
     Each record carries the sup distance to ``oracle`` if given, and the
     greedy score over ``eval_horizon`` steps from ``mdp.start_state`` if a
@@ -300,15 +303,19 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
     tables, allocated once per run; when it is full, and when the run ends,
     one ``sup_distance`` call and one ``evaluate_greedy`` call record the
     whole stack, each record equal to a per-table call's. A non-finite
-    table fails the run with the table check's ``DomainError``.
+    table fails the run with the table check's ``DomainError``: the initial
+    table is checked before any cycle, each later one as the next cycle's
+    frozen table, and the table the run ends on before it returns.
     """
-    problems = limit_violations(sample_budget, limit, eval_horizon)
+    problems = limit_violations(sample_budget, schedule_cycles if n_cycles is None else n_cycles,
+                                eval_horizon)
     if problems:
         raise DomainError("; ".join(problems))
     _check_table(q0, mdp)
     if oracle is not None:
         _check_table(oracle, mdp)
     q = np.array(q0, dtype=float)
+    limit = min((c for c in (n_cycles, schedule_cycles) if c is not None), default=None)
     trace = RunTrace()
     stack = np.empty((max(1, _CHUNK // q.size), *q.shape))
     # (cycle, inner_steps, cumulative_cost, stop_stat) of each table in the stack
@@ -330,6 +337,7 @@ def _run_cycles(q0, mdp, cycle, limit, sample_budget, *, oracle=None, eval_horiz
         pending.append((n, steps, cost, stat))
         over_budget = sample_budget is not None and cost >= sample_budget
         if over_budget or (limit is not None and n >= limit):
+            _check_table(q, mdp)
             record_stack()
             return trace
         if len(pending) == len(stack):
@@ -370,9 +378,7 @@ def run_periodic_q(
         k = schedule.period(n)
         return run_inner_loop(q, k, buffers, mdp, rng), k, None
 
-    limit = min((_as_int(c, "cycle count") for c in (n_cycles, schedule.n_cycles) if c is not None),
-                default=None)
-    return _run_cycles(q0, mdp, cycle, limit, sample_budget, **options)
+    return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, schedule.n_cycles, **options)
 
 
 def run_accuracy_triggered_q(

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -146,6 +147,19 @@ def test_spec_percent_sign_is_domain_error(old, new, message):
     assert old in good
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         load_grid_spec(good.replace(old, new, 1))
+
+
+def test_non_square_layout_pinned():
+    # 2 x 5 with the start at cell 6: the row-major cell arithmetic where
+    # rows != cols, and the start cell's index, pinned bit for bit
+    spec = tq.GridSpec(layout=("O.B.G", ".S..O"), gamma=0.8, rewards=gridworld_spec(0.8).rewards)
+    mdp = build_grid_mdp(spec)
+    assert (mdp.num_states, mdp.num_active_pairs, mdp.start_state) == (11, 36, 6)
+    assert list(mdp.terminal_states) == [2, 10]
+    arrays = (mdp.pair_flat, mdp.pair_next_state, mdp.pair_p_first, mdp.pair_value_first,
+              mdp.pair_value_second, mdp.terminal_states, np.array([mdp.start_state, mdp.num_states]))
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "dcfd97ea8859bfda875a175f38dc5b9ff2412293d0d16f38406b369ea1226acb"
 
 
 def test_custom_layout_builds():

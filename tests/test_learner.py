@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -511,24 +512,29 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
 
 
 @pytest.mark.parametrize(
-    "limits",
-    [dict(sample_budget=0), dict(sample_budget=-5),
-     dict(n_cycles=-3, sample_budget=100), dict(n_cycles=2.5),
-     dict(eval_horizon=2.5, n_cycles=2),
-     dict(sample_budget=np.nan, n_cycles=2), dict(sample_budget=np.inf, n_cycles=2)],
+    "limits, message",
+    [(dict(sample_budget=0), None), (dict(sample_budget=-5), None),
+     (dict(n_cycles=-3, sample_budget=100), None), (dict(n_cycles=2.5), None),
+     (dict(eval_horizon=2.5, n_cycles=2), None),
+     (dict(sample_budget=np.nan, n_cycles=2), None), (dict(sample_budget=np.inf, n_cycles=2), None),
+     # every violation is reported, the cycle count's too
+     (dict(n_cycles=1.5, sample_budget=np.nan, eval_horizon=-1),
+      "sample budget must be finite, got nan; cycle count must be an integer, got 1.5; "
+      "evaluation horizon must be nonnegative")],
     ids=["budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
-         "eval_horizon=2.5", "budget=nan", "budget=inf"],
+         "eval_horizon=2.5", "budget=nan", "budget=inf", "three-violations"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
-def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits):
+def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits, message):
     q0, rng = tq.new_q_table(grid07), np.random.default_rng(0)
+    match = None if message is None else f"^{re.escape(message)}$"
     if adaptive:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=match):
             tq.run_accuracy_triggered_q(q0, 10, 50, theory_steps, grid07, rng, **limits)
         return
     # a schedule shorter than n_cycles must not hide a bad limit
     for schedule in (tq.FixedPeriod(10), tq.ExplicitPeriod((10, 10))):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=match):
             tq.run_periodic_q(q0, schedule, theory_steps, grid07, rng, **limits)
 
 
@@ -573,18 +579,27 @@ def test_non_finite_table_mid_stack_raises(grid07, oracle07, bad_cycle):
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_overflowing_table_fails_either_runner(adaptive):
-    # one self-loop pair paying 1e308 overflows within a few cycles; with no
-    # oracle and no horizon only each cycle's check of its frozen table sees it
+    # one self-loop pair paying 1e308 overflows in the second cycle; with no
+    # oracle and no horizon only the table checks see it: each cycle's check
+    # of its frozen table, and the check of the table the run ends on
     dist = tq.RewardDistribution.deterministic(1e308)
     mdp = tq.TabularMdp(num_states=2, num_actions=1, transitions={(0, 0): 0},
                         rewards={(0, 0): dist}, terminal=(1,), gamma=0.9)
-    args = (tq.ConstantStepSize(0.5), mdp, np.random.default_rng(0))
-    # the overflow warns on its way
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="^Q-table has non-finite"):
-        if adaptive:
-            tq.run_accuracy_triggered_q(tq.new_q_table(mdp), 50, 50, *args, n_cycles=6)
-        else:
-            tq.run_periodic_q(tq.new_q_table(mdp), tq.FixedPeriod(50), *args, n_cycles=6)
+
+    def run(n_cycles):
+        args = (tq.ConstantStepSize(0.5), mdp, np.random.default_rng(0))
+        # the overflow warns on its way
+        with np.errstate(all="ignore"):
+            if adaptive:
+                return tq.run_accuracy_triggered_q(tq.new_q_table(mdp), 50, 50, *args,
+                                                   n_cycles=n_cycles)
+            return tq.run_periodic_q(tq.new_q_table(mdp), tq.FixedPeriod(50), *args,
+                                     n_cycles=n_cycles)
+
+    assert len(run(1).records) == 2
+    for n_cycles in (2, 6):
+        with pytest.raises(DomainError, match="^Q-table has non-finite"):
+            run(n_cycles)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.7])
