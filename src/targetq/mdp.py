@@ -37,6 +37,15 @@ def _as_int(value, what):
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _index(value, size, what) -> int:
+    """The one state and action index rule: ``value`` as an integer
+    (``_as_int``) in [0, ``size``)."""
+    value = _as_int(value, what)
+    if not 0 <= value < size:
+        raise DomainError(f"{what} must lie in [0, {size}), got {value}")
+    return value
+
+
 def _as_real(value, what) -> float:
     """``value`` as a Python float; an integer or a numpy real passes, a
     string or any other non-number does not. An integer past the float
@@ -114,11 +123,12 @@ class RewardDistribution:
 
     @classmethod
     def two_point(cls, first: float, second: float, p_first: float = 0.5) -> "RewardDistribution":
-        return cls("two-point", (float(first), float(second)), (float(p_first), 1.0 - float(p_first)))
+        p_first = _as_real(p_first, "reward probability")
+        return cls("two-point", (first, second), (p_first, 1.0 - p_first))
 
     @classmethod
     def deterministic(cls, value: float) -> "RewardDistribution":
-        return cls("deterministic", (float(value),), (1.0,))
+        return cls("deterministic", (value,), (1.0,))
 
     def mean(self) -> float:
         return self._moments[0]
@@ -147,53 +157,34 @@ class TabularMdp:
     ):
         num_states = _as_int(num_states, "num_states")
         num_actions = _as_int(num_actions, "num_actions")
-        start_state = _as_int(start_state, "start state")
         if num_states < 1 or num_actions < 1:
             raise DomainError("num_states and num_actions must be positive")
-        self.num_states = num_states
-        self.num_actions = num_actions
+        self.num_states, self.num_actions = num_states, num_actions
         self.gamma = _check_discount(gamma)
         terminal = _as_tuple(terminal, "terminal states")
-        self.terminal = frozenset(_as_int(s, "terminal state") for s in terminal)
-        for s in self.terminal:
-            if not 0 <= s < num_states:
-                raise DomainError(f"terminal state {s} out of range")
-        if not 0 <= start_state < num_states:
-            raise DomainError(f"start state {start_state} out of range")
-        self.start_state = start_state
+        self.terminal = frozenset(_index(s, num_states, "terminal state") for s in terminal)
+        self.start_state = _index(start_state, num_states, "start state")
 
-        pairs: list[tuple[int, int]] = []
+        # every action of every non-terminal state is an active pair
+        pairs = [(s, a) for s in range(num_states) if s not in self.terminal
+                 for a in range(num_actions)]
         next_states: list[int] = []
-        for s in range(num_states):
-            if s in self.terminal:
-                continue
-            for a in range(num_actions):
-                if (s, a) not in transitions:
-                    raise DomainError(f"missing transition for active pair {(s, a)}")
-                if (s, a) not in rewards:
-                    raise DomainError(f"missing reward for active pair {(s, a)}")
-                ns = _as_int(transitions[(s, a)], f"transition target for {(s, a)}")
-                if not 0 <= ns < num_states:
-                    raise DomainError(f"transition target {ns} out of range for {(s, a)}")
-                if not isinstance(rewards[(s, a)], RewardDistribution):
-                    raise DomainError(f"reward for {(s, a)} must be a RewardDistribution, "
-                                      f"got {rewards[(s, a)]!r}")
-                pairs.append((s, a))
-                next_states.append(ns)
-
-        # pair id of each (s, a), -1 for a terminal state's pairs, for
-        # pair_id's scalar lookups
-        self._pair_table = [[-1] * num_actions for _ in range(num_states)]
-        for i, (s, a) in enumerate(pairs):
-            self._pair_table[s][a] = i
-        self._reward_laws = [rewards[p] for p in pairs]
+        for p in pairs:
+            if p not in transitions:
+                raise DomainError(f"missing transition for active pair {p}")
+            if p not in rewards:
+                raise DomainError(f"missing reward for active pair {p}")
+            next_states.append(_index(transitions[p], num_states, f"transition target for {p}"))
+            if not isinstance(rewards[p], RewardDistribution):
+                raise DomainError(f"reward for {p} must be a RewardDistribution, "
+                                  f"got {rewards[p]!r}")
+        self._reward_laws = tuple(rewards[p] for p in pairs)
 
         n = len(pairs)
-        self.pair_state = np.fromiter((s for s, _ in pairs), dtype=np.int64, count=n)
-        self.pair_action = np.fromiter((a for _, a in pairs), dtype=np.int64, count=n)
         # row-major flat index of each active pair: q.take / q.put on it do
         # the work of q[pair_state, pair_action] at a fraction of its cost
-        self.pair_flat = self.pair_state * self.num_actions + self.pair_action
+        self.pair_flat = np.array([s * num_actions + a for s, a in pairs], dtype=np.int64)
+        self.pair_state, self.pair_action = np.divmod(self.pair_flat, num_actions)
         self.pair_next_state = np.array(next_states, dtype=np.int64)
         self.pair_p_first = np.array([d.probabilities[0] for d in self._reward_laws])
         self.pair_value_first = np.array([d.values[0] for d in self._reward_laws])
@@ -206,16 +197,22 @@ class TabularMdp:
         # per-MDP constants the per-cycle and per-block code reads: the
         # terminal states in order, the pair ids in order, and the smallest
         # type that holds every pair id (unsigned when there are pairs)
-        self.terminal_states = _read_only(np.flatnonzero(self.terminal_mask))
-        self.pair_range = _read_only(np.arange(n))
+        self.terminal_states = np.flatnonzero(self.terminal_mask)
+        self.pair_range = np.arange(n)
         self.pair_id_dtype = np.min_scalar_type(n - 1)
-        # the step from flat index s * num_actions + a, which greedy rollouts
-        # and exact Bellman images read: the pair's reward mean and next
-        # state, terminal states absorbing at reward 0
+        # tables by flat index s * num_actions + a: the pair id, -1 for a
+        # terminal state's pairs, for pair_id's lookups; and the step, which
+        # greedy rollouts and exact Bellman images read: the pair's reward
+        # mean and next state, terminal states absorbing at reward 0
+        self._pair_at = np.full(num_states * num_actions, -1)
+        self._pair_at[self.pair_flat] = self.pair_range
         self._step_reward = np.zeros(num_states * num_actions)
         self._step_reward[self.pair_flat] = self.pair_reward_mean
         self._step_next = np.arange(num_states).repeat(num_actions)
         self._step_next[self.pair_flat] = self.pair_next_state
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     @property
     def num_active_pairs(self) -> int:
@@ -224,10 +221,8 @@ class TabularMdp:
     def pair_id(self, s: int, a: int) -> int:
         """Index of (s, a) in the flat active-pair arrays; terminal or
         out-of-range pairs are a domain error."""
-        self._check_state(s)
-        if not 0 <= a < self.num_actions:
-            raise DomainError(f"action {a} out of range")
-        p = self._pair_table[s][a]
+        s, a = _index(s, self.num_states, "state"), _index(a, self.num_actions, "action")
+        p = int(self._pair_at[s * self.num_actions + a])
         if p < 0:
             raise DomainError(f"state {s} is terminal; pair ({s}, {a}) inactive")
         return p
@@ -257,10 +252,6 @@ class TabularMdp:
                             (self.pair_value_first + offset).repeat(counts),
                             (self.pair_value_second + offset).repeat(counts))
 
-    def _check_state(self, s: int) -> None:
-        if not 0 <= s < self.num_states:
-            raise DomainError(f"state {s} out of range")
-
 
 def _check_discount(gamma) -> float:
     """The one discount rule, for MDPs, grid specs and rate constants; returns
@@ -269,11 +260,6 @@ def _check_discount(gamma) -> float:
     if not 0.0 <= gamma < 1.0:  # NaN fails too
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
     return gamma
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _reward_rule(u, p_first, first, second):
@@ -402,8 +388,7 @@ def evaluate_greedy(
     """
     _check_table(q, mdp, stack=True)
     horizon = _horizon(horizon)
-    start = _as_int(start, "start state")
-    mdp._check_state(start)
+    start = _index(start, mdp.num_states, "start state")
     n_states, n_actions = mdp.num_states, mdp.num_actions
     # greedy[b, s]: flat index of state s's greedy pair in table b
     greedy = q.reshape(-1, n_states, n_actions).argmax(axis=-1)

@@ -28,6 +28,24 @@ _EXACT_INT_LIMIT = float(2**53)
 # Rate constants
 
 
+def _check_xi(xi) -> float:
+    """The one xi rule, for rate constants and theory step sizes: a real
+    number in (0, 1] with 2/xi finite (a tiny xi makes s = 2/xi overflow
+    and every step size NaN); returns xi as a float."""
+    xi = _as_real(xi, "xi")
+    if not (0.0 < xi <= 1.0 and math.isfinite(2.0 / xi)):
+        raise DomainError(f"xi must lie in (0, 1] with 2/xi finite, got {xi}")
+    return xi
+
+
+def _pair_count(n_pairs) -> int:
+    """The one active-pair count rule: an integer, at least 1."""
+    n_pairs = _as_int(n_pairs, "n_pairs")
+    if n_pairs < 1:
+        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
+    return n_pairs
+
+
 @dataclass(frozen=True)
 class RateConstants:
     """Constants of the inner-loop mean-squared-error bound
@@ -51,18 +69,15 @@ class RateConstants:
     mu: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("xi", "sigma_sq", "q_star_sup"):
+        object.__setattr__(self, "xi", _check_xi(self.xi))
+        for name in ("sigma_sq", "q_star_sup"):
             object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if not 0.0 < self.xi <= 1.0:
-            raise DomainError(f"xi must lie in (0, 1], got {self.xi}")
         if not 0.0 <= self.sigma_sq < math.inf:
             raise DomainError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
         if not 0.0 <= self.q_star_sup < math.inf:
             raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
         object.__setattr__(self, "gamma", _check_discount(self.gamma))
-        object.__setattr__(self, "n_pairs", _as_int(self.n_pairs, "n_pairs"))
-        if self.n_pairs < 1:
-            raise DomainError("n_pairs must be positive")
+        object.__setattr__(self, "n_pairs", _pair_count(self.n_pairs))
         xi, gamma = self.xi, self.gamma
         try:
             c1 = (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2 + (
@@ -123,18 +138,12 @@ class TheoryInverseStepSize:
     xi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", _as_real(self.xi, "xi"))
-        # a tiny xi makes s = 2/xi overflow and every step size NaN
-        if not (0.0 < self.xi <= 1.0 and math.isfinite(2.0 / self.xi)):
-            raise DomainError(f"xi must lie in (0, 1] with 2/xi finite, got {self.xi}")
+        object.__setattr__(self, "xi", _check_xi(self.xi))
 
     @classmethod
     def from_pair_count(cls, n_pairs: int) -> "TheoryInverseStepSize":
         """Step sizes for uniform exploration over ``n_pairs`` >= 1 pairs."""
-        n_pairs = _as_int(n_pairs, "n_pairs")
-        if n_pairs < 1:
-            raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-        return cls(xi=1.0 / n_pairs)
+        return cls(xi=1.0 / _pair_count(n_pairs))
 
     @property
     def s(self) -> float:
@@ -233,7 +242,7 @@ class GeometricPeriod:
         object.__setattr__(self, "k0", _period(self.k0))
         object.__setattr__(self, "gamma", _as_real(self.gamma, "gamma"))
         if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must lie in (0, 1)")
+            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
 
     n_cycles: int | None = field(default=None, init=False)
 
@@ -384,7 +393,7 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
         raw = tuple(c * rho ** float(n - 1 - j) for j in range(n))
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
-    periods = tuple(max(math.ceil(max(k, k_min)), 1) for k in raw)
+    periods = tuple(math.ceil(max(k, k_min)) for k in raw)
     return DesignOutput(
         family=family,
         target_accuracy=eps,
@@ -393,7 +402,7 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
         periods=periods,
         raw_periods=raw,
         predicted_cost=sum(periods),
-        predicted_error_bound=unroll_error_bound(e0, periods, constants).bound if periods else e0,
+        predicted_error_bound=unroll_error_bound(e0, periods, constants).bound,
         within_validity=within_validity,
         degenerate=not periods,
     )

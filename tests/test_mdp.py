@@ -324,10 +324,22 @@ _WRONG_TYPES = {
     "ConstantStepSize huge int": (lambda mdp, q: tq.ConstantStepSize(10**400),
                                   DomainError, "step size must lie in (0, 1]"),
     "GeometricPeriod gamma huge int": (lambda mdp, q: tq.GeometricPeriod(1000, -10**400),
-                                       DomainError, "gamma must lie in (0, 1)"),
+                                       DomainError, "gamma must lie in (0, 1), got -inf"),
     "RateConstants sigma_sq huge int": (
         lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "sigma_sq": 10**400}),
         DomainError, "sigma_sq must be finite and nonnegative, got inf"),
+    "pair_id float": (lambda mdp, q: mdp.pair_id(1.5, 0),
+                      DomainError, "state must be an integer, got 1.5"),
+    "transition str": (lambda mdp, q: mdp.transition(0, "1"),
+                       DomainError, "action must be an integer, got '1'"),
+    "reward None": (lambda mdp, q: mdp.reward(None, 0),
+                    DomainError, "state must be an integer, got None"),
+    "two_point str": (lambda mdp, q: tq.RewardDistribution.two_point("1", 2.0),
+                      DomainError, "reward value must be a real number, got '1'"),
+    "two_point p_first str": (lambda mdp, q: tq.RewardDistribution.two_point(1.0, 2.0, "0.25"),
+                              DomainError, "reward probability must be a real number, got '0.25'"),
+    "deterministic str": (lambda mdp, q: tq.RewardDistribution.deterministic("-3"),
+                          DomainError, "reward value must be a real number, got '-3'"),
 }
 
 
@@ -353,11 +365,11 @@ def test_reward_moments_are_computed_once_and_must_be_finite():
     [(dict(num_states=0), "num_states and num_actions must be positive"),
      (dict(num_actions=0), "num_states and num_actions must be positive"),
      (dict(gamma=1.0), "gamma must lie in [0, 1), got 1.0"),
-     (dict(terminal=(2,)), "terminal state 2 out of range"),
-     (dict(start_state=2), "start state 2 out of range"),
+     (dict(terminal=(2,)), "terminal state must lie in [0, 2), got 2"),
+     (dict(start_state=2), "start state must lie in [0, 2), got 2"),
      (dict(transitions={}), "missing transition for active pair (0, 0)"),
      (dict(rewards={}), "missing reward for active pair (0, 0)"),
-     (dict(transitions={(0, 0): 5}), "transition target 5 out of range for (0, 0)"),
+     (dict(transitions={(0, 0): 5}), "transition target for (0, 0) must lie in [0, 2), got 5"),
      (dict(transitions={(0, 0): 1.0}), "transition target for (0, 0) must be an integer, got 1.0"),
      (dict(transitions={(0, 0): "x"}), "transition target for (0, 0) must be an integer, got 'x'"),
      (dict(terminal=(1.7,)), "terminal state must be an integer, got 1.7"),
@@ -439,13 +451,32 @@ def test_sample_transition_goal_leaving_mean(grid07):
     assert grid07.pair_next_state[p] == 16
 
 
-def test_sample_transition_domain_errors(grid07):
-    with pytest.raises(DomainError):
-        grid07.pair_id(2, 0)  # terminal hazard
-    with pytest.raises(DomainError):
-        grid07.pair_id(99, 0)
-    with pytest.raises(DomainError):
-        grid07.pair_id(0, 7)
+def test_sample_transition_domain_errors(grid07, oracle07):
+    # a terminal pair, then indices out of range, refused by the one index
+    # rule (mdp._index); the 0.7 grid has 17 states and 4 actions
+    cases = [(lambda: grid07.pair_id(2, 0), "state 2 is terminal; pair (2, 0) inactive"),
+             (lambda: grid07.pair_id(99, 0), "state must lie in [0, 17), got 99"),
+             (lambda: grid07.pair_id(0, 7), "action must lie in [0, 4), got 7"),
+             (lambda: grid07.transition(0, -1), "action must lie in [0, 4), got -1"),
+             (lambda: tq.evaluate_greedy(oracle07, grid07, 17, 7),
+              "start state must lie in [0, 17), got 17"),
+             (lambda: tq.evaluate_greedy(oracle07, grid07, -1, 7),
+              "start state must lie in [0, 17), got -1")]
+    for call, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("make", [lambda: tq.build_gridworld(0.7), make_chain_mdp,
+                                  make_selfloop_mdp], ids=["grid", "chain", "selfloop"])
+def test_every_mdp_array_is_read_only(make):
+    mdp = make()
+    arrays = {name: v for name, v in vars(mdp).items() if isinstance(v, np.ndarray)}
+    assert {"pair_flat", "pair_p_first", "pair_reward_mean", "_step_reward"} <= set(arrays)
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_sample_bellman_target_deterministic_no_bootstrap(grid07):

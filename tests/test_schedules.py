@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -40,8 +41,19 @@ def test_constants_match_exact_rational_evaluation(constants07):
 
 
 def test_rate_constants_refuse_no_pairs():
-    with pytest.raises(DomainError, match="^n_pairs must be positive$"):
+    with pytest.raises(DomainError, match="^n_pairs must be at least 1, got 0$"):
         tq.RateConstants(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=0)
+
+
+@pytest.mark.parametrize("xi", [0.0, 5e-324, 1.5, math.nan])
+def test_xi_has_one_rule(xi):
+    # rate constants and theory step sizes refuse a bad xi with one message;
+    # at 5e-324, s = 2/xi overflows
+    message = f"^{re.escape(f'xi must lie in (0, 1] with 2/xi finite, got {xi}')}$"
+    with pytest.raises(DomainError, match=message):
+        tq.RateConstants(xi=xi, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=4)
+    with pytest.raises(DomainError, match=message):
+        tq.TheoryInverseStepSize(xi)
 
 
 def test_mu_direct_substitution():
