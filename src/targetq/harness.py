@@ -9,14 +9,15 @@ order, so a configuration determines its outputs byte for byte.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigValidationError
-from .learner import RunTrace, limit_violations, run_accuracy_triggered_q, run_periodic_q
-from .mdp import TabularMdp, new_q_table, value_iteration_oracle
+from .learner import RunTrace, _refusal, limit_violations, run_accuracy_triggered_q, run_periodic_q
+from .mdp import TabularMdp, _in_range, new_q_table, value_iteration_oracle
 from .schedules import AccuracyTriggered, TufSchedule
 
 @dataclass(frozen=True)
@@ -53,13 +54,13 @@ class ExperimentConfig:
         if len(set(seeds)) != len(seeds):
             problems.append("seeds must be distinct")
         # checked here, before any oracle solve, as default_rng would refuse them
-        bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
-        if bad:
-            problems.append(f"seeds must be nonnegative integers, got {', '.join(map(str, bad))}")
+        for seed in seeds:
+            problems += _refusal(_in_range, seed, "seed", 0, math.inf, "[)", integer=True)
         problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_horizon)
         # a library run of no cycles returns its initial record; a configured run must run one
         if isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles == 0:
-            problems.append("cycle count must be at least 1")
+            problems += _refusal(_in_range, self.n_cycles, "cycle count", 1, math.inf, "[)",
+                                 integer=True)
         return problems
 
 

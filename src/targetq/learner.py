@@ -37,6 +37,7 @@ the same blocks would.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -45,10 +46,9 @@ import numpy as np
 from .errors import DomainError
 from .mdp import (
     TabularMdp,
-    _as_int,
-    _as_real,
     _check_table,
     _horizon,
+    _in_range,
     evaluate_greedy,
     greedy_state_values,
     sup_distance,
@@ -256,32 +256,29 @@ def run_inner_loop(
 
 def limit_violations(sample_budget, n_cycles, eval_horizon) -> list[str]:
     """Every run-limit rule, for the runners and ``ExperimentConfig`` alike.
-    ``None`` leaves the budget, cycle count or horizon unset."""
+    ``None`` leaves the budget, cycle count or horizon unset. A sample
+    budget is only compared with a cost, so any real number that a cost can
+    reach passes."""
     problems = []
-    for rule, value in ((_budget, sample_budget), (_cycle_count, n_cycles), (_horizon, eval_horizon)):
-        if value is not None:
-            try:
-                rule(value)
-            except DomainError as exc:
-                problems.append(str(exc))
+    if sample_budget is not None:
+        problems += _refusal(_in_range, sample_budget, "sample budget", 1, math.inf, "[)")
+    if n_cycles is not None:
+        problems += _refusal(_in_range, n_cycles, "cycle count", 0, math.inf, "[)", integer=True)
+    if eval_horizon is not None:
+        problems += _refusal(_horizon, eval_horizon)
     if n_cycles is None and sample_budget is None:
         problems.append("an unbounded run needs n_cycles or sample_budget")
     return problems
 
 
-def _budget(budget) -> None:
-    """A sample budget is only compared with a cost, so any real number
-    that a cost can reach passes."""
-    _as_real(budget, "sample budget")
-    if not budget < np.inf:  # NaN fails too
-        raise DomainError(f"sample budget must be finite, got {budget}")
-    if budget < 1:
-        raise DomainError("sample budget must be at least 1")
-
-
-def _cycle_count(n) -> None:
-    if _as_int(n, "cycle count") < 0:
-        raise DomainError("cycle count must be nonnegative")
+def _refusal(rule, *args, **kwargs) -> list[str]:
+    """The message of the ``DomainError`` that ``rule(*args, **kwargs)``
+    raises, as a list of one; an empty list if the rule passes."""
+    try:
+        rule(*args, **kwargs)
+    except DomainError as exc:
+        return [str(exc)]
+    return []
 
 
 def _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, schedule_cycles=None, /, *,

@@ -37,15 +37,6 @@ def _as_int(value, what):
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _index(value, size, what) -> int:
-    """The one state and action index rule: ``value`` as an integer
-    (``_as_int``) in [0, ``size``)."""
-    value = _as_int(value, what)
-    if not 0 <= value < size:
-        raise DomainError(f"{what} must lie in [0, {size}), got {value}")
-    return value
-
-
 def _as_real(value, what) -> float:
     """``value`` as a Python float; an integer or a numpy real passes, a
     string or any other non-number does not. An integer past the float
@@ -66,15 +57,33 @@ def _as_tuple(value, what) -> tuple:
     return tuple(value)
 
 
+def _in_range(value, what, lo, hi, ends="[]", *, integer=False):
+    """The one range rule: ``value`` as an int (``_as_int``) if ``integer``,
+    else as a float (``_as_real``), between ``lo`` and ``hi``, each end
+    closed (``[``, ``]``) or open (``(``, ``)``) as ``ends`` writes it.
+    Anything else is refused as ``{what} must lie in {interval}, got
+    {value}``, such as ``period must lie in [1, inf), got 0``; a NaN fails
+    every comparison, so it is refused too."""
+    value = _as_int(value, what) if integer else _as_real(value, what)
+    if ((lo < value) if ends[0] == "(" else (lo <= value)) and (
+            (value < hi) if ends[1] == ")" else (value <= hi)):
+        return value
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        # written as a float would be: str() refuses an int of over 4300 digits
+        from decimal import Decimal
+        value = f"{Decimal(value):.16e}"
+    raise DomainError(f"{what} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+
+
+def _index(value, size, what) -> int:
+    """The one state and action index rule: an integer in [0, ``size``)."""
+    return _in_range(value, what, 0, size, "[)", integer=True)
+
+
 def _horizon(horizon) -> int:
     """The one evaluation-horizon rule: an integer from 0 up to the largest
     float, so that a score's lap count (``evaluate_greedy``) is a float."""
-    horizon = _as_int(horizon, "evaluation horizon")
-    if horizon < 0:
-        raise DomainError("evaluation horizon must be nonnegative")
-    if horizon > sys.float_info.max:
-        raise DomainError("evaluation horizon must be at most the largest float, about 1.8e308")
-    return horizon
+    return _in_range(horizon, "evaluation horizon", 0, sys.float_info.max, integer=True)
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,9 @@ class RewardDistribution:
     """Closed-form reward law for one state-action pair.
 
     kind is either ``"two-point"`` (two values, complementary probabilities)
-    or ``"deterministic"`` (a single value). Values and probabilities are
-    real numbers, kept as floats; the mean and variance are computed once,
-    here, and must be finite.
+    or ``"deterministic"`` (a single value). Values are finite real numbers
+    and probabilities finite nonnegative ones, kept as floats; the mean and
+    variance are computed once, here, and must be finite.
     """
 
     kind: str
@@ -101,12 +110,8 @@ class RewardDistribution:
             raise DomainError(
                 f"{self.kind} reward needs exactly {n_expected} value(s)"
             )
-        values = tuple(_as_real(v, "reward value") for v in values)
-        probs = tuple(_as_real(p, "reward probability") for p in probs)
-        if not all(map(math.isfinite, values + probs)):
-            raise DomainError("reward values and probabilities must be finite")
-        if any(p < 0.0 for p in probs):
-            raise DomainError("probabilities must be nonnegative")
+        values = tuple(_in_range(v, "reward value", -math.inf, math.inf, "()") for v in values)
+        probs = tuple(_in_range(p, "reward probability", 0, math.inf, "[)") for p in probs)
         if abs(sum(probs) - 1.0) > 1e-12:
             raise DomainError("probabilities must sum to 1 within 1e-12")
         mean = float(sum(p * v for p, v in zip(probs, values)))
@@ -155,10 +160,8 @@ class TabularMdp:
         gamma: float,
         start_state: int = 0,
     ):
-        num_states = _as_int(num_states, "num_states")
-        num_actions = _as_int(num_actions, "num_actions")
-        if num_states < 1 or num_actions < 1:
-            raise DomainError("num_states and num_actions must be positive")
+        num_states = _in_range(num_states, "num_states", 1, math.inf, "[)", integer=True)
+        num_actions = _in_range(num_actions, "num_actions", 1, math.inf, "[)", integer=True)
         self.num_states, self.num_actions = num_states, num_actions
         self.gamma = _check_discount(gamma)
         terminal = _as_tuple(terminal, "terminal states")
@@ -256,10 +259,7 @@ class TabularMdp:
 def _check_discount(gamma) -> float:
     """The one discount rule, for MDPs, grid specs and rate constants; returns
     the discount as a float."""
-    gamma = _as_real(gamma, "gamma")
-    if not 0.0 <= gamma < 1.0:  # NaN fails too
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    return gamma
+    return _in_range(gamma, "gamma", 0, 1, "[)")
 
 
 def _reward_rule(u, p_first, first, second):
@@ -343,10 +343,10 @@ def value_iteration_oracle(
     Returns a table whose Bellman residual (sup over active pairs) is at
     most ``tol``.
     """
-    if not _as_real(tol, "tol") > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol = _in_range(tol, "tol", 0, math.inf, "(]")
+    max_iter = _in_range(max_iter, "max_iter", 1, math.inf, "[)", integer=True)
     q = new_q_table(mdp)
-    for _ in range(_as_int(max_iter, "max_iter")):
+    for _ in range(max_iter):
         nxt = exact_bellman_apply(q, mdp)
         if sup_distance(nxt, q, mdp) <= tol:
             return nxt

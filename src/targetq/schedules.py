@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _as_int, _as_real, _as_tuple, _check_discount, _check_table
+from .mdp import TabularMdp, _as_real, _as_tuple, _check_discount, _check_table, _in_range
 
 # Largest float with exact integer neighbors; schedule entries past this
 # cannot be ceiled exactly.
@@ -32,18 +32,15 @@ def _check_xi(xi) -> float:
     """The one xi rule, for rate constants and theory step sizes: a real
     number in (0, 1] with 2/xi finite (a tiny xi makes s = 2/xi overflow
     and every step size NaN); returns xi as a float."""
-    xi = _as_real(xi, "xi")
-    if not (0.0 < xi <= 1.0 and math.isfinite(2.0 / xi)):
+    xi = _in_range(xi, "xi", 0, 1, "(]")
+    if not math.isfinite(2.0 / xi):
         raise DomainError(f"xi must lie in (0, 1] with 2/xi finite, got {xi}")
     return xi
 
 
 def _pair_count(n_pairs) -> int:
     """The one active-pair count rule: an integer, at least 1."""
-    n_pairs = _as_int(n_pairs, "n_pairs")
-    if n_pairs < 1:
-        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-    return n_pairs
+    return _in_range(n_pairs, "n_pairs", 1, math.inf, "[)", integer=True)
 
 
 @dataclass(frozen=True)
@@ -71,11 +68,7 @@ class RateConstants:
     def __post_init__(self):
         object.__setattr__(self, "xi", _check_xi(self.xi))
         for name in ("sigma_sq", "q_star_sup"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if not 0.0 <= self.sigma_sq < math.inf:
-            raise DomainError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
-        if not 0.0 <= self.q_star_sup < math.inf:
-            raise DomainError(f"q_star_sup must be finite and nonnegative, got {self.q_star_sup}")
+            object.__setattr__(self, name, _in_range(getattr(self, name), name, 0, math.inf, "[)"))
         object.__setattr__(self, "gamma", _check_discount(self.gamma))
         object.__setattr__(self, "n_pairs", _pair_count(self.n_pairs))
         xi, gamma = self.xi, self.gamma
@@ -121,10 +114,13 @@ def compute_constants(mdp: TabularMdp, xi: float, q_star: np.ndarray) -> RateCon
 
 
 def _check_step_sizes(alphas: np.ndarray) -> None:
-    """The one step-size rule: each lies in (0, 1]."""
+    """The one step-size rule: each lies in (0, 1]. One test of the least
+    and the largest passes a good array; a bad one is refused at its first
+    bad step size."""
     # a NaN makes min() NaN and fails the test
     if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
-        raise DomainError("step size must lie in (0, 1]")
+        for alpha in alphas.flat:
+            _in_range(alpha, "step size", 0, 1, "(]")
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,7 @@ def _ceil_guarded(x: float) -> int:
 def _period(k) -> int:
     """``k`` as a period a run can take: an integer from 1 up to the
     exact-integer limit that geometric and designed periods keep to."""
-    k = _as_int(k, "period")
-    if k < 1:
-        raise DomainError("period must be at least 1")
+    k = _in_range(k, "period", 1, math.inf, "[)", integer=True)
     if k >= _EXACT_INT_LIMIT:
         raise ScheduleOverflowError(f"period {k} exceeds the exact-integer range (2**53)")
     return k
@@ -207,12 +201,8 @@ def _cycle_index(n, n_cycles: int | None) -> int:
     """``n`` as the index of a cycle a schedule has: an integer from 0, and
     below ``n_cycles`` when the schedule is finite. Every ``period(n)``
     takes its index through here."""
-    n = _as_int(n, "cycle index")
-    if n < 0:
-        raise DomainError(f"cycle index must be nonnegative, got {n}")
-    if n_cycles is not None and n >= n_cycles:
-        raise DomainError(f"cycle index {n} is past the schedule's {n_cycles} cycles")
-    return n
+    return _in_range(n, "cycle index", 0, math.inf if n_cycles is None else n_cycles, "[)",
+                     integer=True)
 
 
 @dataclass(frozen=True)
@@ -240,9 +230,7 @@ class GeometricPeriod:
 
     def __post_init__(self):
         object.__setattr__(self, "k0", _period(self.k0))
-        object.__setattr__(self, "gamma", _as_real(self.gamma, "gamma"))
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+        object.__setattr__(self, "gamma", _in_range(self.gamma, "gamma", 0, 1, "()"))
 
     n_cycles: int | None = field(default=None, init=False)
 
@@ -291,18 +279,14 @@ class AccuracyTriggered:
 
     def __post_init__(self):
         object.__setattr__(self, "k_min", _period(self.k_min))
-        object.__setattr__(self, "k_max", _period(self.k_max))
-        if self.k_min > self.k_max:
-            raise DomainError("need k_min <= k_max")
+        object.__setattr__(self, "k_max", _in_range(_period(self.k_max), "k_max", self.k_min,
+                                                    math.inf, "[)", integer=True))
 
     def threshold(self, n: int) -> float:
         """Threshold for 1-based cycle index n."""
         if self.accuracy is None:
             return 1.0 / (n * n)
-        eps = _as_real(self.accuracy(n), "accuracy threshold")
-        if not eps >= 0.0:  # NaN fails too
-            raise DomainError(f"accuracy thresholds must be nonnegative, got {eps}")
-        return eps
+        return _in_range(self.accuracy(n), "accuracy threshold", 0, math.inf)
 
 
 TufSchedule = FixedPeriod | GeometricPeriod | ExplicitPeriod | AccuracyTriggered
@@ -322,9 +306,7 @@ def unroll_error_bound(
 ) -> UnrollResult:
     """Unroll the error recursion from e0 across the given periods, each
     taken by the period rule (``_period``)."""
-    e = _as_real(e0, "e0")
-    if not e >= 0.0:  # NaN fails too
-        raise DomainError("e0 must be nonnegative")
+    e = _in_range(e0, "e0", 0, math.inf)
     seq = [e]
     for k in periods:
         e = constants.mu * e + math.sqrt(constants.c2 / _period(k))
@@ -409,13 +391,10 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
 
 
 def _check_design_inputs(eps: float, e0: float) -> tuple[float, float]:
-    """The designers' inputs as floats, each positive and finite, with
+    """The designers' inputs as floats, each in (0, inf), with
     eps / (2 e0) and eps^2 representable."""
-    eps, e0 = _as_real(eps, "target accuracy"), _as_real(e0, "initial error")
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"target accuracy must be positive and finite, got {eps}")
-    if not 0.0 < e0 < math.inf:
-        raise DomainError(f"initial error must be positive and finite, got {e0}")
+    eps = _in_range(eps, "target accuracy", 0, math.inf, "()")
+    e0 = _in_range(e0, "initial error", 0, math.inf, "()")
     if eps**2 == 0.0:
         # every designed period scales with 1 / eps^2
         raise ScheduleOverflowError(f"target accuracy {eps} is too small: its periods overflow")

@@ -215,9 +215,10 @@ def test_run_malformed_config_fails(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("budget = -5", "sample budget must be at least 1"),
-        ("cycles = 0", "cycle count must be at least 1"),
-        ("eval_horizon = -1", "evaluation horizon must be nonnegative"),
+        ("budget = -5", "sample budget must lie in [1, inf), got -5.0"),
+        ("cycles = 0", "cycle count must lie in [1, inf), got 0"),
+        ("eval_horizon = -1",
+         "evaluation horizon must lie in [0, 1.7976931348623157e+308], got -1"),
         ("schedule = fixed 99999999999999999999999", "exceeds the exact-integer range"),
         ("schedule = fixed 9223372036854775807", "exceeds the exact-integer range"),
         ("schedule = custom 200 9223372036854775807", "exceeds the exact-integer range"),
@@ -243,13 +244,13 @@ def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, messa
         ("design --gamma 0.7 --eps 1e-300", "is too small"),
         ("design --gamma 0.7 --eps 1e-300 --schedule fixed", "is too small"),
         ("design --gamma 0.7 --eps 1e-150", "exceed the exact-integer range"),
-        ("design --gamma 0.7 --eps nan", "target accuracy must be positive and finite"),
-        ("design --gamma 0.7 --eps 0.5 --e0 nan", "initial error must be positive and finite"),
-        ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must be positive and finite"),
+        ("design --gamma 0.7 --eps nan", "target accuracy must lie in (0, inf), got nan"),
+        ("design --gamma 0.7 --eps 0.5 --e0 nan", "initial error must lie in (0, inf), got nan"),
+        ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must lie in (0, inf), got inf"),
         ("design --gamma 0.7 --eps 0.5 --e0 1e308", "is too large for target accuracy"),
         ("design --gamma 0.7 --eps 1e-10 --e0 1e300", "exceed the exact-integer range"),
         ("design --gamma 0.7 --eps 0.5 --xi 1e-200", "rate constants c1, c2 are not finite"),
-        ("oracle --gamma 0.7 --tol nan", "tol must be positive"),
+        ("oracle --gamma 0.7 --tol nan", "tol must lie in (0, inf], got nan"),
         ("gridworld --gamma 1.5", "gamma must lie in [0, 1)"),
     ],
 )
@@ -354,7 +355,7 @@ def test_negative_seed_fails_before_the_oracle_solve(tmp_path, capsys, monkeypat
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid configuration: seeds must be nonnegative integers, got {bad}\n")
+        f"error: invalid configuration: seed must lie in [0, inf), got {bad}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -479,7 +480,8 @@ def test_parse_run_and_sweep_configs(tmp_path):
     "line, message",
     [("schedule = mystery 3", "schedule spec 'mystery 3': not fixed K, geometric K0, custom K..., "
                               "file PATH or adaptive KMIN KMAX"),
-     ("step_size = constant 2", "step-size spec 'constant 2': step size must lie in (0, 1]"),
+     ("step_size = constant 2",
+      "step-size spec 'constant 2': step size must lie in (0, 1], got 2.0"),
      ("step_size = theory x", "step-size spec 'theory x': could not convert string to float: 'x'")],
     ids=["unknown-schedule", "constant-out-of-range", "theory-not-a-number"],
 )
@@ -653,7 +655,7 @@ BAD_INPUT_FILES = [
     # (command, files, culprit, rest of the diagnostic after the culprit); a
     # bare command reads cfg.ini (grid.ini for oracle), a longer one is the argv
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file zero.ini", zero=ZERO_PERIOD), "zero.ini",
-                 " [schedule]: period must be at least 1", id="schedule-file-period-0"),
+                 " [schedule]: period must lie in [1, inf), got 0", id="schedule-file-period-0"),
     pytest.param("run", {"cfg.ini": GRID_RUN_CFG, **_grid("rows = 4", "rows = four")}, "grid.ini",
                  f" [grid]: {INT_X} 'four'", id="grid-rows-four"),
     pytest.param("run", {"cfg.ini": "x = 1\n"}, "cfg.ini",
@@ -696,7 +698,8 @@ BAD_INPUT_FILES = [
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file none.ini"), "none.ini",
                  ": No such file or directory", id="missing-schedule-file"),
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "fixed 0"), "cfg.ini",
-                 " [run]: schedule spec 'fixed 0': period must be at least 1", id="fixed-0"),
+                 " [run]: schedule spec 'fixed 0': period must lie in [1, inf), got 0",
+                 id="fixed-0"),
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file typo.ini", typo="[schedule]\nperods = 5\n"),
                  "typo.ini", ": unknown key 'perods' in [schedule]", id="schedule-file-key-typo"),
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file deg.ini", deg=EMPTY_SCHEDULE), "deg.ini",
@@ -728,7 +731,8 @@ BAD_INPUT_FILES = [
                  "custom K..., file PATH or adaptive KMIN KMAX", id="arm-unknown-schedule"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size = theory",
                                "geometric 100\nstep_size = constant 2"), "cfg.ini",
-                 " [arm geo-100]: step-size spec 'constant 2': step size must lie in (0, 1]",
+                 " [arm geo-100]: step-size spec 'constant 2': "
+                 "step size must lie in (0, 1], got 2.0",
                  id="arm-constant-2"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size = theory",
                                "geometric 100\nstep_size = theory x"), "cfg.ini",

@@ -101,12 +101,17 @@ def test_spec_validation_errors():
     with pytest.raises(DomainError):
         load_grid_spec(good.replace("[reward goal]", "[reward gold]"))
     # NaN passes the sum-to-one test (abs(nan - 1) > 1e-12 is False)
-    for old, new in (("values = -0.08, 0.05", "values = nan, 0.05"),
-                     ("values = -0.08, 0.05", "values = -0.08, inf"),
-                     ("probabilities = 0.5, 0.5", "probabilities = nan, nan"),
-                     ("probabilities = 1.0", "probabilities = inf")):
+    for old, new, message in (
+            ("values = -0.08, 0.05", "values = nan, 0.05",
+             "reward value must lie in (-inf, inf), got nan"),
+            ("values = -0.08, 0.05", "values = -0.08, inf",
+             "reward value must lie in (-inf, inf), got inf"),
+            ("probabilities = 0.5, 0.5", "probabilities = nan, nan",
+             "reward probability must lie in [0, inf), got nan"),
+            ("probabilities = 1.0", "probabilities = inf",
+             "reward probability must lie in [0, inf), got inf")):
         assert old in good
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match=re.escape(message)):
             load_grid_spec(good.replace(old, new, 1))
     with pytest.raises(DomainError):
         tq.GridSpec(layout=("..", ".."), gamma=0.5, rewards=gridworld_spec(0.7).rewards)

@@ -517,12 +517,14 @@ def test_periodic_rejects_adaptive_schedule(grid07, theory_steps):
      (dict(n_cycles=-3, sample_budget=100), None), (dict(n_cycles=2.5), None),
      (dict(eval_horizon=2.5, n_cycles=2), None),
      (dict(sample_budget=np.nan, n_cycles=2), None), (dict(sample_budget=np.inf, n_cycles=2), None),
+     # an integer past the float range is an infinite budget, which no cost reaches
+     (dict(sample_budget=10**400, n_cycles=2), "sample budget must lie in [1, inf), got inf"),
      # every violation is reported, the cycle count's too
      (dict(n_cycles=1.5, sample_budget=np.nan, eval_horizon=-1),
-      "sample budget must be finite, got nan; cycle count must be an integer, got 1.5; "
-      "evaluation horizon must be nonnegative")],
+      "sample budget must lie in [1, inf), got nan; cycle count must be an integer, got 1.5; "
+      "evaluation horizon must lie in [0, 1.7976931348623157e+308], got -1")],
     ids=["budget=0", "budget=-5", "cycles=-3", "cycles=2.5",
-         "eval_horizon=2.5", "budget=nan", "budget=inf", "three-violations"],
+         "eval_horizon=2.5", "budget=nan", "budget=inf", "budget=10**400", "three-violations"],
 )
 @pytest.mark.parametrize("adaptive", [False, True], ids=["periodic", "adaptive"])
 def test_runners_reject_invalid_limits(grid07, theory_steps, adaptive, limits, message):
@@ -606,13 +608,14 @@ def test_overflowing_table_fails_either_runner(adaptive):
 @pytest.mark.parametrize("at", [0, 9])
 def test_step_sizes_out_of_range_rejected(grid07, bad, at):
     steps = tq.CustomStepSize(lambda k: bad if k == at else 0.5)
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    message = f"^{re.escape(f'step size must lie in (0, 1], got {bad}')}$"
+    with pytest.raises(DomainError, match=message):
         _RunBuffers(steps).alphas(10, 0)
     q0 = tq.new_q_table(grid07)
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    with pytest.raises(DomainError, match=message):
         tq.run_periodic_q(q0, tq.FixedPeriod(10), steps, grid07,
                           np.random.default_rng(0), n_cycles=3)
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    with pytest.raises(DomainError, match=message):
         tq.run_accuracy_triggered_q(q0, 10, 10, steps, grid07,
                                     np.random.default_rng(0), n_cycles=3)
 
@@ -620,13 +623,14 @@ def test_step_sizes_out_of_range_rejected(grid07, bad, at):
 def test_step_sizes_checked_in_the_cycle_that_computes_them(grid07):
     # one bad step deep in the third block of the first cycle
     steps = tq.CustomStepSize(lambda k: 1.5 if k == 2 * _CHUNK + 3 else 0.5)
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    message = r"^step size must lie in \(0, 1\], got 1\.5$"
+    with pytest.raises(DomainError, match=message):
         tq.run_periodic_q(tq.new_q_table(grid07), tq.FixedPeriod(3 * _CHUNK), steps,
                           grid07, np.random.default_rng(0), n_cycles=1)
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    with pytest.raises(DomainError, match=message):
         tq.run_inner_loop(tq.new_q_table(grid07), 3 * _CHUNK, steps, grid07,
                           np.random.default_rng(0))
-    with pytest.raises(DomainError, match=r"^step size must lie in \(0, 1\]$"):
+    with pytest.raises(DomainError, match=message):
         tq.run_accuracy_triggered_q(tq.new_q_table(grid07), 3 * _CHUNK, 3 * _CHUNK, steps,
                                     grid07, np.random.default_rng(0), accuracy=lambda n: 0.0,
                                     n_cycles=1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import targetq as tq
-from targetq.errors import DimensionError, DomainError, IterationLimitError
+from targetq.errors import ConfigValidationError, DimensionError, DomainError, IterationLimitError
 
 from conftest import (
     inner_sgd_step,
@@ -266,6 +266,120 @@ def test_integer_arguments_refuse_non_integers(grid07, oracle07, arg):
 
 _DET = tq.RewardDistribution.deterministic(1.0)
 _CONSTANTS = dict(xi=0.5, sigma_sq=1.0, q_star_sup=1.0, gamma=0.9, n_pairs=4)
+_HORIZON = "evaluation horizon must lie in [0, 1.7976931348623157e+308]"
+
+
+def _config(mdp, **changes):
+    arm = tq.Arm("a", tq.FixedPeriod(10), tq.ConstantStepSize(0.5))
+    return tq.ExperimentConfig(**{**dict(mdp=mdp, arms=(arm,), seeds=(0, 1), sample_budget=100),
+                                  **changes})
+
+
+def _run(runner, mdp, q, **limits):
+    rng = np.random.default_rng(0)
+    if runner == "adaptive":
+        return tq.run_accuracy_triggered_q(q, 10, 20, tq.ConstantStepSize(0.5), mdp, rng, **limits)
+    return tq.run_periodic_q(q, tq.FixedPeriod(10), tq.ConstantStepSize(0.5), mdp, rng, **limits)
+
+
+# One row per entry point of the one range rule (mdp._in_range) and one value
+# outside its interval: (call, exception, message). Every refusal names the
+# interval and the value it refuses.
+_OUT_OF_RANGE = {
+    "TabularMdp num_states": (lambda mdp, q: tq.TabularMdp(0, 4, {}, {}, (), 0.5),
+                              DomainError, "num_states must lie in [1, inf), got 0"),
+    "TabularMdp num_actions": (lambda mdp, q: tq.TabularMdp(2, 0, {}, {}, (), 0.5),
+                               DomainError, "num_actions must lie in [1, inf), got 0"),
+    "TabularMdp gamma": (lambda mdp, q: tq.TabularMdp(1, 1, {(0, 0): 0}, {(0, 0): _DET}, (), 1.0),
+                         DomainError, "gamma must lie in [0, 1), got 1.0"),
+    "build_gridworld gamma": (lambda mdp, q: tq.build_gridworld(-0.1),
+                              DomainError, "gamma must lie in [0, 1), got -0.1"),
+    "pair_id state": (lambda mdp, q: mdp.pair_id(17, 0),
+                      DomainError, "state must lie in [0, 17), got 17"),
+    "RewardDistribution value": (lambda mdp, q: tq.RewardDistribution.deterministic(np.inf),
+                                 DomainError, "reward value must lie in (-inf, inf), got inf"),
+    "RewardDistribution probability": (
+        lambda mdp, q: tq.RewardDistribution.two_point(1.0, 2.0, 1.5),
+        DomainError, "reward probability must lie in [0, inf), got -0.5"),
+    "evaluate_greedy horizon": (lambda mdp, q: tq.evaluate_greedy(q, mdp, 0, -1),
+                                DomainError, f"{_HORIZON}, got -1"),
+    # str() refuses an int of over 4300 digits, so it is written as a float would be
+    "evaluate_greedy horizon 10**5000": (lambda mdp, q: tq.evaluate_greedy(q, mdp, 0, 10**5000),
+                                         DomainError, f"{_HORIZON}, got 1.0000000000000000e+5000"),
+    "value_iteration_oracle tol": (lambda mdp, q: tq.value_iteration_oracle(mdp, tol=0.0),
+                                   DomainError, "tol must lie in (0, inf], got 0.0"),
+    # refused before any sweep, not as an iteration limit
+    "value_iteration_oracle max_iter 0": (lambda mdp, q: tq.value_iteration_oracle(mdp, max_iter=0),
+                                          DomainError, "max_iter must lie in [1, inf), got 0"),
+    "value_iteration_oracle max_iter -1": (
+        lambda mdp, q: tq.value_iteration_oracle(mdp, max_iter=-1),
+        DomainError, "max_iter must lie in [1, inf), got -1"),
+    "RateConstants xi": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "xi": 0.0}),
+                         DomainError, "xi must lie in (0, 1], got 0.0"),
+    "RateConstants sigma_sq": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "sigma_sq": -1.0}),
+                               DomainError, "sigma_sq must lie in [0, inf), got -1.0"),
+    "RateConstants q_star_sup": (
+        lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "q_star_sup": np.nan}),
+        DomainError, "q_star_sup must lie in [0, inf), got nan"),
+    "RateConstants gamma": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "gamma": 1.0}),
+                            DomainError, "gamma must lie in [0, 1), got 1.0"),
+    "RateConstants n_pairs": (lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "n_pairs": 0}),
+                              DomainError, "n_pairs must lie in [1, inf), got 0"),
+    "from_pair_count": (lambda mdp, q: tq.TheoryInverseStepSize.from_pair_count(-3),
+                        DomainError, "n_pairs must lie in [1, inf), got -3"),
+    "TheoryInverseStepSize xi": (lambda mdp, q: tq.TheoryInverseStepSize(1.5),
+                                 DomainError, "xi must lie in (0, 1], got 1.5"),
+    "ConstantStepSize": (lambda mdp, q: tq.ConstantStepSize(2),
+                         DomainError, "step size must lie in (0, 1], got 2.0"),
+    "CustomStepSize": (lambda mdp, q: tq.run_inner_loop(
+        q, 10, tq.CustomStepSize(lambda k: 0.5 if k < 5 else 0.0), mdp, np.random.default_rng(0)),
+        DomainError, "step size must lie in (0, 1], got 0.0"),
+    "FixedPeriod": (lambda mdp, q: tq.FixedPeriod(0),
+                    DomainError, "period must lie in [1, inf), got 0"),
+    "FixedPeriod.period": (lambda mdp, q: tq.FixedPeriod(5).period(-1),
+                           DomainError, "cycle index must lie in [0, inf), got -1"),
+    "ExplicitPeriod.period": (lambda mdp, q: tq.ExplicitPeriod((5, 7)).period(2),
+                              DomainError, "cycle index must lie in [0, 2), got 2"),
+    "GeometricPeriod gamma": (lambda mdp, q: tq.GeometricPeriod(10, 1.0),
+                              DomainError, "gamma must lie in (0, 1), got 1.0"),
+    "AccuracyTriggered k_max": (lambda mdp, q: tq.AccuracyTriggered(5, 2),
+                                DomainError, "k_max must lie in [5, inf), got 2"),
+    "AccuracyTriggered threshold": (
+        lambda mdp, q: tq.AccuracyTriggered(5, 10, accuracy=lambda n: -1.0).threshold(1),
+        DomainError, "accuracy threshold must lie in [0, inf], got -1.0"),
+    "unroll_error_bound e0": (lambda mdp, q: tq.unroll_error_bound(
+        -1.0, [10], tq.RateConstants(**_CONSTANTS)),
+        DomainError, "e0 must lie in [0, inf], got -1.0"),
+    "design_fixed_period eps": (lambda mdp, q: tq.design_fixed_period(
+        0.0, 3.0, tq.RateConstants(**_CONSTANTS)),
+        DomainError, "target accuracy must lie in (0, inf), got 0.0"),
+    "design_growing_period e0": (lambda mdp, q: tq.design_growing_period(
+        0.1, np.inf, tq.RateConstants(**_CONSTANTS)),
+        DomainError, "initial error must lie in (0, inf), got inf"),
+    "run_periodic_q sample_budget": (lambda mdp, q: _run("periodic", mdp, q, sample_budget=0),
+                                     DomainError, "sample budget must lie in [1, inf), got 0.0"),
+    "run_accuracy_triggered_q n_cycles": (lambda mdp, q: _run("adaptive", mdp, q, n_cycles=-1),
+                                          DomainError, "cycle count must lie in [0, inf), got -1"),
+    "run_periodic_q eval_horizon": (
+        lambda mdp, q: _run("periodic", mdp, q, n_cycles=2, eval_horizon=-2),
+        DomainError, f"{_HORIZON}, got -2"),
+    "ExperimentConfig seed": (lambda mdp, q: tq.run_experiment(_config(mdp, seeds=(0, -1))),
+                              ConfigValidationError,
+                              "invalid configuration: seed must lie in [0, inf), got -1"),
+    # a library run may run no cycles; a configured one must run one
+    "ExperimentConfig n_cycles": (lambda mdp, q: tq.run_experiment(_config(mdp, n_cycles=0)),
+                                  ConfigValidationError,
+                                  "invalid configuration: cycle count must lie in [1, inf), got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_out_of_range_arguments_name_interval_and_value(grid07, oracle07, case):
+    call, error, message = _OUT_OF_RANGE[case]
+    with pytest.raises(error) as info:
+        call(grid07, oracle07)
+    assert type(info.value) is error and str(info.value) == message
+
 
 # a bad argument of the wrong type: (call, exception, message); a Q-table must
 # be an ndarray, and a real number must not be a string or another non-number.
@@ -322,12 +436,12 @@ _WRONG_TYPES = {
     "ExplicitPeriod str": (lambda mdp, q: tq.ExplicitPeriod("12"),
                            DomainError, "periods must be a sequence, got '12'"),
     "ConstantStepSize huge int": (lambda mdp, q: tq.ConstantStepSize(10**400),
-                                  DomainError, "step size must lie in (0, 1]"),
+                                  DomainError, "step size must lie in (0, 1], got inf"),
     "GeometricPeriod gamma huge int": (lambda mdp, q: tq.GeometricPeriod(1000, -10**400),
                                        DomainError, "gamma must lie in (0, 1), got -inf"),
     "RateConstants sigma_sq huge int": (
         lambda mdp, q: tq.RateConstants(**{**_CONSTANTS, "sigma_sq": 10**400}),
-        DomainError, "sigma_sq must be finite and nonnegative, got inf"),
+        DomainError, "sigma_sq must lie in [0, inf), got inf"),
     "pair_id float": (lambda mdp, q: mdp.pair_id(1.5, 0),
                       DomainError, "state must be an integer, got 1.5"),
     "transition str": (lambda mdp, q: mdp.transition(0, "1"),
@@ -362,8 +476,8 @@ def test_reward_moments_are_computed_once_and_must_be_finite():
 
 @pytest.mark.parametrize(
     "changes, message",
-    [(dict(num_states=0), "num_states and num_actions must be positive"),
-     (dict(num_actions=0), "num_states and num_actions must be positive"),
+    [(dict(num_states=0), "num_states must lie in [1, inf), got 0"),
+     (dict(num_actions=0), "num_actions must lie in [1, inf), got 0"),
      (dict(gamma=1.0), "gamma must lie in [0, 1), got 1.0"),
      (dict(terminal=(2,)), "terminal state must lie in [0, 2), got 2"),
      (dict(start_state=2), "start state must lie in [0, 2), got 2"),
@@ -636,7 +750,10 @@ def test_evaluate_greedy_horizon_rule(grid07, oracle07):
     # a lap count must be a float, so the largest horizon is the largest float
     largest = int(sys.float_info.max)
     assert np.isfinite(tq.evaluate_greedy(oracle07, grid07, grid07.start_state, largest))
-    with pytest.raises(DomainError, match="at most the largest float"):
+    # an integer past the float range is written as a float would be
+    message = ("evaluation horizon must lie in [0, 1.7976931348623157e+308], "
+               "got 1.7976931348623159e+308")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         tq.evaluate_greedy(oracle07, grid07, grid07.start_state, largest + 2**971)
 
 
