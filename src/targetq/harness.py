@@ -42,20 +42,25 @@ class ExperimentConfig:
         if not self.arms:
             problems.append("no arms configured")
         labels = [arm.label for arm in self.arms]
-        if len(set(labels)) != len(labels):
+        # each label's type and each seed are checked before a set hashes them
+        wrong = [f"arm label must be a string, got {label!r}" for label in labels
+                 if not isinstance(label, str)]
+        if not wrong and len(set(labels)) != len(labels):
             problems.append("arm labels must be unique")
-        if not all(label.strip() for label in labels):
+        if not wrong and not all(label.strip() for label in labels):
             problems.append("arm labels must be non-empty")
+        problems += wrong
         seeds = self.seeds
         if isinstance(seeds, range):  # distinct integers, so only its ends can be negative
             seeds = sorted({*seeds[:1], *seeds[-1:]})
         if not seeds:
             problems.append("no seeds configured")
-        if len(set(seeds)) != len(seeds):
-            problems.append("seeds must be distinct")
         # checked here, before any oracle solve, as default_rng would refuse them
-        for seed in seeds:
-            problems += _refusal(_in_range, seed, "seed", 0, math.inf, "[)", integer=True)
+        bad = [problem for seed in seeds
+               for problem in _refusal(_in_range, seed, "seed", 0, math.inf, "[)", integer=True)]
+        if not bad and len(set(seeds)) != len(seeds):
+            problems.append("seeds must be distinct")
+        problems += bad
         problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_horizon)
         # a library run of no cycles returns its initial record; a configured run must run one
         if isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles == 0:

@@ -68,11 +68,25 @@ def _in_range(value, what, lo, hi, ends="[]", *, integer=False):
     if ((lo < value) if ends[0] == "(" else (lo <= value)) and (
             (value < hi) if ends[1] == ")" else (value <= hi)):
         return value
+    raise DomainError(f"{what} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {_shown(value)}")
+
+
+def _shown(value):
+    """``value`` as a refusal writes it: an int past the float range as a
+    float would be written, since str() refuses an int of over 4300 digits."""
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        # written as a float would be: str() refuses an int of over 4300 digits
         from decimal import Decimal
-        value = f"{Decimal(value):.16e}"
-    raise DomainError(f"{what} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+        return f"{Decimal(value):.16e}"
+    return value
+
+
+def _or_inf(compute):
+    """``compute()``, or inf where it raises: a float ``**`` that overflows
+    raises, and so does a division by a float that underflowed to 0."""
+    try:
+        return compute()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _index(value, size, what) -> int:
@@ -115,10 +129,7 @@ class RewardDistribution:
         if abs(sum(probs) - 1.0) > 1e-12:
             raise DomainError("probabilities must sum to 1 within 1e-12")
         mean = float(sum(p * v for p, v in zip(probs, values)))
-        try:
-            variance = float(sum(p * (v - mean) ** 2 for p, v in zip(probs, values)))
-        except OverflowError:  # a float ** that overflows raises
-            variance = math.inf
+        variance = _or_inf(lambda: float(sum(p * (v - mean) ** 2 for p, v in zip(probs, values))))
         if not (math.isfinite(mean) and math.isfinite(variance)):
             raise DomainError("reward mean and variance must be finite, got values "
                               + ", ".join(map(repr, values)))

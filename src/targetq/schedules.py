@@ -17,11 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ScheduleOverflowError
-from .mdp import TabularMdp, _as_real, _as_tuple, _check_discount, _check_table, _in_range
-
-# Largest float with exact integer neighbors; schedule entries past this
-# cannot be ceiled exactly.
-_EXACT_INT_LIMIT = float(2**53)
+from .mdp import (TabularMdp, _as_real, _as_tuple, _check_discount, _check_table, _in_range,
+                  _or_inf, _shown)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +69,10 @@ class RateConstants:
         object.__setattr__(self, "gamma", _check_discount(self.gamma))
         object.__setattr__(self, "n_pairs", _pair_count(self.n_pairs))
         xi, gamma = self.xi, self.gamma
-        try:
-            c1 = (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2 + (
-                16.0 / xi**2 + 8.0 / xi
-            ) * gamma**2
-            c2 = (8.0 / xi**2 + 4.0 / xi) * (self.sigma_sq + 2.0 * gamma**2 * self.q_star_sup**2)
-        except (OverflowError, ZeroDivisionError):
-            # a float ** that overflows raises, and xi**2 can underflow to 0
-            c1 = c2 = math.inf
+        c1 = _or_inf(lambda: (2.0 / xi + 1.0) * self.n_pairs * (1.0 + gamma) ** 2
+                     + (16.0 / xi**2 + 8.0 / xi) * gamma**2)
+        c2 = _or_inf(lambda: (8.0 / xi**2 + 4.0 / xi)
+                     * (self.sigma_sq + 2.0 * gamma**2 * self.q_star_sup**2))
         if not (math.isfinite(c1) and math.isfinite(c2)):
             raise DomainError(f"rate constants c1, c2 are not finite for xi={xi}, "
                               f"sigma_sq={self.sigma_sq}, q_star_sup={self.q_star_sup}")
@@ -188,13 +181,21 @@ def _ceil_guarded(x: float) -> int:
     return math.ceil(x)
 
 
+def _exact(value, what):
+    """The one exact-integer rule: ``value`` lies below 2**53, past which
+    floats have no exact integer neighbours, so a period there cannot be
+    ceiled or summed exactly. Anything else, inf and NaN too, is refused as
+    ``{what} must lie below 2**53, got {value}``."""
+    if not value < 2**53:
+        raise ScheduleOverflowError(f"{what} must lie below 2**53, got {_shown(value)}")
+    return value
+
+
 def _period(k) -> int:
     """``k`` as a period a run can take: an integer from 1 up to the
-    exact-integer limit that geometric and designed periods keep to."""
-    k = _in_range(k, "period", 1, math.inf, "[)", integer=True)
-    if k >= _EXACT_INT_LIMIT:
-        raise ScheduleOverflowError(f"period {k} exceeds the exact-integer range (2**53)")
-    return k
+    exact-integer limit (``_exact``) that geometric and designed periods
+    keep to."""
+    return _exact(_in_range(k, "period", 1, math.inf, "[)", integer=True), "period")
 
 
 def _cycle_index(n, n_cycles: int | None) -> int:
@@ -236,15 +237,8 @@ class GeometricPeriod:
 
     def period(self, n: int) -> int:
         n = _cycle_index(n, self.n_cycles)
-        try:
-            x = self.k0 * self.gamma ** (-(2.0 * n) / 3.0)
-        except OverflowError:  # a float ** that overflows raises
-            x = math.inf
-        if not math.isfinite(x) or x >= _EXACT_INT_LIMIT:
-            raise ScheduleOverflowError(
-                f"period k0={self.k0}, gamma={self.gamma}, n={n} exceeds the exact-integer range"
-            )
-        return _ceil_guarded(x)
+        return _ceil_guarded(_exact(_or_inf(lambda: self.k0 * self.gamma ** (-(2.0 * n) / 3.0)),
+                                    f"period for k0={self.k0}, gamma={self.gamma}, n={n}"))
 
 
 @dataclass(frozen=True)
@@ -361,17 +355,14 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
             x = math.log(eps / (2.0 * e0)) / math.log(constants.mu)
             r = round(x)
             n = max(int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x), 0)
-            c = (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2
+            # eps**2 can underflow to 0; C is then inf, which _exact refuses
+            c = _or_inf(lambda: (4.0 * constants.c2 / eps**2) * ((1.0 - q**n) / (1.0 - q)) ** 2)
         # rho <= 1, so the largest period is ceil(max(C, k_min)); every
         # period is at least k_min, so the cost is at least N k_min
-        if n and not max(c, k_min) < _EXACT_INT_LIMIT:
-            raise ScheduleOverflowError(
-                f"designed periods for eps={eps}, e0={e0} exceed the exact-integer range"
-            )
-        if n and not n * k_min < _EXACT_INT_LIMIT:
-            raise ScheduleOverflowError(
-                f"designed cost for eps={eps}, e0={e0}, at least N k_min = {n} * {k_min:.8g}, "
-                "exceeds the exact-integer range")
+        if n:
+            _exact(max(c, k_min), f"the largest designed period for eps={eps}, e0={e0}")
+            _exact(n * k_min, f"designed cost for eps={eps}, e0={e0}, at least N k_min = "
+                              f"{n} * {k_min:.8g},")
         raw = tuple(c * rho ** float(n - 1 - j) for j in range(n))
     # plain ceiling: designed periods never land on intended integers, and
     # ceiling keeps every integer period >= its real-valued design value
@@ -392,19 +383,14 @@ def _design(family, eps, e0, constants, q, rho, within_validity) -> DesignOutput
 
 def _check_design_inputs(eps: float, e0: float) -> tuple[float, float]:
     """The designers' inputs as floats, each in (0, inf), with
-    eps / (2 e0) and eps^2 representable."""
+    eps / (2 e0) representable."""
     eps = _in_range(eps, "target accuracy", 0, math.inf, "()")
     e0 = _in_range(e0, "initial error", 0, math.inf, "()")
-    if eps**2 == 0.0:
-        # every designed period scales with 1 / eps^2
-        raise ScheduleOverflowError(f"target accuracy {eps} is too small: its periods overflow")
     if not eps / (2.0 * e0) > 0.0:
         # the cycle count is log(eps / 2 e0) / log(mu); 2 e0 overflowed or
         # the ratio underflowed
-        raise DomainError(
-            f"initial error {e0} is too large for target accuracy {eps}: "
-            "eps / (2 e0) is not representable"
-        )
+        raise DomainError(f"initial error {e0} is too large for target accuracy {eps}: "
+                          "eps / (2 e0) is not representable")
     return eps, e0
 
 

@@ -77,6 +77,27 @@ def make_chain_mdp(gamma=0.5, rewards=(1.0, -0.5, 0.25)):
     )
 
 
+def make_ring_mdp():
+    """Ten states on a closed ring, one action each: state s moves to
+    s + 1 (mod 10) at gamma 0.9, and pays a two-point reward whose values
+    (U(-2, 2)) and first-value probability (U(0.2, 0.8)) come from
+    ``default_rng(0)``. With one action the Bellman map T q = r + G q is
+    affine, so a whole run has an exact law (``cycle_law``)."""
+    rng = np.random.default_rng(0)
+    n = 10
+    values = rng.uniform(-2.0, 2.0, (n, 2))
+    p_first = rng.uniform(0.2, 0.8, n)
+    return tq.TabularMdp(
+        num_states=n,
+        num_actions=1,
+        transitions={(s, 0): (s + 1) % n for s in range(n)},
+        rewards={(s, 0): tq.RewardDistribution.two_point(*values[s], p_first[s])
+                 for s in range(n)},
+        terminal=(),
+        gamma=0.9,
+    )
+
+
 def random_q(mdp, rng, scale=5.0):
     q = tq.new_q_table(mdp)
     q[mdp.pair_state, mdp.pair_action] = rng.uniform(-scale, scale, mdp.num_active_pairs)
@@ -92,9 +113,12 @@ def cycle_law(alphas, n_pairs):
     E e_K = m e_0 and E e_K**2 = A e_0**2 + B sigma**2, with sigma**2 the
     pair's reward variance and
     m = prod (1 - p alpha_t), A = prod b_t, B = sum p alpha_t**2 prod_{j>t} b_j,
-    b_t = 1 - p alpha_t (2 - alpha_t). Returns (m, A, B).
+    b_t = 1 - p alpha_t (2 - alpha_t). Two pairs' start weights have the
+    product mean C = prod (1 - 2 p alpha_t), since a step hits at most one
+    of them. Returns (m, A, C, B).
     """
     p = 1.0 / n_pairs
     b = 1.0 - p * alphas * (2.0 - alphas)
     later = np.append(np.cumprod(b[:0:-1])[::-1], 1.0)  # prod_{j>t} b_j
-    return float(np.prod(1.0 - p * alphas)), float(np.prod(b)), float(np.sum(p * alphas**2 * later))
+    return (float(np.prod(1.0 - p * alphas)), float(np.prod(b)),
+            float(np.prod(1.0 - 2.0 * p * alphas)), float(np.sum(p * alphas**2 * later)))

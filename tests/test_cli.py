@@ -92,13 +92,15 @@ def test_design_prints_and_emits_schedule(tmp_path, capsys):
 
 
 def test_design_degenerate_note(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["design", "--gamma", "0.7", "--eps", "50", "--e0", "3"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "degenerate design" in captured.out
-    assert captured.err == ""
+    # eps >= 2 e0 needs no periods, however small eps is
+    for eps, e0 in (("50", "3"), ("1e-200", "1e-201")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["design", "--gamma", "0.7", "--eps", eps, "--e0", e0])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "degenerate design" in captured.out
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("command, old", [("run", "schedule = fixed 200"),
@@ -219,12 +221,16 @@ def test_run_malformed_config_fails(tmp_path, capsys):
         ("cycles = 0", "cycle count must lie in [1, inf), got 0"),
         ("eval_horizon = -1",
          "evaluation horizon must lie in [0, 1.7976931348623157e+308], got -1"),
-        ("schedule = fixed 99999999999999999999999", "exceeds the exact-integer range"),
-        ("schedule = fixed 9223372036854775807", "exceeds the exact-integer range"),
-        ("schedule = custom 200 9223372036854775807", "exceeds the exact-integer range"),
+        ("schedule = fixed 99999999999999999999999",
+         "period must lie below 2**53, got 99999999999999999999999"),
+        ("schedule = fixed 9223372036854775807",
+         "period must lie below 2**53, got 9223372036854775807"),
+        ("schedule = custom 200 9223372036854775807",
+         "period must lie below 2**53, got 9223372036854775807"),
         ("schedule = adaptive 99999999999999999999999 99999999999999999999999",
-         "exceeds the exact-integer range"),
-        ("schedule = adaptive 10 9223372036854775808", "exceeds the exact-integer range"),
+         "period must lie below 2**53, got 99999999999999999999999"),
+        ("schedule = adaptive 10 9223372036854775808",
+         "period must lie below 2**53, got 9223372036854775808"),
     ],
 )
 def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, message):
@@ -241,14 +247,21 @@ def test_run_invalid_limits_fail_without_traceback(tmp_path, capsys, line, messa
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("design --gamma 0.7 --eps 1e-300", "is too small"),
-        ("design --gamma 0.7 --eps 1e-300 --schedule fixed", "is too small"),
-        ("design --gamma 0.7 --eps 1e-150", "exceed the exact-integer range"),
+        # eps**2 underflows to 0, so the largest period is inf
+        ("design --gamma 0.7 --eps 1e-300",
+         "the largest designed period for eps=1e-300, e0=3.0 must lie below 2**53, got inf"),
+        ("design --gamma 0.7 --eps 1e-300 --schedule fixed",
+         "the largest designed period for eps=1e-300, e0=3.0 must lie below 2**53, got inf"),
+        ("design --gamma 0.7 --eps 1e-150", "the largest designed period for eps=1e-150, "
+         "e0=3.0 must lie below 2**53, got 1.0789736821201441e+308"),
         ("design --gamma 0.7 --eps nan", "target accuracy must lie in (0, inf), got nan"),
         ("design --gamma 0.7 --eps 0.5 --e0 nan", "initial error must lie in (0, inf), got nan"),
         ("design --gamma 0.7 --eps 0.5 --e0 inf", "initial error must lie in (0, inf), got inf"),
         ("design --gamma 0.7 --eps 0.5 --e0 1e308", "is too large for target accuracy"),
-        ("design --gamma 0.7 --eps 1e-10 --e0 1e300", "exceed the exact-integer range"),
+        ("design --gamma 0.7 --eps 1e-10 --e0 1e300", "the largest designed period for "
+         "eps=1e-10, e0=1e+300 must lie below 2**53, got 1.078973682120144e+28"),
+        # eps / (2 e0) underflows before eps**2 is ever taken
+        ("design --gamma 0.7 --eps 1e-300 --e0 1e308", "is too large for target accuracy"),
         ("design --gamma 0.7 --eps 0.5 --xi 1e-200", "rate constants c1, c2 are not finite"),
         ("oracle --gamma 0.7 --tol nan", "tol must lie in (0, inf], got nan"),
         ("gridworld --gamma 1.5", "gamma must lie in [0, 1)"),
@@ -635,7 +648,7 @@ ZERO_PERIOD = "[schedule]\nperiods = 0 5\n"
 NOT_UTF8 = RUN_CFG.encode() + b"label = caf\xe9\n"
 NOT_UTF8_REASON = (f": 'utf-8' codec can't decode byte 0xe9 in position "
                    f"{len(RUN_CFG) + len('label = caf')}: invalid continuation byte")
-OVERFLOW = "exceeds the exact-integer range (2**53)"
+OVERFLOW = "period must lie below 2**53, got"
 INT_X = "invalid literal for int() with base 10:"
 
 
@@ -716,7 +729,7 @@ BAD_INPUT_FILES = [
                  " [run]: the bundled gridworld needs an explicit gamma",
                  id="gridworld-without-gamma"),
     *[pytest.param("run", _cfg(RUN_CFG, "fixed 200", spec), "cfg.ini",
-                   f" [run]: schedule spec '{spec}': period {period} {OVERFLOW}", id=spec)
+                   f" [run]: schedule spec '{spec}': {OVERFLOW} {period}", id=spec)
       for spec, period in [("fixed 99999999999999999999999", 99999999999999999999999),
                            ("fixed 9223372036854775807", 9223372036854775807),
                            ("custom 200 9223372036854775807", 9223372036854775807),

@@ -91,7 +91,8 @@ def test_non_integer_limit_fails_before_the_oracle_solve(grid07, monkeypatch, fi
     ((-1, 2), "seed must lie in [0, inf), got -1"),
     ((1.5, 2), "seed must be an integer, got 1.5"),
     ((0, "1"), "seed must be an integer, got '1'"),
-], ids=["negative", "float", "str"])
+    (([1], 2), "seed must be an integer, got [1]"),  # checked before a set hashes it
+], ids=["negative", "float", "str", "list"])
 def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds, problem):
     def spy(*args, **kwargs):
         raise AssertionError("the oracle was solved for seeds that cannot run")
@@ -104,6 +105,25 @@ def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds, prob
         tq.run_experiment(cfg)
     assert err.value.violations == [problem]
     assert replace(cfg, seeds=(np.int64(0), np.uint8(1))).violations() == []
+
+
+@pytest.mark.parametrize("labels, problems", [
+    ((3, "b"), ["arm label must be a string, got 3"]),
+    ((["a"], None), ["arm label must be a string, got ['a']",
+                     "arm label must be a string, got None"]),
+], ids=["int", "list-and-none"])
+def test_non_string_labels_fail_before_the_oracle_solve(grid07, monkeypatch, labels, problems):
+    # a label's type is checked before a set hashes it or .strip() reads it
+    def spy(*args, **kwargs):
+        raise AssertionError("the oracle was solved for labels that cannot run")
+
+    monkeypatch.setattr(tq.harness, "value_iteration_oracle", spy)
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    arms = tuple(tq.Arm(label, tq.FixedPeriod(10), steps) for label in labels)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=arms, seeds=(0, 1), sample_budget=100)
+    with pytest.raises(ConfigValidationError) as err:
+        tq.run_experiment(cfg)
+    assert err.value.violations == problems
 
 
 @pytest.mark.parametrize("seeds, problem", [

@@ -20,7 +20,8 @@ from targetq.learner import (
     _sorted_block,
 )
 
-from conftest import cycle_law, inner_sgd_step, make_chain_mdp, make_selfloop_mdp, random_q
+from conftest import (cycle_law, inner_sgd_step, make_chain_mdp, make_ring_mdp, make_selfloop_mdp,
+                      random_q)
 
 
 def _sequential_replay(q_in, mdp, pairs, u, alphas):
@@ -1081,7 +1082,7 @@ def test_one_cycle_matches_exact_law(cycle, use_chain, k):
     q_in = random_q(mdp, np.random.default_rng(k))
     target = tq.exact_bellman_apply(q_in, mdp).take(mdp.pair_flat)
     e0 = q_in.take(mdp.pair_flat) - target
-    m, a, b = cycle_law(step_sizes.alphas(k), mdp.num_active_pairs)
+    m, a, _, b = cycle_law(step_sizes.alphas(k), mdp.num_active_pairs)
     second = a * e0**2 + b * mdp.pair_reward_var  # each pair's E e_K^2
     rng = np.random.default_rng(7)
     errors = np.array([cycle(q_in, k, step_sizes, mdp, rng) - target
@@ -1091,3 +1092,80 @@ def test_one_cycle_matches_exact_law(cycle, use_chain, k):
     squares = np.sum(errors**2, axis=1)
     se = squares.std(ddof=1) / np.sqrt(_LAW_CYCLES)
     assert abs(squares.mean() - np.sum(second)) <= _LAW_BAND * se
+
+
+# The exact law of a whole run on the one-action ring (conftest's
+# make_ring_mdp), against the real runners. There G = gamma P is the
+# next-pair map and H = I - G; with e = q - Q* over the pairs, a cycle
+# whose steps have the one-cycle law (m, A, C, B) maps the mean and the
+# second moment S = E e e^T to
+#     mean' = G mean + m H mean,
+#     S' = G S G^T + m (G S H^T + H S G^T) + W o (H S H^T) + B diag(sigma^2),
+# with W = A on its diagonal and C off it. A run starts at q0 = 0, so at
+# e = -Q* exactly. The tables each run records are captured where the
+# runner hands them to sup_distance, so the test sees the target's
+# hand-off between cycles, the per-cycle step-size restart and the
+# buffers a run shares, which the one-cycle test cannot. At every cycle,
+# the seeds' mean |e|^2 (own standard error) and each pair's mean error
+# (the law's own variance) must lie within _LAW_BAND standard errors. The
+# four arms hold 33 cycles of 11 bands each; under the normal
+# approximation a band's false-alarm rate is 6.8e-6, so a correct runner
+# fails this test with probability at most 363 * 6.8e-6 = 2.5e-3.
+_RUN_SEEDS = 400
+
+
+def _run_law(mdp, q_star, periods, step_sizes):
+    """The law's mean and second moment of e after each of the cycles
+    ``periods`` lists, from e = -Q*."""
+    n = mdp.num_active_pairs
+    g = mdp.gamma * np.eye(n)[mdp.pair_next_state]
+    h = np.eye(n) - g
+    mean = -q_star
+    s = np.outer(mean, mean)
+    laws = []
+    for k in periods:
+        m, a, c, b = cycle_law(step_sizes.alphas(k), n)
+        w = np.full((n, n), c)
+        np.fill_diagonal(w, a)
+        gsh = g @ s @ h.T
+        s = g @ s @ g.T + m * (gsh + gsh.T) + w * (h @ s @ h.T) + b * np.diag(mdp.pair_reward_var)
+        mean = g @ mean + m * (h @ mean)
+        laws.append((mean, s))
+    return laws
+
+
+@pytest.mark.parametrize("arm, n_cycles", [("fixed-100", 12), ("fixed-1000", 5),
+                                           ("geometric-50", 10), ("adaptive-300", 6)],
+                         ids=["fixed-100", "fixed-1000", "geometric-50", "adaptive-300"])
+def test_whole_run_matches_exact_law(monkeypatch, arm, n_cycles):
+    mdp = make_ring_mdp()
+    step_sizes = tq.TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
+    oracle = tq.value_iteration_oracle(mdp)
+    q_star = oracle.take(mdp.pair_flat)
+    schedule = {"fixed-100": tq.FixedPeriod(100), "fixed-1000": tq.FixedPeriod(1000),
+                "geometric-50": tq.GeometricPeriod(50, 0.9),
+                "adaptive-300": tq.AccuracyTriggered(300, 300)}[arm]
+    recorded = []
+    sup_distance = tq.learner.sup_distance
+
+    def capture(tables, oracle, mdp):
+        # a copy: the run refills its stack
+        recorded.append(tables.reshape(len(tables), -1).take(mdp.pair_flat, axis=1) - q_star)
+        return sup_distance(tables, oracle, mdp)
+
+    monkeypatch.setattr(tq.learner, "sup_distance", capture)
+    for seed in range(_RUN_SEEDS):
+        trace = tq.harness.run_one(schedule, step_sizes, mdp, seed, arm, oracle=oracle,
+                                   n_cycles=n_cycles)
+    periods = [record.inner_steps for record in trace.records[1:]]
+    if arm == "adaptive-300":
+        assert periods == [300] * n_cycles
+    else:
+        assert periods == [schedule.period(n) for n in range(n_cycles)]
+    errors = np.array(recorded)[:, 1:]  # (seed, cycle, pair), from the first cycle on
+    for cycle, (mean, s) in enumerate(_run_law(mdp, q_star, periods, step_sizes)):
+        squares = np.sum(errors[:, cycle]**2, axis=1)
+        se = squares.std(ddof=1) / np.sqrt(_RUN_SEEDS)
+        assert abs(squares.mean() - np.trace(s)) <= _LAW_BAND * se, cycle
+        se = np.sqrt((np.diag(s) - mean**2) / _RUN_SEEDS)
+        assert np.all(np.abs(errors[:, cycle].mean(axis=0) - mean) <= _LAW_BAND * se), cycle

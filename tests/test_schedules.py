@@ -156,12 +156,13 @@ def test_geometric_period_degenerate_ratio():
 
 
 def test_geometric_period_overflow():
-    # at n = 1000, gamma ** (-2n/3) itself overflows a float
-    for k0, gamma, n in ((10**6, 0.01, 50), (10, 0.01, 1000)):
+    # at n = 1000, gamma ** (-2n/3) itself overflows a float, and reads inf
+    for k0, gamma, n, shown in ((10**6, 0.01, 50, "4.641588833612826e+72"),
+                                (10, 0.01, 1000, "inf")):
         with pytest.raises(ScheduleOverflowError) as info:
             tq.GeometricPeriod(k0, gamma).period(n)
         assert str(info.value) == (
-            f"period k0={k0}, gamma={gamma}, n={n} exceeds the exact-integer range")
+            f"period for k0={k0}, gamma={gamma}, n={n} must lie below 2**53, got {shown}")
 
 
 def test_geometric_period_domain():
@@ -235,12 +236,14 @@ def test_design_fixed_bound_and_cost(constants07):
 @pytest.mark.filterwarnings("error")
 def test_design_degenerate_reported(constants07):
     # the flags are the only report: no warning is raised
+    # eps >= 2 e0 needs no periods, even where eps**2 underflows to 0
     for designer in (tq.design_fixed_period, tq.design_growing_period):
-        out = designer(10.0, 3.0, constants07)
-        assert out.degenerate and out.n_cycles == 0
-        assert out.periods == ()
-        assert out.predicted_error_bound == 3.0
-        assert out.within_validity
+        for eps, e0 in ((10.0, 3.0), (1e-200, 1e-201)):
+            out = designer(eps, e0, constants07)
+            assert out.degenerate and out.n_cycles == 0
+            assert out.periods == ()
+            assert out.predicted_error_bound == e0
+            assert out.within_validity
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,10 +301,14 @@ def test_design_input_validation(constants07):
                         (0.1, math.nan), (0.1, math.inf)):
             with pytest.raises(DomainError):
                 designer(eps, e0, constants07)
-        # eps^2 underflows to zero, or the periods pass 2^53
+        # eps^2 underflows to zero (C is inf), or the periods pass 2^53
         for eps in (1e-300, 1e-150):
             with pytest.raises(ScheduleOverflowError):
                 designer(eps, 3.0, constants07)
+        # eps / (2 e0) underflows: the inputs are refused before any period is sized
+        with pytest.raises(DomainError) as info:
+            designer(1e-300, 1e308, constants07)
+        assert type(info.value) is DomainError
 
 
 @pytest.mark.parametrize("designer", [tq.design_fixed_period, tq.design_growing_period])
@@ -313,7 +320,9 @@ def test_hopeless_design_fails_before_building_periods(designer, gamma):
     assert c.k_min >= 2**53
     with pytest.raises(ScheduleOverflowError) as info:
         designer(0.1, 3.0, c)
-    assert str(info.value) == "designed periods for eps=0.1, e0=3.0 exceed the exact-integer range"
+    message = "the largest designed period for eps=0.1, e0=3.0 must lie below 2**53, got "
+    assert str(info.value).startswith(message)
+    assert float(str(info.value)[len(message):]) >= max(c.k_min, 2**53)
     # a design whose initial error already meets the target still returns
     assert designer(6.0, 3.0, c).degenerate
 
@@ -330,7 +339,8 @@ def test_zero_noise_design_with_a_huge_cycle_count_fails_at_once(designer):
         designer(1e-150, 1e150, c)
     assert time.perf_counter() - started < 1.0
     assert str(info.value) == ("designed cost for eps=1e-150, e0=1e+150, at least N k_min = "
-                               "6914686401 * 3.5999988e+15, exceeds the exact-integer range")
+                               "6914686401 * 3.5999988e+15, must lie below 2**53, "
+                               "got 2.4892862772182075e+25")
 
 
 # SHA-256 over repr of both designers' outputs on a small grid. The design
@@ -412,9 +422,10 @@ def test_schedule_validation():
     # the exact-integer limit of geometric and designed periods holds for
     # fixed and explicit ones too
     for k in (2**53, 2**63 - 1, 10**23):
-        with pytest.raises(ScheduleOverflowError, match="exact-integer range"):
+        message = f"^{re.escape(f'period must lie below 2**53, got {k}')}$"
+        with pytest.raises(ScheduleOverflowError, match=message):
             tq.FixedPeriod(k)
-        with pytest.raises(ScheduleOverflowError, match="exact-integer range"):
+        with pytest.raises(ScheduleOverflowError, match=message):
             tq.ExplicitPeriod((5, k))
     assert tq.FixedPeriod(2**53 - 1).period(0) == 2**53 - 1
     with pytest.raises(DomainError):
@@ -452,7 +463,10 @@ _BAD_PERIODS = [
     pytest.param(np.float64(3.0), DomainError,
                  f"period must be an integer, got {np.float64(3.0)!r}", id="float64-3"),
     pytest.param(2**53, ScheduleOverflowError,
-                 "period 9007199254740992 exceeds the exact-integer range (2**53)", id="2**53"),
+                 "period must lie below 2**53, got 9007199254740992", id="2**53"),
+    # written as a float would be: str() refuses an int of over 4300 digits
+    pytest.param(10**5000, ScheduleOverflowError,
+                 "period must lie below 2**53, got 1.0000000000000000e+5000", id="10**5000"),
 ]
 
 
