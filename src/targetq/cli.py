@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,9 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_run_config(args.config, seed_override=args.seed)
+    cfg = parse_run_config(args.config)
+    if args.seed is not None:  # no file is at fault: run_experiment refuses a bad seed
+        cfg = replace(cfg, seeds=(args.seed,))
     _check_out(args.out)
     [[trace]] = run_experiment(cfg).values()  # one arm, one seed
     final = trace.final

@@ -6,7 +6,13 @@ the whole file) on one line and names only the file at fault, which may be
 a grid spec or schedule file a config names. All four refuse any section
 or key they do not take; a schedule file takes the keys ``design --out``
 writes, of which only ``periods`` is read. A run config is read as the
-one-arm, one-seed experiment it describes.
+one-arm, one-seed experiment it describes, and both configs are checked
+(``ExperimentConfig.violations``) inside their ``[run]`` or ``[sweep]``
+boundary.
+
+Every number, and ``bias``, is read from its text by ``_read`` alone and
+goes to the library unchanged, so it meets only the library's rule and is
+refused in the library's words (``period must be an integer, got 2.5``).
 
 Schedule specs (shared by configs and the CLI):
 
@@ -34,7 +40,7 @@ from pathlib import Path
 from .errors import DomainError
 from .gridworld import DEFAULT_REWARDS, GridSpec, build_grid_mdp, build_gridworld
 from .harness import Arm, ExperimentConfig
-from .mdp import RewardDistribution, TabularMdp
+from .mdp import RewardDistribution, TabularMdp, _as_int
 from .schedules import (
     AccuracyTriggered,
     ConstantStepSize,
@@ -77,6 +83,28 @@ def _errors_in(where, located: bool = True):
         raise
     except (ValueError, KeyError, TypeError, OverflowError, OSError, configparser.Error) as exc:
         raise (_Located if located else DomainError)(f"{where}: {_reason(exc)}") from exc
+
+
+# bias's words, as configparser reads a boolean: true, yes, on, 1, false, ...
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def _read(text: str | None, what: str, *, integer: bool = False, boolean: bool = False):
+    """The one reader of a value in file text: an int if ``text`` is an
+    integer literal, else a float (one of bias's words, in any case, if
+    ``boolean``), and an int if ``integer`` (``mdp._as_int``). An absent
+    key (``None``) stays None. Text of no such form is refused naming
+    ``what``, the key or spec token, and the text."""
+    if text is None:
+        return None
+    for form in (lambda t: _BOOLEANS[t.lower()],) if boolean else (int, float):
+        try:
+            value = form(text)
+        except (KeyError, ValueError):
+            continue
+        return _as_int(value, what) if integer else value
+    kind = "true or false" if boolean else "a number"
+    raise DomainError(f"{what} must be {kind}, got {text.strip()!r}")
 
 
 _REWARD_SECTIONS = tuple(f"reward {key}" for key in DEFAULT_REWARDS)
@@ -144,16 +172,16 @@ def load_grid_spec(text: str, gamma: float | None = None, path=None) -> GridSpec
         for key in DEFAULT_REWARDS:
             entry = parser[f"reward {key}"]
             with _errors_in(f"{name} [reward {key}]"):
-                values = tuple(float(v) for v in entry["values"].split(","))
-                probs = tuple(float(p) for p in entry["probabilities"].split(","))
+                values, probs = (tuple(_read(x, field) for x in entry[field].split(","))
+                                 for field in ("values", "probabilities"))
                 rewards[key] = RewardDistribution(entry["kind"], values, probs)
         with _errors_in(f"{name} [grid]"):
             layout = tuple(part.strip() for part in grid["layout"].split("|"))
-            rows, cols = int(grid["rows"]), int(grid["cols"])
+            rows, cols = (_read(grid[key], key, integer=True) for key in ("rows", "cols"))
             if len(layout) != rows or any(len(row) != cols for row in layout):
                 raise DomainError("layout does not match declared rows/cols")
-            spec = GridSpec(layout=layout, gamma=float(grid["gamma"]), rewards=rewards)
-    return spec if gamma is None else replace(spec, gamma=float(gamma))
+            spec = GridSpec(layout=layout, gamma=_read(grid["gamma"], "gamma"), rewards=rewards)
+    return spec if gamma is None else replace(spec, gamma=gamma)
 
 
 # Python raises ValueError, naming no file, for a file name that holds a NUL;
@@ -184,19 +212,19 @@ def parse_schedule_spec(spec: str, gamma: float):
     with _errors_in(f"schedule spec {spec!r}", located=False):
         match spec.split():
             case ["fixed", k]:
-                return FixedPeriod(int(k))
+                return FixedPeriod(_read(k, "K"))
             case ["geometric", k0]:
-                return GeometricPeriod(int(k0), gamma)
+                return GeometricPeriod(_read(k0, "K0"), gamma)
             case ["geometric", k0, g]:
-                return GeometricPeriod(int(k0), float(g))
+                return GeometricPeriod(_read(k0, "K0"), _read(g, "GAMMA"))
             case ["custom", *ks] if ks:
-                return ExplicitPeriod(tuple(int(k) for k in ks))
+                return ExplicitPeriod(tuple(_read(k, "K") for k in ks))
             case ["file", path]:
                 if "\0" in path:
                     raise DomainError(_NUL_IN_NAME)
                 return load_schedule_file(path)
             case ["adaptive", k_min, k_max]:
-                return AccuracyTriggered(int(k_min), int(k_max))
+                return AccuracyTriggered(_read(k_min, "KMIN"), _read(k_max, "KMAX"))
         raise DomainError("not fixed K, geometric K0, custom K..., file PATH or adaptive KMIN KMAX")
 
 
@@ -207,9 +235,9 @@ def parse_step_spec(spec: str, mdp: TabularMdp):
             case ["theory"]:
                 return TheoryInverseStepSize.from_pair_count(mdp.num_active_pairs)
             case ["theory", xi]:
-                return TheoryInverseStepSize(float(xi))
+                return TheoryInverseStepSize(_read(xi, "XI"))
             case ["constant", alpha]:
-                return ConstantStepSize(float(alpha))
+                return ConstantStepSize(_read(alpha, "A"))
         raise DomainError("not theory, theory XI or constant A")
 
 
@@ -221,7 +249,7 @@ def load_schedule_file(path) -> ExplicitPeriod:
     with _errors_in(path):
         section = _parse(Path(path).read_text(), ("schedule",))["schedule"]
         with _errors_in(f"{path} [schedule]"):
-            schedule = ExplicitPeriod(tuple(int(k) for k in section["periods"].split()))
+            schedule = ExplicitPeriod([_read(k, "periods") for k in section["periods"].split()])
             if not schedule.ks:  # as a degenerate design writes; ExplicitPeriod(()) itself is valid
                 raise DomainError("no periods")
     return schedule
@@ -230,29 +258,41 @@ def load_schedule_file(path) -> ExplicitPeriod:
 def _shared_keys(section) -> dict:
     """The keys [run] and [sweep] share, as ExperimentConfig fields."""
     return dict(
-        mdp=load_environment(section.get("env", "gridworld"), section.getfloat("gamma")),
-        sample_budget=section.getint("budget", fallback=None),
-        record_bias=section.getboolean("bias", fallback=True),
-        eval_horizon=section.getint("eval_horizon", fallback=None),
+        mdp=load_environment(section.get("env", "gridworld"), _read(section.get("gamma"), "gamma")),
+        # the one type the config decides: an integer budget, so that no
+        # budget such as 1e200 starts a run no budget ends
+        sample_budget=_read(section.get("budget"), "budget", integer=True),
+        record_bias=_read(section.get("bias", "true"), "bias", boolean=True),
+        eval_horizon=_read(section.get("eval_horizon"), "eval_horizon"),
     )
 
 
-def _arm(section, label: str, mdp: TabularMdp) -> Arm:
-    """An arm from a section's ``schedule`` and ``step_size`` keys."""
-    schedule = parse_schedule_spec(section["schedule"], mdp.gamma)
-    return Arm(label, schedule, parse_step_spec(section.get("step_size", "theory"), mdp))
+def _arm(section, label: str, mdp: TabularMdp, where: str) -> Arm:
+    """An arm from a section's ``schedule`` and ``step_size`` keys; a
+    failure reads ``WHERE: REASON``."""
+    with _errors_in(where):
+        schedule = parse_schedule_spec(section["schedule"], mdp.gamma)
+        return Arm(label, schedule, parse_step_spec(section.get("step_size", "theory"), mdp))
 
 
-def parse_run_config(path, seed_override: int | None = None) -> ExperimentConfig:
+def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg``, or its violations as one ``DomainError`` for the section
+    boundary around the call to locate."""
+    if problems := cfg.violations():
+        raise DomainError("; ".join(problems))
+    return cfg
+
+
+def parse_run_config(path) -> ExperimentConfig:
     """A run config as the one-arm, one-seed experiment it describes."""
     with _errors_in(path):
         section = _parse(Path(path).read_text(), ("run",))["run"]
         with _errors_in(f"{path} [run]"):
             shared = _shared_keys(section)
-            arm = _arm(section, section.get("label", "run"), shared["mdp"])
-            seed = seed_override if seed_override is not None else section.getint("seed", 0)
-            cycles = section.getint("cycles", fallback=None)
-    return ExperimentConfig(arms=(arm,), seeds=(seed,), n_cycles=cycles, **shared)
+            arm = _arm(section, section.get("label", "run"), shared["mdp"], f"{path} [run]")
+            return _checked(ExperimentConfig(
+                arms=(arm,), seeds=(_read(section.get("seed", "0"), "seed"),),
+                n_cycles=_read(section.get("cycles"), "cycles"), **shared))
 
 
 def parse_sweep_config(path) -> ExperimentConfig:
@@ -263,18 +303,13 @@ def parse_sweep_config(path) -> ExperimentConfig:
             shared = _shared_keys(section)
             match section.get("seeds", "range 2").split():
                 case ["range", n]:
-                    seeds = range(int(n))
+                    seeds = range(_read(n, "range N", integer=True))
                 case parts:
-                    seeds = tuple(int(p) for p in parts)
+                    seeds = tuple(_read(p, "seeds") for p in parts)
             if shared["sample_budget"] is None:
                 raise DomainError("needs a budget")
             if len(seeds) < 2:
                 raise DomainError("needs at least 2 seeds for bands")
-        arms = []
-        for name in parser.sections():
-            if name.startswith("arm "):
-                with _errors_in(f"{path} [{name}]"):
-                    arms.append(_arm(parser[name], name[4:].strip(), shared["mdp"]))
-        if not arms:
-            raise DomainError("defines no [arm ...] sections")
-    return ExperimentConfig(arms=tuple(arms), seeds=seeds, **shared)
+            arms = tuple(_arm(parser[name], name[4:].strip(), shared["mdp"], f"{path} [{name}]")
+                         for name in parser.sections() if name.startswith("arm "))
+            return _checked(ExperimentConfig(arms=arms, seeds=seeds, **shared))

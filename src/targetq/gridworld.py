@@ -45,7 +45,7 @@ class GridSpec:
     rewards: dict[str, RewardDistribution]
 
     def __post_init__(self):
-        _check_discount(self.gamma)
+        object.__setattr__(self, "gamma", _check_discount(self.gamma))
         if not self.layout:
             raise DomainError("layout must have at least one row")
         cols = len(self.layout[0])
@@ -72,7 +72,7 @@ class GridSpec:
 
 def gridworld_spec(gamma: float) -> GridSpec:
     """The bundled 4x4 stochastic grid benchmark at the given discount."""
-    return GridSpec(layout=DEFAULT_LAYOUT, gamma=float(gamma), rewards=dict(DEFAULT_REWARDS))
+    return GridSpec(layout=DEFAULT_LAYOUT, gamma=gamma, rewards=dict(DEFAULT_REWARDS))
 
 
 def build_grid_mdp(spec: GridSpec) -> TabularMdp:

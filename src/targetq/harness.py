@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigValidationError
-from .learner import RunTrace, _refusal, limit_violations, run_accuracy_triggered_q, run_periodic_q
-from .mdp import TabularMdp, _in_range, new_q_table, value_iteration_oracle
+from .learner import RunTrace, _noted, limit_violations, run_accuracy_triggered_q, run_periodic_q
+from .mdp import TabularMdp, _as_tuple, _in_range, new_q_table, value_iteration_oracle
 from .schedules import AccuracyTriggered, TufSchedule
 
 @dataclass(frozen=True)
@@ -38,35 +38,53 @@ class ExperimentConfig:
     n_cycles: int | None = None
 
     def violations(self) -> list[str]:
-        problems = []
-        if not self.arms:
-            problems.append("no arms configured")
-        labels = [arm.label for arm in self.arms]
-        # each label's type and each seed are checked before a set hashes them
-        wrong = [f"arm label must be a string, got {label!r}" for label in labels
-                 if not isinstance(label, str)]
-        if not wrong and len(set(labels)) != len(labels):
-            problems.append("arm labels must be unique")
-        if not wrong and not all(label.strip() for label in labels):
-            problems.append("arm labels must be non-empty")
-        problems += wrong
+        """Every rule the experiment breaks, one message each, all checked
+        before any oracle solve. A value of the wrong type is reported, not
+        raised: a container that is not a sequence (``mdp._as_tuple``) goes
+        unread, and each arm's types and each seed are checked before a set
+        hashes them or a run uses them."""
+        problems = [] if isinstance(self.mdp, TabularMdp) else [
+            f"mdp must be a TabularMdp, got {self.mdp!r}"]
         seeds = self.seeds
         if isinstance(seeds, range):  # distinct integers, so only its ends can be negative
             seeds = sorted({*seeds[:1], *seeds[-1:]})
-        if not seeds:
+        arms = _noted(problems, _as_tuple, self.arms, "arms")
+        seeds = _noted(problems, _as_tuple, seeds, "seeds")
+        if arms == ():
+            problems.append("no arms configured")
+        wrong = [problem for arm in arms or () for problem in _arm_problems(arm)]
+        labels = [] if wrong else [arm.label for arm in arms or ()]
+        if len(set(labels)) != len(labels):
+            problems.append("arm labels must be unique")
+        if not all(label.strip() for label in labels):
+            problems.append("arm labels must be non-empty")
+        problems += wrong
+        if seeds == ():
             problems.append("no seeds configured")
-        # checked here, before any oracle solve, as default_rng would refuse them
-        bad = [problem for seed in seeds
-               for problem in _refusal(_in_range, seed, "seed", 0, math.inf, "[)", integer=True)]
-        if not bad and len(set(seeds)) != len(seeds):
+        bad = []  # the seeds default_rng would refuse, found before any oracle solve
+        for seed in seeds or ():
+            _noted(bad, _in_range, seed, "seed", 0, math.inf, "[)", integer=True)
+        if not bad and seeds and len(set(seeds)) != len(seeds):
             problems.append("seeds must be distinct")
         problems += bad
         problems += limit_violations(self.sample_budget, self.n_cycles, self.eval_horizon)
         # a library run of no cycles returns its initial record; a configured run must run one
         if isinstance(self.n_cycles, (int, np.integer)) and self.n_cycles == 0:
-            problems += _refusal(_in_range, self.n_cycles, "cycle count", 1, math.inf, "[)",
-                                 integer=True)
+            _noted(problems, _in_range, self.n_cycles, "cycle count", 1, math.inf, "[)",
+                   integer=True)
         return problems
+
+
+def _arm_problems(arm) -> list[str]:
+    """What is wrong with an arm's types: an ``Arm`` of a string label, a
+    schedule and step sizes with an ``alphas`` method."""
+    if not isinstance(arm, Arm):
+        return [f"arm must be an Arm, got {arm!r}"]
+    return [f"arm {what} must be {kind}, got {value!r}" for what, value, kind, ok in (
+        ("label", arm.label, "a string", isinstance(arm.label, str)),
+        ("schedule", arm.schedule, "a schedule", isinstance(arm.schedule, TufSchedule)),
+        ("step sizes", arm.step_sizes, "an object with an alphas method",
+         callable(getattr(arm.step_sizes, "alphas", None)))) if not ok]
 
 
 def run_one(schedule, step_sizes, mdp: TabularMdp, seed: int, label: str, **options) -> RunTrace:

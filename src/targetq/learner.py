@@ -103,6 +103,18 @@ def _frozen_continuation(q_frozen: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     return mdp.gamma * v[mdp.pair_next_state]
 
 
+def _frozen_cycle(q_frozen, mdp, kernel, *args):
+    """A cycle's one entry into its kernel: check the frozen table, run
+    ``kernel(values, cont, mdp, *args)`` on its per-pair values in place
+    against its frozen continuation, and return a float copy of the table
+    holding the new values, with the kernel's result."""
+    values = _check_table(q_frozen, mdp)
+    result = kernel(values, _frozen_continuation(q_frozen, mdp), mdp, *args)
+    q = np.array(q_frozen, dtype=float)
+    q.put(mdp.pair_flat, values)
+    return q, result
+
+
 def _draw_block(mdp: TabularMdp, count: int, rng: np.random.Generator):
     """``count`` uniform pair indices, then their ``count`` reward uniforms;
     ``mdp.draw_rewards(pairs, u)`` turns the uniforms into rewards."""
@@ -241,13 +253,9 @@ def run_inner_loop(
     left untouched and keeps serving as the frozen target throughout.
     """
     n_steps = _period(n_steps)
-    values = _check_table(q_in, mdp)
     # a run passes its own buffers; a lone cycle gets buffers of its own
     buffers = step_sizes if isinstance(step_sizes, _RunBuffers) else _RunBuffers(step_sizes)
-    _apply_cycle(values, _frozen_continuation(q_in, mdp), mdp, buffers, n_steps, rng)
-    q = np.array(q_in, dtype=float)
-    q.put(mdp.pair_flat, values)
-    return q
+    return _frozen_cycle(q_in, mdp, _apply_cycle, buffers, n_steps, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +269,23 @@ def limit_violations(sample_budget, n_cycles, eval_horizon) -> list[str]:
     reach passes."""
     problems = []
     if sample_budget is not None:
-        problems += _refusal(_in_range, sample_budget, "sample budget", 1, math.inf, "[)")
+        _noted(problems, _in_range, sample_budget, "sample budget", 1, math.inf, "[)")
     if n_cycles is not None:
-        problems += _refusal(_in_range, n_cycles, "cycle count", 0, math.inf, "[)", integer=True)
+        _noted(problems, _in_range, n_cycles, "cycle count", 0, math.inf, "[)", integer=True)
     if eval_horizon is not None:
-        problems += _refusal(_horizon, eval_horizon)
+        _noted(problems, _horizon, eval_horizon)
     if n_cycles is None and sample_budget is None:
         problems.append("an unbounded run needs n_cycles or sample_budget")
     return problems
 
 
-def _refusal(rule, *args, **kwargs) -> list[str]:
-    """The message of the ``DomainError`` that ``rule(*args, **kwargs)``
-    raises, as a list of one; an empty list if the rule passes."""
+def _noted(problems: list[str], rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``; or None, with the message of the
+    ``DomainError`` the rule raises appended to ``problems``."""
     try:
-        rule(*args, **kwargs)
+        return rule(*args, **kwargs)
     except DomainError as exc:
-        return [str(exc)]
-    return []
+        problems.append(str(exc))
 
 
 def _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, schedule_cycles=None, /, *,
@@ -404,11 +411,8 @@ def run_accuracy_triggered_q(
     buffers = _RunBuffers(step_sizes)
 
     def cycle(n, q):
-        values = _check_table(q, mdp)
-        steps, stat = _adaptive_cycle(values, _frozen_continuation(q, mdp), mdp, buffers,
-                                      k_min, k_max, adaptive.threshold(n + 1), rng)
-        q_new = q.copy()
-        q_new.put(mdp.pair_flat, values)
+        q_new, (steps, stat) = _frozen_cycle(q, mdp, _adaptive_cycle, buffers, k_min, k_max,
+                                             adaptive.threshold(n + 1), rng)
         return q_new, steps, stat
 
     return _run_cycles(q0, mdp, cycle, n_cycles, sample_budget, **options)

@@ -186,12 +186,10 @@ def test_run_seed_override_changes_trace(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, old, new, section, reason",
-    [("run", "budget = 2000", "budget = abc", "[run]",
-      "invalid literal for int() with base 10: 'abc'"),
-     ("sweep", "budget = 2500", "budget = abc", "[sweep]",
-      "invalid literal for int() with base 10: 'abc'"),
+    [("run", "budget = 2000", "budget = abc", "[run]", "budget must be a number, got 'abc'"),
+     ("sweep", "budget = 2500", "budget = abc", "[sweep]", "budget must be a number, got 'abc'"),
      ("sweep", "schedule = geometric 100", "schedule = geometric x", "[arm geo-100]",
-      "schedule spec 'geometric x': invalid literal for int() with base 10: 'x'")],
+      "schedule spec 'geometric x': K0 must be a number, got 'x'")],
     ids=["run", "sweep", "arm"],
 )
 def test_malformed_config_value_names_the_file(tmp_path, capsys, command, old, new, section,
@@ -278,16 +276,18 @@ def test_bad_numeric_inputs_fail_without_traceback(capsys, argv, message):
 
 
 def test_run_config_lists_every_limit_violation(tmp_path, monkeypatch):
-    # the parser leaves limits to run_experiment, which checks them before the oracle solve
+    # the parser checks the limits inside its [run] boundary, before any oracle solve
     monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(
         "[run]\ngamma = 0.7\nschedule = fixed 10\nbudget = 0\ncycles = 0\n"
         "eval_horizon = -2\n"
     )
-    with pytest.raises(ConfigValidationError) as err:
-        tq.run_experiment(parse_run_config(cfg))
-    assert len(err.value.violations) == 3
+    with pytest.raises(DomainError) as err:
+        parse_run_config(cfg)
+    assert str(err.value) == (
+        f"{cfg} [run]: sample budget must lie in [1, inf), got 0.0; evaluation horizon must lie "
+        "in [0, 1.7976931348623157e+308], got -2; cycle count must lie in [1, inf), got 0")
 
 
 def test_run_label_with_percent_sign(tmp_path, capsys):
@@ -352,15 +352,18 @@ def _no_oracle(*args, **kwargs):
     raise AssertionError("the oracle was solved for a config that cannot run")
 
 
+# a file's bad seed is the file's fault, even where --seed replaces it; a
+# bad --seed is no file's, and only it reads `invalid configuration`
 @pytest.mark.parametrize(
-    "command, old, new, flags, bad",
-    [("run", "seed = 3", "seed = -3", [], "-3"),
-     ("run", "seed = 3", "seed = 3", ["--seed", "-1"], "-1"),
-     ("sweep", "seeds = 0 1 2", "seeds = -1 2", [], "-1")],
-    ids=["run-config", "seed-flag", "sweep-config"],
+    "command, old, new, flags, where, bad",
+    [("run", "seed = 3", "seed = -3", [], "{} [run]", "-3"),
+     ("run", "seed = 3", "seed = -3", ["--seed", "4"], "{} [run]", "-3"),
+     ("run", "seed = 3", "seed = 3", ["--seed", "-1"], "invalid configuration", "-1"),
+     ("sweep", "seeds = 0 1 2", "seeds = -1 2", [], "{} [sweep]", "-1")],
+    ids=["run-config", "run-config-with-seed-flag", "seed-flag", "sweep-config"],
 )
 def test_negative_seed_fails_before_the_oracle_solve(tmp_path, capsys, monkeypatch, command, old,
-                                                     new, flags, bad):
+                                                     new, flags, where, bad):
     monkeypatch.setattr("targetq.harness.value_iteration_oracle", _no_oracle)
     cfg = tmp_path / "cfg.ini"
     text = RUN_CFG if command == "run" else SWEEP_CFG
@@ -368,7 +371,7 @@ def test_negative_seed_fails_before_the_oracle_solve(tmp_path, capsys, monkeypat
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid configuration: seed must lie in [0, inf), got {bad}\n")
+        f"error: {where.format(cfg)}: seed must lie in [0, inf), got {bad}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -418,8 +421,8 @@ def test_gridworld_emit_and_reload(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, message",
     [("values = -0.08, 0.05", "values = -0.08%, 0.05",
-      "[reward default]: could not convert string to float: '-0.08%'"),
-     ("gamma = 0.7", "gamma = 0.7%", "[grid]: could not convert string to float: '0.7%'"),
+      "[reward default]: values must be a number, got '-0.08%'"),
+     ("gamma = 0.7", "gamma = 0.7%", "[grid]: gamma must be a number, got '0.7%'"),
      ("kind = two-point", "kind = two-point%",
       "[reward default]: unknown reward kind 'two-point%'")],
     ids=["value", "gamma", "kind"],
@@ -475,8 +478,8 @@ def test_parse_step_specs(grid07):
 def test_parse_run_and_sweep_configs(tmp_path):
     run_path = tmp_path / "run.ini"
     run_path.write_text(RUN_CFG)
-    cfg = parse_run_config(run_path, seed_override=9)
-    assert cfg.seeds == (9,)
+    cfg = parse_run_config(run_path)
+    assert cfg.seeds == (3,)
     assert cfg.sample_budget == 2000
     assert isinstance(cfg.arms[0].schedule, tq.FixedPeriod)
     assert cfg.n_cycles is None
@@ -495,7 +498,7 @@ def test_parse_run_and_sweep_configs(tmp_path):
                               "file PATH or adaptive KMIN KMAX"),
      ("step_size = constant 2",
       "step-size spec 'constant 2': step size must lie in (0, 1], got 2.0"),
-     ("step_size = theory x", "step-size spec 'theory x': could not convert string to float: 'x'")],
+     ("step_size = theory x", "step-size spec 'theory x': XI must be a number, got 'x'")],
     ids=["unknown-schedule", "constant-out-of-range", "theory-not-a-number"],
 )
 def test_sweep_bad_arm_named_in_diagnostic(tmp_path, capsys, line, message):
@@ -622,7 +625,7 @@ def test_non_utf8_file_named_in_diagnostic(tmp_path, capsys, command):
      ("[reward goal]\n", "[reward goal]\nprobabilites = 1.0\n",
       "{}: unknown key 'probabilites' in [reward goal]"),
      ("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n", "{}: unknown section [DEFAULT]"),
-     ("rows = 4\n", "rows = four\n", "{} [grid]: invalid literal for int() with base 10: 'four'")],
+     ("rows = 4\n", "rows = four\n", "{} [grid]: rows must be a number, got 'four'")],
     ids=["grid-key", "reward-section", "reward-key", "default-section", "grid-value"],
 )
 def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
@@ -639,7 +642,7 @@ def test_grid_spec_typo_refused(tmp_path, capsys, old, new, message):
 # ---------------------------------------------------------------------------
 # One diagnostic per bad input file: `error: PATH [SECTION]: REASON` on one
 # line, naming only the file at fault. A config's limits (budget, horizon,
-# seeds, labels) are checked when it is run and read `invalid configuration`.
+# seeds, labels) are checked inside its [run] or [sweep] boundary too.
 
 GRID_SPEC = tq.dump_grid_spec(tq.gridworld_spec(0.7))
 GRID_RUN_CFG = RUN_CFG.replace("env = gridworld", "env = grid.ini")
@@ -649,7 +652,6 @@ NOT_UTF8 = RUN_CFG.encode() + b"label = caf\xe9\n"
 NOT_UTF8_REASON = (f": 'utf-8' codec can't decode byte 0xe9 in position "
                    f"{len(RUN_CFG) + len('label = caf')}: invalid continuation byte")
 OVERFLOW = "period must lie below 2**53, got"
-INT_X = "invalid literal for int() with base 10:"
 
 
 def _cfg(base, old, new, **other):
@@ -670,7 +672,7 @@ BAD_INPUT_FILES = [
     pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file zero.ini", zero=ZERO_PERIOD), "zero.ini",
                  " [schedule]: period must lie in [1, inf), got 0", id="schedule-file-period-0"),
     pytest.param("run", {"cfg.ini": GRID_RUN_CFG, **_grid("rows = 4", "rows = four")}, "grid.ini",
-                 f" [grid]: {INT_X} 'four'", id="grid-rows-four"),
+                 " [grid]: rows must be a number, got 'four'", id="grid-rows-four"),
     pytest.param("run", {"cfg.ini": "x = 1\n"}, "cfg.ini",
                  ": line 1: no [section] header before 'x = 1'", id="no-section-header"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = range 99999999999999999999"),
@@ -696,7 +698,7 @@ BAD_INPUT_FILES = [
     pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", "seeds = range 1"), "cfg.ini",
                  " [sweep]: needs at least 2 seeds for bands", id="sweep-range-1"),
     pytest.param("sweep", {"cfg.ini": SWEEP_CFG.split("[arm")[0]}, "cfg.ini",
-                 ": defines no [arm ...] sections", id="sweep-no-arms"),
+                 " [sweep]: no arms configured", id="sweep-no-arms"),
     pytest.param("run", {"cfg.ini": RUN_CFG + "[run]\n"}, "cfg.ini",
                  ": line 11: duplicate section [run]", id="duplicate-section"),
     pytest.param("run", {"cfg.ini": RUN_CFG + "gamma = 0.9\n"}, "cfg.ini",
@@ -720,11 +722,12 @@ BAD_INPUT_FILES = [
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "file deg.ini", deg=EMPTY_SCHEDULE),
                  "deg.ini", " [schedule]: no periods", id="sweep-degenerate-schedule-file"),
     pytest.param("run", _cfg(RUN_CFG, "budget = 2000", "budget = abc"), "cfg.ini",
-                 f" [run]: {INT_X} 'abc'", id="run-budget-abc"),
+                 " [run]: budget must be a number, got 'abc'", id="run-budget-abc"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "budget = 2500", "budget = abc"), "cfg.ini",
-                 f" [sweep]: {INT_X} 'abc'", id="sweep-budget-abc"),
+                 " [sweep]: budget must be a number, got 'abc'", id="sweep-budget-abc"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100", "geometric x"), "cfg.ini",
-                 f" [arm geo-100]: schedule spec 'geometric x': {INT_X} 'x'", id="arm-geometric-x"),
+                 " [arm geo-100]: schedule spec 'geometric x': K0 must be a number, got 'x'",
+                 id="arm-geometric-x"),
     pytest.param("run", {"cfg.ini": "[run]\nenv = gridworld\n"}, "cfg.ini",
                  " [run]: the bundled gridworld needs an explicit gamma",
                  id="gridworld-without-gamma"),
@@ -749,8 +752,7 @@ BAD_INPUT_FILES = [
                  id="arm-constant-2"),
     pytest.param("sweep", _cfg(SWEEP_CFG, "geometric 100\nstep_size = theory",
                                "geometric 100\nstep_size = theory x"), "cfg.ini",
-                 " [arm geo-100]: step-size spec 'theory x': "
-                 "could not convert string to float: 'x'",
+                 " [arm geo-100]: step-size spec 'theory x': XI must be a number, got 'x'",
                  id="arm-theory-x"),
     pytest.param("run", _cfg(RUN_CFG, "eval_horizon = 7", "eval_horizn = 7"), "cfg.ini",
                  ": unknown key 'eval_horizn' in [run]", id="run-key-typo"),
@@ -783,10 +785,10 @@ BAD_INPUT_FILES = [
     pytest.param("oracle", _grid("[grid]\n", "[DEFAULT]\nkind = two-point\n\n[grid]\n"), "grid.ini",
                  ": unknown section [DEFAULT]", id="grid-default-section"),
     pytest.param("oracle", _grid("values = -0.08, 0.05", "values = -0.08%, 0.05"), "grid.ini",
-                 " [reward default]: could not convert string to float: '-0.08%'",
+                 " [reward default]: values must be a number, got '-0.08%'",
                  id="grid-value-%"),
     pytest.param("oracle", _grid("gamma = 0.7", "gamma = 0.7%"), "grid.ini",
-                 " [grid]: could not convert string to float: '0.7%'", id="grid-gamma-%"),
+                 " [grid]: gamma must be a number, got '0.7%'", id="grid-gamma-%"),
     pytest.param("oracle", _grid("kind = two-point", "kind = two-point%"), "grid.ini",
                  " [reward default]: unknown reward kind 'two-point%'", id="grid-kind-%"),
     pytest.param("run", _cfg(RUN_CFG, "env = gridworld", "env ="), "cfg.ini",
@@ -800,6 +802,64 @@ BAD_INPUT_FILES = [
                  id="schedule-file-nul"),
     pytest.param("gridworld --out missing/grid.ini", {}, "missing/grid.ini",
                  ": No such file or directory", id="gridworld-out-missing-directory"),
+    # every number in the four formats goes through one reader: a non-number
+    # names its key or spec token, and any other value meets the library's rule
+    *[pytest.param("run", _cfg(RUN_CFG, old, new), "cfg.ini", f" [run]: {reason}", id=new)
+      for old, new, reason in [
+          ("budget = 2000", "budget = x", "budget must be a number, got 'x'"),
+          ("budget = 2000", "budget = 2.5", "budget must be an integer, got 2.5"),
+          ("eval_horizon = 7", "eval_horizon = x", "eval_horizon must be a number, got 'x'"),
+          ("eval_horizon = 7", "eval_horizon = 2.5",
+           "evaluation horizon must be an integer, got 2.5"),
+          ("seed = 3", "seed = x", "seed must be a number, got 'x'"),
+          ("seed = 3", "seed = 2.5", "seed must be an integer, got 2.5"),
+          ("budget = 2000", "cycles = x", "cycles must be a number, got 'x'"),
+          ("budget = 2000", "cycles = 2.5", "cycle count must be an integer, got 2.5"),
+          ("gamma = 0.7", "gamma = x", "gamma must be a number, got 'x'"),
+          ("bias = true", "bias = maybe", "bias must be true or false, got 'maybe'"),
+          ("fixed 200", "fixed x", "schedule spec 'fixed x': K must be a number, got 'x'"),
+          ("fixed 200", "fixed 2.5",
+           "schedule spec 'fixed 2.5': period must be an integer, got 2.5"),
+          ("fixed 200", "geometric 2.5",
+           "schedule spec 'geometric 2.5': period must be an integer, got 2.5"),
+          ("fixed 200", "geometric 100 x",
+           "schedule spec 'geometric 100 x': GAMMA must be a number, got 'x'"),
+          ("fixed 200", "custom 5 x", "schedule spec 'custom 5 x': K must be a number, got 'x'"),
+          ("fixed 200", "custom 5 2.5",
+           "schedule spec 'custom 5 2.5': period must be an integer, got 2.5"),
+          ("fixed 200", "adaptive x 50",
+           "schedule spec 'adaptive x 50': KMIN must be a number, got 'x'"),
+          ("fixed 200", "adaptive 5 x",
+           "schedule spec 'adaptive 5 x': KMAX must be a number, got 'x'"),
+          ("fixed 200", "adaptive 5 2.5",
+           "schedule spec 'adaptive 5 2.5': period must be an integer, got 2.5"),
+          ("step_size = theory", "step_size = theory x",
+           "step-size spec 'theory x': XI must be a number, got 'x'"),
+          ("step_size = theory", "step_size = constant x",
+           "step-size spec 'constant x': A must be a number, got 'x'")]],
+    *[pytest.param("sweep", _cfg(SWEEP_CFG, "seeds = 0 1 2", f"seeds = {seeds}"), "cfg.ini",
+                   f" [sweep]: {reason}", id=f"seeds = {seeds}")
+      for seeds, reason in [("0 x", "seeds must be a number, got 'x'"),
+                            ("0 2.5", "seed must be an integer, got 2.5"),
+                            ("range x", "range N must be a number, got 'x'"),
+                            ("range 2.5", "range N must be an integer, got 2.5")]],
+    *[pytest.param("oracle", _grid(old, new), "grid.ini", f" [{section}]: {reason}", id=new)
+      for old, new, section, reason in [
+          ("rows = 4", "rows = 2.5", "grid", "rows must be an integer, got 2.5"),
+          ("cols = 4", "cols = x", "grid", "cols must be a number, got 'x'"),
+          ("cols = 4", "cols = 2.5", "grid", "cols must be an integer, got 2.5"),
+          ("values = -0.08, 0.05", "values = -0.08, x", "reward default",
+           "values must be a number, got 'x'"),
+          ("probabilities = 0.5, 0.5", "probabilities = x, 0.5", "reward default",
+           "probabilities must be a number, got 'x'")]],
+    *[pytest.param("run", _cfg(RUN_CFG, "fixed 200", "file p.ini",
+                               p=f"[schedule]\nperiods = {ks}\n"),
+                   "p.ini", f" [schedule]: {reason}", id=f"periods = {ks}")
+      for ks, reason in [("5 x", "periods must be a number, got 'x'"),
+                         ("5 2.5", "period must be an integer, got 2.5")]],
+    # a file's own seed is checked even where --seed replaces it
+    pytest.param("run --config cfg.ini --seed 4", _cfg(RUN_CFG, "seed = 3", "seed = x"), "cfg.ini",
+                 " [run]: seed must be a number, got 'x'", id="file-seed-x-with-seed-flag"),
 ]
 
 
@@ -837,7 +897,7 @@ def test_empty_arm_label_fails_before_the_oracle_solve(tmp_path, capsys, monkeyp
     assert main([command, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invalid configuration: arm labels must be non-empty\n"
+    assert captured.err == f"error: {cfg} [{command}]: arm labels must be non-empty\n"
 
 
 def test_spec_and_file_readers_raise_domain_error(tmp_path, grid07):
@@ -957,6 +1017,9 @@ def _outcome(argv) -> None:
         warnings.simplefilter("error")
         rc = main(argv)
     err = err.getvalue()
+    # every value is read by the config's one reader, never by Python's conversions
+    for wording in ("invalid literal", "could not convert", "Not a boolean"):
+        assert wording not in err
     if rc == 2:
         assert err.startswith("usage: ") and f"\ntargetq {argv[0]}: error: " in err
     else:

@@ -92,6 +92,13 @@ def test_spec_gamma_override():
     assert spec.layout == DEFAULT_LAYOUT
 
 
+def test_spec_stores_the_checked_discount():
+    # GridSpec keeps the float its discount rule returns, so an int writes as one
+    spec = gridworld_spec(0)
+    assert type(spec.gamma) is float and "\ngamma = 0.0\n" in dump_grid_spec(spec)
+    assert type(load_grid_spec(dump_grid_spec(spec), gamma=np.float32(0.5)).gamma) is float
+
+
 def test_spec_validation_errors():
     with pytest.raises(DomainError):
         load_grid_spec("not a config at all [")
@@ -139,8 +146,8 @@ def test_malformed_grid_spec_is_refused(layout, drop, message):
 # no valid spec holds a '%': layouts, kinds and numbers all exclude it
 PERCENT_EDITS = [
     ("values = -0.08, 0.05", "values = -0.08%, 0.05",
-     "grid spec [reward default]: could not convert string to float: '-0.08%'"),
-    ("gamma = 0.7", "gamma = 0.7%", "grid spec [grid]: could not convert string to float: '0.7%'"),
+     "grid spec [reward default]: values must be a number, got '-0.08%'"),
+    ("gamma = 0.7", "gamma = 0.7%", "grid spec [grid]: gamma must be a number, got '0.7%'"),
     ("kind = two-point", "kind = two-point%",
      "grid spec [reward default]: unknown reward kind 'two-point%'"),
 ]

@@ -3,6 +3,7 @@ import importlib
 import inspect
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,7 +93,9 @@ def test_non_integer_limit_fails_before_the_oracle_solve(grid07, monkeypatch, fi
     ((1.5, 2), "seed must be an integer, got 1.5"),
     ((0, "1"), "seed must be an integer, got '1'"),
     (([1], 2), "seed must be an integer, got [1]"),  # checked before a set hashes it
-], ids=["negative", "float", "str", "list"])
+    (5, "seeds must be a sequence, got 5"),
+    ("01", "seeds must be a sequence, got '01'"),
+], ids=["negative", "float", "str", "list", "int-container", "str-container"])
 def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds, problem):
     def spy(*args, **kwargs):
         raise AssertionError("the oracle was solved for seeds that cannot run")
@@ -105,6 +108,8 @@ def test_bad_seeds_fail_before_the_oracle_solve(grid07, monkeypatch, seeds, prob
         tq.run_experiment(cfg)
     assert err.value.violations == [problem]
     assert replace(cfg, seeds=(np.int64(0), np.uint8(1))).violations() == []
+    # an array is a sequence like any other (its truth value used to raise)
+    assert replace(cfg, seeds=np.array([0, 1])).violations() == []
 
 
 @pytest.mark.parametrize("labels, problems", [
@@ -123,6 +128,32 @@ def test_non_string_labels_fail_before_the_oracle_solve(grid07, monkeypatch, lab
     cfg = tq.ExperimentConfig(mdp=grid07, arms=arms, seeds=(0, 1), sample_budget=100)
     with pytest.raises(ConfigValidationError) as err:
         tq.run_experiment(cfg)
+    assert err.value.violations == problems
+
+
+# a wrong-typed container, arm or arm part is reported, not raised
+@pytest.mark.parametrize("changes, problems", [
+    (dict(arms=5), ["arms must be a sequence, got 5"]),
+    (dict(arms=("a",)), ["arm must be an Arm, got 'a'"]),
+    (dict(mdp="grid"), ["mdp must be a TabularMdp, got 'grid'"]),
+    (dict(arms=(tq.Arm("a", "fixed 10", None),)),
+     ["arm schedule must be a schedule, got 'fixed 10'",
+      "arm step sizes must be an object with an alphas method, got None"]),
+    (dict(arms=(tq.Arm("a", tq.FixedPeriod(10), SimpleNamespace(alphas=0.5)),)),
+     ["arm step sizes must be an object with an alphas method, got namespace(alphas=0.5)"]),
+], ids=["arms-int", "arms-str-item", "mdp-str", "schedule-str-and-steps-none",
+        "alphas-not-callable"])
+def test_wrong_typed_parts_fail_before_the_oracle_solve(grid07, monkeypatch, changes, problems):
+    def spy(*args, **kwargs):
+        raise AssertionError("the oracle was solved for a config that cannot run")
+
+    monkeypatch.setattr(tq.harness, "value_iteration_oracle", spy)
+    steps = tq.TheoryInverseStepSize.from_pair_count(52)
+    cfg = tq.ExperimentConfig(mdp=grid07, arms=(tq.Arm("a", tq.FixedPeriod(10), steps),),
+                              seeds=(0, 1), sample_budget=100)
+    assert cfg.violations() == []
+    with pytest.raises(ConfigValidationError) as err:
+        tq.run_experiment(replace(cfg, **changes))
     assert err.value.violations == problems
 
 

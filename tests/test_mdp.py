@@ -454,6 +454,14 @@ _WRONG_TYPES = {
                               DomainError, "reward probability must be a real number, got '0.25'"),
     "deterministic str": (lambda mdp, q: tq.RewardDistribution.deterministic("-3"),
                           DomainError, "reward value must be a real number, got '-3'"),
+    # each grid entry point leaves the discount to GridSpec's rule
+    "gridworld_spec gamma str": (lambda mdp, q: tq.gridworld_spec("0.7"),
+                                 DomainError, "gamma must be a real number, got '0.7'"),
+    "build_gridworld gamma str": (lambda mdp, q: tq.build_gridworld("0.9"),
+                                  DomainError, "gamma must be a real number, got '0.9'"),
+    "load_grid_spec gamma str": (lambda mdp, q: tq.load_grid_spec(
+        tq.dump_grid_spec(tq.gridworld_spec(0.7)), gamma="0.95"),
+        DomainError, "gamma must be a real number, got '0.95'"),
 }
 
 
